@@ -182,11 +182,12 @@ def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, 
     saw_marker = False
     for line in lines:
         stripped = line.strip()
-        if not stripped:
-            continue
         if expect_model:
+            # the model line may be empty: a model with no shown atoms
             models.append([parse_atom(a) for a in split_atoms(stripped)])
             expect_model = False
+            continue
+        if not stripped:
             continue
         if stripped.startswith("Answer:"):
             saw_marker = True

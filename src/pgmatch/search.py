@@ -5,11 +5,27 @@ decision with witness, and minimum-cost partial-isomorphism search for
 All searches are deterministic: node variables follow the configured order,
 candidate values are tried lexicographically, and incumbents are replaced
 only by strictly better ones.
+
+Every search call first builds one graph-pair index (``_PairIndex``):
+properties per owner, the edge buckets (parallel edges per (src, tgt)) of
+both graphs, each g1 node's incident buckets and neighbours, g2 successors
+and predecessors per node keyed by edge label, and g2 nodes per label.
+
+A decision step assigning g1 node ``v`` visits only ``v``'s neighbours: its
+candidates are the g2 nodes adjacent, by the right edge labels, to the
+images of its assigned neighbours, and the buckets checked are those between
+``v`` and its assigned neighbours (for iso also the g2 neighbours of ``v``'s
+image that have an assigned preimage). Iso and sub are first cut by node and
+edge counts, per label when labels must match. The decision searches keep
+their path on an explicit stack, so no graph is too deep for them. The
+edit-distance search takes its tables from the same index; its steps still
+walk the whole partial assignment.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .editing import (
@@ -88,6 +104,52 @@ def _edges_by_pair(g: PropertyGraph) -> dict[tuple[str, str], list[str]]:
     return out
 
 
+_EMPTY: frozenset = frozenset()
+
+
+class _PairIndex:
+    """Tables for one (g1, g2) pair, built once per search call.
+
+    - ``props1`` / ``props2``: properties per owner (node or edge id).
+    - ``pairs1`` / ``pairs2``: edge buckets, the sorted parallel edges per
+      (src, tgt).
+    - ``at1[v]``: the g1 buckets incident to ``v`` as ``(u, (s, t), bucket)``
+      with ``u`` the other endpoint (``v`` itself for a self-loop), so each
+      bucket is listed once per endpoint; ``out1[v]`` / ``in1[v]``: the
+      distinct ``(neighbour, edge label)`` pairs of ``v``'s edges to and from
+      other nodes.
+    - ``succ2[w]`` / ``pred2[w]``: g2 successors and predecessors of ``w``
+      keyed by edge label, and under ``None`` over all labels.
+    - ``nodes2_by_label`` / ``all_nodes2``: g2 node ids in sorted order.
+    """
+
+    def __init__(self, g1: PropertyGraph, g2: PropertyGraph):
+        self.props1 = _props_by_owner(g1)
+        self.props2 = _props_by_owner(g2)
+        self.pairs1 = _edges_by_pair(g1)
+        self.pairs2 = _edges_by_pair(g2)
+        self.at1: dict[str, list] = {v: [] for v in g1.nodes}
+        self.out1: dict[str, set] = {v: set() for v in g1.nodes}
+        self.in1: dict[str, set] = {v: set() for v in g1.nodes}
+        for (s, t), b1 in self.pairs1.items():
+            self.at1[s].append((t, (s, t), b1))
+            if s != t:
+                self.at1[t].append((s, (s, t), b1))
+                for e in b1:
+                    self.out1[s].add((t, g1.edges[e][2]))
+                    self.in1[t].add((s, g1.edges[e][2]))
+        self.succ2: dict[str, dict] = {w: {None: set()} for w in g2.nodes}
+        self.pred2: dict[str, dict] = {w: {None: set()} for w in g2.nodes}
+        for s, t, lab in g2.edges.values():
+            for key in (None, lab):
+                self.succ2[s].setdefault(key, set()).add(t)
+                self.pred2[t].setdefault(key, set()).add(s)
+        self.nodes2_by_label: dict[str, list[str]] = {}
+        for w in sorted(g2.nodes):
+            self.nodes2_by_label.setdefault(g2.nodes[w], []).append(w)
+        self.all_nodes2 = sorted(g2.nodes)
+
+
 def _ordered_nodes(g: PropertyGraph, order: str) -> list[str]:
     if order == "lex":
         return sorted(g.nodes)
@@ -125,35 +187,18 @@ class _Deadline:
 
 
 class _DecisionSearch:
-    """Backtracking engine shared by the three decision problems."""
+    """Backtracking engine shared by the three decision problems; each step
+    visits only the neighbours of the node it assigns."""
 
     def __init__(self, kind: str, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
         self.kind = kind
         self.g1, self.g2 = g1, g2
-        self.opts = opts
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.props_hard = opts.properties == PROPS_HARD
         self.order1 = _ordered_nodes(g1, opts.node_order)
-        self.props1 = _props_by_owner(g1)
-        self.props2 = _props_by_owner(g2)
-        self.pairs1 = _edges_by_pair(g1)
-        self.pairs2 = _edges_by_pair(g2)
-        self.out1: dict[str, list[str]] = {v: [] for v in g1.nodes}
-        self.in1: dict[str, list[str]] = {v: [] for v in g1.nodes}
-        for e, (s, t, _) in g1.edges.items():
-            self.out1[s].append(e)
-            self.in1[t].append(e)
-        self.nodes2_by_label: dict[str, list[str]] = {}
-        for w, lab in g2.nodes.items():
-            self.nodes2_by_label.setdefault(lab, []).append(w)
-        for lab in self.nodes2_by_label:
-            self.nodes2_by_label[lab].sort()
-        self.all_nodes2 = sorted(g2.nodes)
+        self.ix = _PairIndex(g1, g2)
         self.deadline = _Deadline(opts.budget)
-        # soft-mode incumbent: (cost, node assignment)
-        self.best_cost: int | None = None
-        self.best_assignment: dict[str, str] | None = None
 
     # -- label and property tests ------------------------------------------
 
@@ -162,32 +207,32 @@ class _DecisionSearch:
             return False
         if self.props_hard:
             if self.kind == "iso":
-                return self.props1[v] == self.props2[w]
-            return _dominated(self.props1[v], self.props2[w])
+                return self.ix.props1[v] == self.ix.props2[w]
+            return _dominated(self.ix.props1[v], self.ix.props2[w])
         return True
 
     def _node_pair_cost(self, v: str, w: str) -> int:
         if self.props_hard:
             return 0
         if self.kind == "iso":
-            return _symmetric_mismatch(self.props1[v], self.props2[w])
-        return _one_way_mismatch(self.props1[v], self.props2[w])
+            return _symmetric_mismatch(self.ix.props1[v], self.ix.props2[w])
+        return _one_way_mismatch(self.ix.props1[v], self.ix.props2[w])
 
     def _edge_pair_ok(self, e: str, f: str) -> bool:
         if self.label_hard and self.g1.edges[e][2] != self.g2.edges[f][2]:
             return False
         if self.props_hard:
             if self.kind == "iso":
-                return self.props1[e] == self.props2[f]
-            return _dominated(self.props1[e], self.props2[f])
+                return self.ix.props1[e] == self.ix.props2[f]
+            return _dominated(self.ix.props1[e], self.ix.props2[f])
         return True
 
     def _edge_pair_cost(self, e: str, f: str) -> int:
         if self.props_hard:
             return 0
         if self.kind == "iso":
-            return _symmetric_mismatch(self.props1[e], self.props2[f])
-        return _one_way_mismatch(self.props1[e], self.props2[f])
+            return _symmetric_mismatch(self.ix.props1[e], self.ix.props2[f])
+        return _one_way_mismatch(self.ix.props1[e], self.ix.props2[f])
 
     # -- per-bucket edge feasibility ---------------------------------------
 
@@ -223,24 +268,26 @@ class _DecisionSearch:
             perfect=self.kind == "iso",
         )[0]
 
-    def _assign_buckets(self, v: str, assignment: dict[str, str]) -> int | None:
-        """Check every edge bucket completed by assigning ``v``; returns the
-        added soft cost, or None when some bucket is infeasible."""
+    def _assign_buckets(self, v: str, w: str, assignment: dict, inv: dict) -> int | None:
+        """Check every edge bucket completed by assigning ``v`` to ``w``
+        (already entered in ``assignment``; ``inv`` maps the images of the
+        other assigned nodes back); returns the added soft cost, or None when
+        some bucket is infeasible."""
+        pairs1, pairs2 = self.ix.pairs1, self.ix.pairs2
+        if self.kind == "iso":
+            # cut: a g2 bucket at w needs a g1 bucket between the preimages
+            for x in self.ix.succ2[w][None]:
+                u = v if x == w else inv.get(x)
+                if u is not None and (v, u) not in pairs1:
+                    return None
+            for x in self.ix.pred2[w][None]:
+                u = v if x == w else inv.get(x)
+                if u is not None and (u, v) not in pairs1:
+                    return None
         total = 0
-        seen: set[tuple[str, str]] = set()
-        for u in assignment:
-            for key in ((u, v), (v, u)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                b1 = self.pairs1.get(key, [])
-                key2 = (assignment[key[0]], assignment[key[1]])
-                b2 = self.pairs2.get(key2, [])
-                if not b1 and not b2:
-                    continue
-                if not b1 and self.kind != "iso":
-                    continue
-                cost = self._bucket_check(b1, b2)
+        for u, (s, t), b1 in self.ix.at1[v]:
+            if u in assignment:
+                cost = self._bucket_check(b1, pairs2.get((assignment[s], assignment[t]), []))
                 if cost is None:
                     return None
                 total += cost
@@ -248,105 +295,103 @@ class _DecisionSearch:
 
     # -- candidate generation -----------------------------------------------
 
-    def _candidates(self, v: str, assignment: dict[str, str], used: set[str]) -> list[str]:
-        if self.label_hard:
-            base = set(self.nodes2_by_label.get(self.g1.nodes[v], []))
-        else:
-            base = set(self.all_nodes2)
-        # narrow through already-assigned neighbours
-        for e in self.out1[v]:
-            _, t, lab = self.g1.edges[e]
-            if t != v and t in assignment:
-                allowed = {
-                    s2
-                    for (s2, t2), fs in self.pairs2.items()
-                    if t2 == assignment[t]
-                    and (not self.label_hard or any(self.g2.edges[f][2] == lab for f in fs))
-                }
-                base &= allowed
-        for e in self.in1[v]:
-            s, _, lab = self.g1.edges[e]
-            if s != v and s in assignment:
-                allowed = {
-                    t2
-                    for (s2, t2), fs in self.pairs2.items()
-                    if s2 == assignment[s]
-                    and (not self.label_hard or any(self.g2.edges[f][2] == lab for f in fs))
-                }
-                base &= allowed
-        if self.injective:
-            base -= used
-        return sorted(base)
+    def _candidates(self, v: str, assignment: dict[str, str], inv: dict) -> list[str]:
+        ix = self.ix
+        lab = self.g1.nodes[v]
+        hard = self.label_hard
+        # one g2 node set per assigned neighbour: the predecessors (edges out
+        # of v) or successors (edges into v) of its image
+        narrow = [
+            ix.pred2[assignment[t]].get(elab if hard else None, _EMPTY)
+            for t, elab in ix.out1[v]
+            if t in assignment
+        ] + [
+            ix.succ2[assignment[s]].get(elab if hard else None, _EMPTY)
+            for s, elab in ix.in1[v]
+            if s in assignment
+        ]
+        if not narrow:
+            base = ix.nodes2_by_label.get(lab, []) if hard else ix.all_nodes2
+            return [w for w in base if w not in inv] if self.injective else base
+        narrow.sort(key=len)
+        nodes2 = self.g2.nodes
+        return sorted(
+            w
+            for w in narrow[0].intersection(*narrow[1:])
+            if (not hard or nodes2[w] == lab) and (not self.injective or w not in inv)
+        )
 
     # -- main search ----------------------------------------------------------
 
     def run(self) -> Matching | None:
-        if self.kind == "iso" and not self._iso_prechecks():
+        if self.kind != "hom" and not self._counts_fit():
             return None
+        found = self._search()
+        return self._finish(found) if found is not None else None
+
+    def _counts_fit(self) -> bool:
+        """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
+        iso and at most as many for sub, per node and per edge label when
+        labels must match."""
+
+        def counts(g: PropertyGraph) -> Counter:
+            if not self.label_hard:
+                return Counter(nodes=len(g.nodes), edges=len(g.edges))
+            return Counter([("node", lab) for lab in g.nodes.values()]) + Counter(
+                [("edge", lab) for _, _, lab in g.edges.values()]
+            )
+
+        c1, c2 = counts(self.g1), counts(self.g2)
+        return c1 == c2 if self.kind == "iso" else c1 <= c2
+
+    def _search(self) -> dict[str, str] | None:
+        """Depth first over ``order1`` on an explicit stack, candidates in
+        lexicographic order, the deadline checked at every node entered.
+        Under hard properties returns the first complete assignment; under
+        soft ones keeps the cheapest (the first found among equals) and
+        returns it."""
+        order, soft = self.order1, not self.props_hard
+        best_cost: int | None = None  # soft-mode incumbent
+        best: dict[str, str] | None = None
         assignment: dict[str, str] = {}
-        used: set[str] = set()
-        if self.props_hard:
-            found = self._search_first(0, assignment, used)
-            return self._finish(found) if found is not None else None
-        self._search_best(0, assignment, used, 0)
-        if self.best_assignment is None:
-            return None
-        return self._finish(self.best_assignment)
-
-    def _iso_prechecks(self) -> bool:
-        if len(self.g1.nodes) != len(self.g2.nodes) or len(self.g1.edges) != len(self.g2.edges):
-            return False
-        if self.label_hard:
-            if sorted(self.g1.nodes.values()) != sorted(self.g2.nodes.values()):
-                return False
-            if sorted(l for _, _, l in self.g1.edges.values()) != sorted(
-                l for _, _, l in self.g2.edges.values()
-            ):
-                return False
-        return True
-
-    def _search_first(self, depth: int, assignment: dict, used: set) -> dict | None:
-        if self.deadline.check():
-            raise SearchTimeout(f"{self.kind} search exceeded its budget")
-        if depth == len(self.order1):
-            return dict(assignment)
-        v = self.order1[depth]
-        for w in self._candidates(v, assignment, used):
-            if not self._node_pair_ok(v, w):
-                continue
-            assignment[v] = w
-            if self._assign_buckets(v, assignment) is not None:
-                used.add(w)
-                found = self._search_first(depth + 1, assignment, used)
-                if found is not None:
-                    return found
-                used.discard(w)
-            del assignment[v]
-        return None
-
-    def _search_best(self, depth: int, assignment: dict, used: set, acc: int) -> None:
-        if self.deadline.check():
-            raise SearchTimeout(f"{self.kind} search exceeded its budget")
-        if self.best_cost is not None and acc >= self.best_cost:
-            return
-        if depth == len(self.order1):
-            if self.best_cost is None or acc < self.best_cost:
-                self.best_cost = acc
-                self.best_assignment = dict(assignment)
-            return
-        v = self.order1[depth]
-        for w in self._candidates(v, assignment, used):
-            if not self._node_pair_ok(v, w):
-                continue
-            assignment[v] = w
-            bucket_cost = self._assign_buckets(v, assignment)
-            if bucket_cost is not None:
-                used.add(w)
-                self._search_best(
-                    depth + 1, assignment, used, acc + self._node_pair_cost(v, w) + bucket_cost
-                )
-                used.discard(w)
-            del assignment[v]
+        inv: dict[str, str] = {}  # image -> preimage, for injective kinds
+        frames: list = []  # per assigned depth: (v, candidates left, cost before v)
+        acc = 0
+        while True:
+            # enter the node at depth len(frames), with settled cost acc
+            if self.deadline.check():
+                raise SearchTimeout(f"{self.kind} search exceeded its budget")
+            if soft and best_cost is not None and acc >= best_cost:
+                pass  # no better than the incumbent
+            elif len(frames) == len(order):
+                if not soft:
+                    return dict(assignment)
+                best_cost, best = acc, dict(assignment)
+            else:
+                v = order[len(frames)]
+                frames.append((v, iter(self._candidates(v, assignment, inv)), acc))
+            # advance to the next feasible candidate, backtracking when none is left
+            while frames:
+                v, cands, base = frames[-1]
+                if v in assignment:
+                    inv.pop(assignment.pop(v), None)
+                for w in cands:
+                    if not self._node_pair_ok(v, w):
+                        continue
+                    assignment[v] = w
+                    cost = self._assign_buckets(v, w, assignment, inv)
+                    if cost is not None:
+                        if self.injective:
+                            inv[w] = v
+                        acc = base + self._node_pair_cost(v, w) + cost
+                        break
+                    del assignment[v]
+                else:
+                    frames.pop()
+                    continue
+                break
+            else:
+                return best
 
     # -- witness completion ----------------------------------------------------
 
@@ -359,8 +404,8 @@ class _DecisionSearch:
             if key in done:
                 continue
             done.add(key)
-            b1 = self.pairs1.get(key, [])
-            b2 = self.pairs2.get((assignment[s], assignment[t]), [])
+            b1 = self.ix.pairs1.get(key, [])
+            b2 = self.ix.pairs2.get((assignment[s], assignment[t]), [])
             edge_map.update(self._bucket_pairs(b1, b2))
         return Matching(dict(assignment), edge_map)
 
@@ -477,32 +522,23 @@ class _GedSearch:
         self.cm = opts.cost_model
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.order1 = _ordered_nodes(g1, opts.node_order)
-        self.props1 = _props_by_owner(g1)
-        self.props2 = _props_by_owner(g2)
-        self.pairs1 = _edges_by_pair(g1)
-        self.pairs2 = _edges_by_pair(g2)
+        self.ix = ix = _PairIndex(g1, g2)
         w = self.cm.weights
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
         self.w_del_e, self.w_ins_e = w["delE"], w["insE"]
         self.w_del_p, self.w_ins_p, self.w_upd_p = w["delP"], w["insP"], w["updP"]
         self.del_node = {
-            v: self.w_del_v + self.w_del_p * len(self.props1[v]) for v in g1.nodes
+            v: self.w_del_v + self.w_del_p * len(ix.props1[v]) for v in g1.nodes
         }
         self.ins_node = {
-            w2: self.w_ins_v + self.w_ins_p * len(self.props2[w2]) for w2 in g2.nodes
+            w2: self.w_ins_v + self.w_ins_p * len(ix.props2[w2]) for w2 in g2.nodes
         }
         self.del_edge = {
-            e: self.w_del_e + self.w_del_p * len(self.props1[e]) for e in g1.edges
+            e: self.w_del_e + self.w_del_p * len(ix.props1[e]) for e in g1.edges
         }
         self.ins_edge = {
-            f: self.w_ins_e + self.w_ins_p * len(self.props2[f]) for f in g2.edges
+            f: self.w_ins_e + self.w_ins_p * len(ix.props2[f]) for f in g2.edges
         }
-        self.nodes2_by_label: dict[str, list[str]] = {}
-        for w2, lab in g2.nodes.items():
-            self.nodes2_by_label.setdefault(lab, []).append(w2)
-        for lab in self.nodes2_by_label:
-            self.nodes2_by_label[lab].sort()
-        self.all_nodes2 = sorted(g2.nodes)
         self.deadline = _Deadline(opts.budget)
         self.best_cost: int | None = None
         self.best_assignment: dict[str, str | None] = {}
@@ -523,14 +559,14 @@ class _GedSearch:
 
     def _node_pair_cost(self, v: str, w: str) -> int:
         label = 0 if self.g1.nodes[v] == self.g2.nodes[w] else self.cm.node_sub
-        return label + self._prop_pair_cost(self.props1[v], self.props2[w])
+        return label + self._prop_pair_cost(self.ix.props1[v], self.ix.props2[w])
 
     def _edge_pair_cost(self, e: str, f: str) -> int | None:
         lab1, lab2 = self.g1.edges[e][2], self.g2.edges[f][2]
         if lab1 != lab2 and self.label_hard:
             return None
         label = 0 if lab1 == lab2 else self.cm.edge_sub
-        return label + self._prop_pair_cost(self.props1[e], self.props2[f])
+        return label + self._prop_pair_cost(self.ix.props1[e], self.ix.props2[f])
 
     def _bucket_cost(self, b1: list[str], b2: list[str]) -> int:
         """Exact minimum over all injective partial pairings of one bucket,
@@ -595,19 +631,20 @@ class _GedSearch:
         """Cost settled by deciding ``v``: its own decision plus every edge
         bucket whose endpoints are now all decided."""
         total = self.del_node[v] if w is None else self._node_pair_cost(v, w)
+        pairs1, pairs2 = self.ix.pairs1, self.ix.pairs2
         seen: set[tuple[str, str]] = set()
         for u in list(assignment) + [v]:
             for key in ((u, v), (v, u)):
                 if key in seen:
                     continue
                 seen.add(key)
-                b1 = self.pairs1.get(key, [])
+                b1 = pairs1.get(key, [])
                 u_img = w if key[0] == v else assignment.get(key[0])
                 v_img = w if key[1] == v else assignment.get(key[1])
                 if u_img is None or v_img is None:
                     total += sum(self.del_edge[e] for e in b1)
                 else:
-                    b2 = self.pairs2.get((u_img, v_img), [])
+                    b2 = pairs2.get((u_img, v_img), [])
                     if b1 or b2:
                         total += self._bucket_cost(b1, b2)
         return total
@@ -617,6 +654,7 @@ class _GedSearch:
         if w is None:
             return []
         settled: list[str] = []
+        pairs2 = self.ix.pairs2
         seen: set[tuple[str, str]] = set()
         for u in list(assignment) + [v]:
             for key in ((u, v), (v, u)):
@@ -626,7 +664,7 @@ class _GedSearch:
                 u_img = w if key[0] == v else assignment.get(key[0])
                 v_img = w if key[1] == v else assignment.get(key[1])
                 if u_img is not None and v_img is not None:
-                    settled += self.pairs2.get((u_img, v_img), [])
+                    settled += pairs2.get((u_img, v_img), [])
         return settled
 
     def _lower_bound_tail(self, depth: int, used: set[str]) -> int:
@@ -637,10 +675,10 @@ class _GedSearch:
                 lab = self.g1.nodes[v]
                 remaining[lab] = remaining.get(lab, 0) + 1
             bound = 0
-            labels = set(remaining) | set(self.nodes2_by_label)
+            labels = set(remaining) | set(self.ix.nodes2_by_label)
             for lab in labels:
                 r1 = remaining.get(lab, 0)
-                a2 = sum(1 for w in self.nodes2_by_label.get(lab, []) if w not in used)
+                a2 = sum(1 for w in self.ix.nodes2_by_label.get(lab, []) if w not in used)
                 bound += max(0, r1 - a2) * self.w_del_v + max(0, a2 - r1) * self.w_ins_v
             return bound
         r1 = len(self.order1) - depth
@@ -687,10 +725,10 @@ class _GedSearch:
         v = self.order1[depth]
         if self.label_hard:
             candidates = [
-                w for w in self.nodes2_by_label.get(self.g1.nodes[v], []) if w not in used
+                w for w in self.ix.nodes2_by_label.get(self.g1.nodes[v], []) if w not in used
             ]
         else:
-            candidates = [w for w in self.all_nodes2 if w not in used]
+            candidates = [w for w in self.ix.all_nodes2 if w not in used]
         options: list[tuple[int, int, str | None]] = [
             (self._decide_cost(v, w, assignment), 0, w) for w in candidates
         ]
@@ -711,11 +749,11 @@ class _GedSearch:
     def _rebuild_matching(self, assignment: dict[str, str | None]) -> Matching:
         node_map = {v: w for v, w in assignment.items() if w is not None}
         edge_map: dict[str, str] = {}
-        for (s, t), b1 in sorted(self.pairs1.items()):
+        for (s, t), b1 in sorted(self.ix.pairs1.items()):
             ws, wt = node_map.get(s), node_map.get(t)
             if ws is None or wt is None:
                 continue
-            b2 = self.pairs2.get((ws, wt), [])
+            b2 = self.ix.pairs2.get((ws, wt), [])
             if b2:
                 edge_map.update(self._bucket_pairs(b1, b2))
         return Matching(node_map, edge_map)

@@ -56,6 +56,18 @@ def test_parse_solver_output_takes_last_model_and_costs():
     assert status == "OPTIMUM FOUND"
 
 
+def test_parse_solver_output_empty_model_line():
+    text = (
+        "clingo version 5.6.2\nReading from stdin\nSolving...\n"
+        "Answer: 1\n\nOptimization: 7\nOPTIMUM FOUND\n\n"
+        "Models       : 1\n  Optimum    : yes\nOptimization : 7\n"
+    )
+    models, costs, status = parse_solver_output(text)
+    assert models == [[]]
+    assert costs == [7]
+    assert status == "OPTIMUM FOUND"
+
+
 def test_parse_solver_output_permissive_fallback():
     models, costs, status = parse_solver_output("h(v1,w1) h(e1,f1)\n")
     assert models == [[Fact("h", ("v1", "w1")), Fact("h", ("e1", "f1"))]]

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from conftest import (
+    KEYS,
+    LABELS,
+    VALUES,
     brute_hom_exists,
     brute_iso_exists,
     brute_sub_exists,
@@ -21,6 +24,7 @@ from pgmatch import (
     gen_cycle,
     min_edit_matching,
     oracle_ged,
+    rename_graph,
     search_hom,
     search_iso,
     search_sub,
@@ -86,14 +90,97 @@ def test_sub_identity():
     assert w is not None and check_subgraph_embedding(w, g, g)
 
 
+def _with_parallel_edges(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` plus a second edge, with its own label and properties, beside
+    some of its edges."""
+    edges, props = dict(g.edges), dict(g.props)
+    for e, (s, t, _) in g.edges.items():
+        if rng.random() < 0.5:
+            edges[e + "p"] = (s, t, rng.choice(LABELS))
+            if rng.random() < 0.5:
+                props[(e + "p", rng.choice(KEYS))] = rng.choice(VALUES)
+    return PropertyGraph(g.nodes, edges, props)
+
+
+def _renamed_copy(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` with its node ids shuffled into the ``b`` id space."""
+    nodes = sorted(g.nodes)
+    targets = [f"bv{i}" for i in range(len(nodes))]
+    rng.shuffle(targets)
+    mapping = dict(zip(nodes, targets))
+    mapping.update({e: "b" + e for e in g.edges})
+    return rename_graph(g, mapping)
+
+
+def _repointed(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` with the target of one edge moved to another node: node and
+    edge counts, labels included, stay the same."""
+    if not g.edges:
+        return g
+    e = rng.choice(sorted(g.edges))
+    s, t, lab = g.edges[e]
+    others = [v for v in sorted(g.nodes) if v != t]
+    if not others:
+        return g
+    return PropertyGraph(g.nodes, {**g.edges, e: (s, rng.choice(others), lab)}, g.props)
+
+
+def _one_label_short(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """A copy of ``g`` with more nodes and as many edges, but one node or
+    edge label less often: g does not embed in it when labels must match."""
+    nodes, edges = dict(g.nodes), dict(g.edges)
+    owner = rng.choice(sorted(nodes) + sorted(edges))
+    if owner in nodes:
+        nodes[owner] = "c"
+    else:
+        s, t, _ = edges[owner]
+        edges[owner] = (s, t, "c")
+    nodes["zv"] = rng.choice(LABELS)
+    return _renamed_copy(rng, PropertyGraph(nodes, edges, g.props))
+
+
+def _stripped(g: PropertyGraph, labels: bool = False, props: bool = False) -> PropertyGraph:
+    """``g`` with every label made equal and/or its properties dropped."""
+    return PropertyGraph(
+        {v: "l" if labels else lab for v, lab in g.nodes.items()},
+        {e: (s, t, "l" if labels else lab) for e, (s, t, lab) in g.edges.items()},
+        {} if props else g.props,
+    )
+
+
 def test_searches_agree_with_brute_force_on_random_pairs():
     rng = random.Random(101)
-    for _ in range(120):
-        g1 = random_graph(rng, prefix="a", max_nodes=3)
-        g2 = random_graph(rng, prefix="b", max_nodes=3)
-        assert (search_hom(g1, g2) is not None) == brute_hom_exists(g1, g2)
-        assert (search_sub(g1, g2) is not None) == brute_sub_exists(g1, g2)
-        assert (search_iso(g1, g2) is not None) == brute_iso_exists(g1, g2)
+    pairs = [
+        (random_graph(rng, prefix="a", max_nodes=3), random_graph(rng, prefix="b", max_nodes=3))
+        for _ in range(120)
+    ]
+    for _ in range(60):
+        pairs.append(
+            tuple(
+                _with_parallel_edges(rng, random_graph(rng, prefix=p, max_nodes=3, self_loops=True))
+                for p in "ab"
+            )
+        )
+    for _ in range(60):
+        g = random_graph(rng, prefix="a", max_nodes=4, edge_p=0.4, self_loops=True)
+        pairs.append((g, _renamed_copy(rng, g)))
+        pairs.append((g, _renamed_copy(rng, _repointed(rng, g))))
+    for _ in range(30):
+        g = random_graph(rng, prefix="a", max_nodes=3, edge_p=0.5, self_loops=True)
+        if g.nodes:
+            pairs.append((g, _one_label_short(rng, g)))
+    relabel, soft = SearchOptions(mode="relabel"), SearchOptions(properties="soft")
+    for g1, g2 in pairs:
+        unlabelled = _stripped(g1, labels=True), _stripped(g2, labels=True)
+        bare = _stripped(g1, props=True), _stripped(g2, props=True)
+        for search, brute in (
+            (search_hom, brute_hom_exists),
+            (search_sub, brute_sub_exists),
+            (search_iso, brute_iso_exists),
+        ):
+            assert (search(g1, g2) is not None) == brute(g1, g2)
+            assert (search(g1, g2, relabel) is not None) == brute(*unlabelled)
+            assert (search(g1, g2, soft) is not None) == brute(*bare)
 
 
 def test_search_witnesses_pass_checkers():
@@ -155,6 +242,20 @@ def test_search_timeout_raises():
     # isomorphism is impossible (sizes differ) but cheap; force a hom search
     with pytest.raises(SearchTimeout):
         search_hom(g1, g2, SearchOptions(budget=1e-9))
+
+
+def test_decision_searches_find_identity_on_long_chain():
+    # one search depth per node, far beyond the interpreter's recursion limit
+    n = 5000
+    g = PropertyGraph(
+        {f"v{i}": f"l{i}" for i in range(n)},
+        {f"e{i}": (f"v{i}", f"v{i + 1}", "x") for i in range(n - 1)},
+    )
+    for search in (search_iso, search_hom, search_sub):
+        w = search(g, g)
+        assert w is not None
+        assert w.node_map == {v: v for v in g.nodes}
+        assert w.edge_map == {e: e for e in g.edges}
 
 
 # -- minimum edit matching -------------------------------------------------------
