@@ -4,26 +4,19 @@ decision with witness, and minimum-cost partial-isomorphism search for
 
 All searches are deterministic: node variables follow the configured order,
 candidate values are tried lexicographically, and incumbents are replaced
-only by strictly better ones.
-
-Every search call first builds one graph-pair index (``_PairIndex``):
-properties per owner, the edge buckets (parallel edges per (src, tgt)) of
-both graphs, each g1 node's incident buckets and neighbours, g2 successors
-and predecessors per node keyed by edge label, and g2 nodes per label.
-
-A decision step assigning g1 node ``v`` visits only ``v``'s neighbours: its
-candidates are the g2 nodes adjacent, by the right edge labels, to the
-images of its assigned neighbours, and the buckets checked are those between
-``v`` and its assigned neighbours (for iso also the g2 neighbours of ``v``'s
-image that have an assigned preimage). Iso and sub are first cut by node and
-edge counts, per label when labels must match. The decision searches keep
-their path on an explicit stack, so no graph is too deep for them. The
-edit-distance search takes its tables from the same index; its steps still
-walk the whole partial assignment.
+only by strictly better ones. Every search call builds one graph-pair index
+(``_PairIndex``) and keeps its path on an explicit stack, so no graph is too
+deep for it. A step deciding g1 node ``v`` visits only ``v``'s neighbours:
+decision candidates come from the images of its assigned neighbours, and the
+buckets priced or checked are those between ``v`` and its decided neighbours
+and (iso and edit distance) the g2 buckets between ``v``'s image and nodes
+with a preimage. Iso and sub are first cut by node and edge counts, and edit
+distance is bounded below by them, per label when labels must match.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -179,9 +172,10 @@ class _Deadline:
         self._tick = 0
 
     def check(self) -> bool:
-        """True when the budget has run out (checked every few hundred calls)."""
-        self._tick += 1
-        if self._tick & 0xFF:
+        """True when the budget has run out; the clock is read on the first
+        call and then on every 256th."""
+        tick, self._tick = self._tick, self._tick + 1
+        if tick & 0xFF:
             return False
         return time.monotonic() >= self.expires
 
@@ -510,10 +504,14 @@ def search_sub(g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions | None 
 class _GedSearch:
     """Branch-and-bound over partial injective node matchings.
 
-    Nodes of the first graph are decided in order (matched or deleted); edge
-    buckets are settled exactly as soon as both endpoints are decided. The
-    pruning bound adds, per label class, the deletions and insertions forced
-    by the remaining node counts; it never exceeds the true remaining cost.
+    Nodes of the first graph are decided in order, matched or deleted. Each
+    decision settles the g1 buckets between ``v`` and its decided neighbours
+    and the g2 buckets between its image and the used g2 nodes. The pruning
+    bound compares, per label class (per label under ``label-hard``, one
+    class under ``relabel``), the undecided g1 nodes with the unused g2 nodes
+    and the unsettled g1 edges with the unsettled g2 edges: each surplus must
+    be deleted or inserted, and node and edge operations are priced apart,
+    so the bound never exceeds the remaining cost.
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
@@ -527,22 +525,42 @@ class _GedSearch:
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
         self.w_del_e, self.w_ins_e = w["delE"], w["insE"]
         self.w_del_p, self.w_ins_p, self.w_upd_p = w["delP"], w["insP"], w["updP"]
-        self.del_node = {
-            v: self.w_del_v + self.w_del_p * len(ix.props1[v]) for v in g1.nodes
-        }
-        self.ins_node = {
-            w2: self.w_ins_v + self.w_ins_p * len(ix.props2[w2]) for w2 in g2.nodes
-        }
-        self.del_edge = {
-            e: self.w_del_e + self.w_del_p * len(ix.props1[e]) for e in g1.edges
-        }
-        self.ins_edge = {
-            f: self.w_ins_e + self.w_ins_p * len(ix.props2[f]) for f in g2.edges
-        }
+
+        def priced(w_op: int, w_prop: int, props: dict, owners) -> dict[str, int]:
+            return {x: w_op + w_prop * len(props[x]) for x in owners}
+
+        self.del_node = priced(self.w_del_v, self.w_del_p, ix.props1, g1.nodes)
+        self.ins_node = priced(self.w_ins_v, self.w_ins_p, ix.props2, g2.nodes)
+        self.del_edge = priced(self.w_del_e, self.w_del_p, ix.props1, g1.edges)
+        self.ins_edge = priced(self.w_ins_e, self.w_ins_p, ix.props2, g2.edges)
+        self.del_bucket1 = {k: sum(self.del_edge[e] for e in b) for k, b in ix.pairs1.items()}
+        self.ins_bucket2 = {k: sum(self.ins_edge[f] for f in b) for k, b in ix.pairs2.items()}
+        self.candidates = ix.nodes2_by_label if self.label_hard else {None: ix.all_nodes2}
+        self.at2: dict[str, list] = {w2: [] for w2 in g2.nodes}  # g2 buckets as ix.at1
+        for s, t in ix.pairs2:
+            self.at2[s].append((t, (s, t)))
+            if s != t:
+                self.at2[t].append((s, (s, t)))
+        # per label class: [undecided g1, unused g2] nodes, [unsettled g1, g2] edges
+        self.node_left: dict = {}
+        self.edge_left: dict = {}
+        for i, g in enumerate((g1, g2)):
+            for lab in g.nodes.values():
+                self.node_left.setdefault(self._cls(lab), [0, 0])[i] += 1
+            for _, _, lab in g.edges.values():
+                self.edge_left.setdefault(self._cls(lab), [0, 0])[i] += 1
+        # what a leaf inserts: unused g2 nodes and g2 edges with an unused endpoint
+        self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
+        self.assignment: dict[str, str | None] = {}
+        self.inv: dict[str, str] = {}  # used g2 node -> its preimage
         self.deadline = _Deadline(opts.budget)
-        self.best_cost: int | None = None
-        self.best_assignment: dict[str, str | None] = {}
+        # the incumbent: delete everything, insert everything
+        self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
+        self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
         self.timed_out = False
+
+    def _cls(self, label: str) -> str | None:
+        return label if self.label_hard else None
 
     def _prop_pair_cost(self, p1: dict[str, str], p2: dict[str, str]) -> int:
         total = 0
@@ -574,6 +592,8 @@ class _GedSearch:
         best = [sum(self.del_edge[e] for e in b1) + sum(self.ins_edge[f] for f in b2)]
 
         def rec(i: int, used: int, acc: int) -> None:
+            if self.deadline.check():
+                raise SearchTimeout("edit-distance search exceeded its budget")
             if acc >= best[0]:
                 return
             if i == len(b1):
@@ -596,108 +616,79 @@ class _GedSearch:
         return best[0]
 
     def _bucket_pairs(self, b1: list[str], b2: list[str]) -> list[tuple[str, str]]:
-        """Argmin pairing for one bucket, deterministic tie-break."""
-        best_cost = [None]
-        best_pairs: list = [[]]
-
-        def rec(i: int, used: int, acc: int, pairs: list) -> None:
-            if best_cost[0] is not None and acc >= best_cost[0] + 1:
-                return
-            if i == len(b1):
-                total = acc + sum(
-                    self.ins_edge[f] for j, f in enumerate(b2) if not used & (1 << j)
-                )
-                if best_cost[0] is None or total < best_cost[0] or (
-                    total == best_cost[0] and pairs < best_pairs[0]
-                ):
-                    best_cost[0] = total
-                    best_pairs[0] = list(pairs)
-                return
-            e = b1[i]
-            for j, f in enumerate(b2):
-                if used & (1 << j):
-                    continue
+        """The lexicographically first of the cheapest pairings of one bucket,
+        built edge by edge: end it when deleting and inserting the rest is
+        optimal, else take the first pair that keeps the optimum, else delete."""
+        pairs: list[tuple[str, str]] = []
+        left = self._bucket_cost(b1, b2)
+        for i, e in enumerate(b1):
+            if left == sum(self.del_edge[x] for x in b1[i:]) + sum(self.ins_edge[f] for f in b2):
+                break
+            for f in b2:
                 c = self._edge_pair_cost(e, f)
-                if c is not None:
+                rest = [x for x in b2 if x != f]
+                if c is not None and c + self._bucket_cost(b1[i + 1 :], rest) == left:
                     pairs.append((e, f))
-                    rec(i + 1, used | (1 << j), acc + c, pairs)
-                    pairs.pop()
-            rec(i + 1, used, acc + self.del_edge[e], pairs)
+                    left, b2 = left - c, rest
+                    break
+            else:
+                left -= self.del_edge[e]
+        return pairs
 
-        rec(0, 0, 0, [])
-        return best_pairs[0]
-
-    def _decide_cost(self, v: str, w: str | None, assignment: dict) -> int:
-        """Cost settled by deciding ``v``: its own decision plus every edge
-        bucket whose endpoints are now all decided."""
-        total = self.del_node[v] if w is None else self._node_pair_cost(v, w)
-        pairs1, pairs2 = self.ix.pairs1, self.ix.pairs2
-        seen: set[tuple[str, str]] = set()
-        for u in list(assignment) + [v]:
-            for key in ((u, v), (v, u)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                b1 = pairs1.get(key, [])
-                u_img = w if key[0] == v else assignment.get(key[0])
-                v_img = w if key[1] == v else assignment.get(key[1])
-                if u_img is None or v_img is None:
-                    total += sum(self.del_edge[e] for e in b1)
-                else:
-                    b2 = pairs2.get((u_img, v_img), [])
-                    if b1 or b2:
-                        total += self._bucket_cost(b1, b2)
-        return total
-
-    def _accounted2(self, v: str, w: str | None, assignment: dict) -> list[str]:
-        """Second-graph edges settled by this decision (for leaf bookkeeping)."""
+    def _decide_cost(self, v: str, w: str | None, closed1: list) -> tuple[int, list]:
+        """Cost settled by deciding ``v`` as ``w`` (None: delete ``v``), and
+        the g2 buckets it settles: those between ``w`` and used g2 nodes,
+        priced as insertions when no g1 bucket joins the preimages. The g1
+        buckets ``closed1`` join ``v`` and its decided neighbours."""
         if w is None:
-            return []
-        settled: list[str] = []
-        pairs2 = self.ix.pairs2
-        seen: set[tuple[str, str]] = set()
-        for u in list(assignment) + [v]:
-            for key in ((u, v), (v, u)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                u_img = w if key[0] == v else assignment.get(key[0])
-                v_img = w if key[1] == v else assignment.get(key[1])
-                if u_img is not None and v_img is not None:
-                    settled += pairs2.get((u_img, v_img), [])
-        return settled
+            return self.del_node[v] + sum(self.del_bucket1[k] for k, _ in closed1), []
+        total = self._node_pair_cost(v, w)
+        assignment, inv, pairs1, pairs2 = self.assignment, self.inv, self.ix.pairs1, self.ix.pairs2
+        for (s, t), b1 in closed1:
+            ws = w if s == v else assignment[s]
+            wt = w if t == v else assignment[t]
+            b2 = pairs2.get((ws, wt)) if ws is not None and wt is not None else None
+            total += self._bucket_cost(b1, b2) if b2 else self.del_bucket1[(s, t)]
+        closed2 = []
+        for x, k in self.at2[w]:
+            u = v if x == w else inv.get(x)
+            if u is not None:
+                closed2.append(k)
+                if (v if k[0] == w else u, v if k[1] == w else u) not in pairs1:
+                    total += self.ins_bucket2[k]
+        return total, closed2
 
-    def _lower_bound_tail(self, depth: int, used: set[str]) -> int:
-        """Forced node deletions and insertions from label-class counts."""
-        if self.label_hard:
-            remaining: dict[str, int] = {}
-            for v in self.order1[depth:]:
-                lab = self.g1.nodes[v]
-                remaining[lab] = remaining.get(lab, 0) + 1
-            bound = 0
-            labels = set(remaining) | set(self.ix.nodes2_by_label)
-            for lab in labels:
-                r1 = remaining.get(lab, 0)
-                a2 = sum(1 for w in self.ix.nodes2_by_label.get(lab, []) if w not in used)
-                bound += max(0, r1 - a2) * self.w_del_v + max(0, a2 - r1) * self.w_ins_v
-            return bound
-        r1 = len(self.order1) - depth
-        a2 = len(self.g2.nodes) - len(used)
-        return max(0, r1 - a2) * self.w_del_v + max(0, a2 - r1) * self.w_ins_v
+    def _shift(self, v: str, w: str | None, closed1: list, closed2: list, d: int) -> None:
+        """Move the running counts and the leaf's insertion sum by one
+        decision: ``d`` is -1 to decide ``v`` as ``w``, +1 to undo it."""
+        g1, g2, edge_left = self.g1, self.g2, self.edge_left
+        self.node_left[self._cls(g1.nodes[v])][0] += d
+        for _, b1 in closed1:
+            for e in b1:
+                edge_left[self._cls(g1.edges[e][2])][0] += d
+        if w is not None:
+            self.node_left[self._cls(g2.nodes[w])][1] += d
+            self.ins_open += d * self.ins_node[w]
+            for k in closed2:
+                for f in self.ix.pairs2[k]:
+                    edge_left[self._cls(g2.edges[f][2])][1] += d
+                self.ins_open += d * self.ins_bucket2[k]
+
+    def _lower_bound_tail(self) -> int:
+        """Node and edge deletions and insertions forced by the counts."""
+        bound = 0
+        for r1, a2 in self.node_left.values():
+            bound += (r1 - a2) * self.w_del_v if r1 > a2 else (a2 - r1) * self.w_ins_v
+        for r1, a2 in self.edge_left.values():
+            bound += (r1 - a2) * self.w_del_e if r1 > a2 else (a2 - r1) * self.w_ins_e
+        return bound
 
     def run(self) -> GedResult:
-        empty_cost = (
-            sum(self.del_node.values())
-            + sum(self.del_edge.values())
-            + sum(self.ins_node.values())
-            + sum(self.ins_edge.values())
-        )
-        self.best_cost = empty_cost
-        self.best_assignment = {v: None for v in self.g1.nodes}
         try:
-            self._search(0, {}, set(), 0, set())
+            self._search()
         except SearchTimeout:
             self.timed_out = True
+        self.deadline.expires = math.inf  # the incumbent's matching is rebuilt unbudgeted
         matching = self._rebuild_matching(self.best_assignment)
         script, cost = script_from_matching(
             matching, self.g1, self.g2, self.opts.mode, self.cm
@@ -708,54 +699,61 @@ class _GedSearch:
             )
         return GedResult(matching, script, cost, optimal=not self.timed_out)
 
-    def _search(
-        self, depth: int, assignment: dict, used: set, acc: int, settled2: set
-    ) -> None:
-        if self.deadline.check():
-            raise SearchTimeout("edit-distance search exceeded its budget")
-        if acc + self._lower_bound_tail(depth, used) >= self.best_cost:
-            return
-        if depth == len(self.order1):
-            total = acc + sum(c for w2, c in self.ins_node.items() if w2 not in used)
-            total += sum(c for f, c in self.ins_edge.items() if f not in settled2)
-            if total < self.best_cost:
-                self.best_cost = total
-                self.best_assignment = dict(assignment)
-            return
-        v = self.order1[depth]
-        if self.label_hard:
-            candidates = [
-                w for w in self.ix.nodes2_by_label.get(self.g1.nodes[v], []) if w not in used
-            ]
-        else:
-            candidates = [w for w in self.ix.all_nodes2 if w not in used]
-        options: list[tuple[int, int, str | None]] = [
-            (self._decide_cost(v, w, assignment), 0, w) for w in candidates
+    def _search(self) -> None:
+        """Depth first over ``order1`` on an explicit stack of decision
+        generators, the deadline checked at every node entered. A leaf
+        replaces the incumbent only when strictly cheaper."""
+        order = self.order1
+        frames: list = []  # per decided depth: the generator of its decisions
+        acc = 0
+        while True:
+            # enter the node at depth len(frames), with settled cost acc
+            if self.deadline.check():
+                raise SearchTimeout("edit-distance search exceeded its budget")
+            if acc + self._lower_bound_tail() >= self.best_cost:
+                pass  # no better than the incumbent
+            elif len(frames) == len(order):
+                if acc + self.ins_open < self.best_cost:
+                    self.best_cost = acc + self.ins_open
+                    self.best_assignment = dict(self.assignment)
+            else:
+                frames.append(self._decisions(order[len(frames)], acc))
+            # take the next decision, backtracking when a depth has none left
+            while frames:
+                acc = next(frames[-1], None)
+                if acc is not None:
+                    break
+                frames.pop()
+            else:
+                return
+
+    def _decisions(self, v: str, acc: int):
+        """Apply each option for ``v`` in turn (unused candidates and deletion,
+        cheapest step first, then matching before deleting, then by g2 node
+        id), yield the settled cost with it applied, and undo it when resumed."""
+        ix, assignment, inv = self.ix, self.assignment, self.inv
+        closed1 = [(k, b1) for u, k, b1 in ix.at1[v] if u == v or u in assignment]
+        candidates = self.candidates.get(self._cls(self.g1.nodes[v]), [])
+        options = [
+            (*self._decide_cost(v, w, closed1), w) for w in candidates + [None] if w not in inv
         ]
-        options.append((self._decide_cost(v, None, assignment), 1, None))
-        options.sort(key=lambda o: (o[0], o[1], o[2] or ""))
-        for step_cost, _, w in options:
-            newly_settled = [f for f in self._accounted2(v, w, assignment) if f not in settled2]
+        options.sort(key=lambda o: (o[0], o[2] is None, o[2] or ""))
+        for step_cost, closed2, w in options:
             assignment[v] = w
             if w is not None:
-                used.add(w)
-            settled2.update(newly_settled)
-            self._search(depth + 1, assignment, used, acc + step_cost, settled2)
-            settled2.difference_update(newly_settled)
-            if w is not None:
-                used.discard(w)
+                inv[w] = v
+            self._shift(v, w, closed1, closed2, -1)
+            yield acc + step_cost
+            self._shift(v, w, closed1, closed2, 1)
+            inv.pop(w, None)
             del assignment[v]
 
     def _rebuild_matching(self, assignment: dict[str, str | None]) -> Matching:
         node_map = {v: w for v, w in assignment.items() if w is not None}
         edge_map: dict[str, str] = {}
         for (s, t), b1 in sorted(self.ix.pairs1.items()):
-            ws, wt = node_map.get(s), node_map.get(t)
-            if ws is None or wt is None:
-                continue
-            b2 = self.ix.pairs2.get((ws, wt), [])
-            if b2:
-                edge_map.update(self._bucket_pairs(b1, b2))
+            b2 = self.ix.pairs2.get((node_map.get(s), node_map.get(t)), [])
+            edge_map.update(self._bucket_pairs(b1, b2))
         return Matching(node_map, edge_map)
 
 

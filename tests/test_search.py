@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -291,9 +292,11 @@ def test_min_edit_matches_oracle_on_random_pairs():
         node_sub=3,
         edge_sub=2,
     )
-    for trial in range(80):
+    for trial in range(140):
         g1 = random_graph(rng, prefix="a", max_nodes=4, self_loops=True)
         g2 = random_graph(rng, prefix="b", max_nodes=4, self_loops=True)
+        if trial >= 80:  # parallel edges, with the same label or another
+            g1, g2 = _with_parallel_edges(rng, g1), _with_parallel_edges(rng, g2)
         mode = "relabel" if trial % 2 else "label-hard"
         cm = [CostModel.unit(), CostModel.gedc(), custom][trial % 3]
         opts = SearchOptions(mode=mode, cost_model=cm)
@@ -335,6 +338,21 @@ def test_parallel_edge_bucket_assignment_accounts_for_properties():
     assert oracle_ged(g1, g2) == 0
 
 
+def test_parallel_edge_bucket_ties_take_the_first_cheapest_pairing():
+    # relabeling an edge costs as much as deleting and inserting it, so
+    # several pairings are cheapest; the lexicographically first list wins
+    cm = CostModel(weights={"insE": 1, "delE": 1}, edge_sub=2)
+    g1 = PropertyGraph(
+        {"v1": "a", "v2": "a"}, {"e1": ("v1", "v2", "x"), "e2": ("v1", "v2", "x")}
+    )
+    g2 = PropertyGraph(
+        {"w1": "a", "w2": "a"}, {"f1": ("w1", "w2", "x"), "f2": ("w1", "w2", "y")}
+    )
+    result = min_edit_matching(g1, g2, SearchOptions(mode="relabel", cost_model=cm))
+    assert result.cost == 2
+    assert result.matching.edge_map == {"e1": "f1"}
+
+
 def test_ged_zero_iff_isomorphic():
     rng = random.Random(127)
     for _ in range(80):
@@ -372,6 +390,32 @@ def test_min_edit_timeout_returns_incumbent():
     result = min_edit_matching(g1, g2, SearchOptions(budget=1e-9))
     assert not result.optimal
     assert result.cost >= oracle_ged(g1, g2)
+
+
+def test_min_edit_timeout_holds_inside_a_bucket():
+    # one bucket pair of 9 parallel edges each, every pairing an update: its
+    # exact costing alone runs far past the budget
+    def two_nodes(p: str, value: str) -> PropertyGraph:
+        edges = {f"{p}e{i}": (f"{p}1", f"{p}2", "x") for i in range(9)}
+        return PropertyGraph({f"{p}1": "a", f"{p}2": "a"}, edges, {(e, "k"): value for e in edges})
+
+    budget = 0.5
+    g1, g2 = two_nodes("v", "p"), two_nodes("w", "q")
+    start = time.monotonic()
+    result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
+    assert time.monotonic() - start <= 2 * budget + 0.1
+    assert not result.optimal
+
+
+def test_min_edit_identity_on_long_chain():
+    # one search depth per node, far beyond the interpreter's recursion limit
+    n = 1500
+    g = PropertyGraph(
+        {f"v{i}": f"l{i}" for i in range(n)},
+        {f"e{i}": (f"v{i}", f"v{i + 1}", "x") for i in range(n - 1)},
+    )
+    result = min_edit_matching(g, g)
+    assert result.cost == 0 and result.optimal
 
 
 def test_oracle_size_guard():
