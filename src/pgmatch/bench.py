@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -230,12 +231,24 @@ def run_bench(
     workers: int = 1,
 ) -> list[BenchResult]:
     """Run every (case, backend) cell; per-cell errors are recorded as ERROR
-    rows and the run continues. Results come back sorted."""
+    rows and the run continues. With ``workers > 1`` the cells run in that
+    many worker processes. Results come back sorted."""
     cells = [(case, backend) for case in cases for backend in backends]
     if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # Processes, not threads: the cells are CPU-bound pure Python, and
+        # threads would queue on the interpreter lock while their budgets run.
+        # Spawned workers, because forking a process that has threads is unsafe.
+        n = len(cells)
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             results = list(
-                pool.map(lambda cb: _run_cell(cb[0], cb[1], budget, solver), cells)
+                pool.map(
+                    _run_cell,
+                    [case for case, _ in cells],
+                    [backend for _, backend in cells],
+                    [budget] * n,
+                    [solver] * n,
+                )
             )
     else:
         results = [_run_cell(case, backend, budget, solver) for case, backend in cells]

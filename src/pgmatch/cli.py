@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite and emit CSV")
     p.add_argument("--suite", required=True, help="suite file or preset: " + ", ".join(PRESETS))
     p.add_argument("--backends", default="native", help="comma-separated: native,asp")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="cells run in this many processes")
     p.add_argument("-o", "--output", default=None)
     add_common(p, solver_flags=True)
     p.set_defaults(func=_cmd_bench)

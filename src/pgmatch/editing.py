@@ -14,6 +14,7 @@ core operations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -144,6 +145,94 @@ def op_sort_key(op: EditOp) -> tuple:
     return (_PHASE_INDEX[op.kind],) + payload
 
 
+class _Draft:
+    """A mutable working copy of a graph that edit operations change in place.
+
+    Besides the three dicts it keeps two running counts: ``ends`` is the
+    number of edge endpoints at each id (a self-loop counts twice) and
+    ``owned`` the number of properties each owner carries. With them every
+    precondition is a lookup instead of a scan over all edges or properties.
+    """
+
+    def __init__(self, g: PropertyGraph):
+        self.nodes = dict(g.nodes)
+        self.edges = dict(g.edges)
+        self.props = dict(g.props)
+        self.ends = Counter(x for s, t, _ in g.edges.values() for x in (s, t))
+        self.owned = Counter(owner for owner, _ in g.props)
+
+    def has_id(self, x: str) -> bool:
+        return x in self.nodes or x in self.edges
+
+    def apply(self, op: EditOp, index: int | None) -> None:
+        nodes, edges, props = self.nodes, self.edges, self.props
+        if isinstance(op, InsertNode):
+            if self.has_id(op.node):
+                raise PreconditionViolated(op, f"id {op.node!r} already exists", index)
+            nodes[op.node] = op.label
+        elif isinstance(op, InsertEdge):
+            if self.has_id(op.edge):
+                raise PreconditionViolated(op, f"id {op.edge!r} already exists", index)
+            for endpoint in (op.src, op.tgt):
+                if endpoint not in nodes:
+                    raise PreconditionViolated(op, f"endpoint {endpoint!r} is not a node", index)
+            edges[op.edge] = (op.src, op.tgt, op.label)
+            self.ends[op.src] += 1
+            self.ends[op.tgt] += 1
+        elif isinstance(op, InsertProp):
+            if not self.has_id(op.owner):
+                raise PreconditionViolated(op, f"owner {op.owner!r} does not exist", index)
+            if (op.owner, op.key) in props:
+                raise PreconditionViolated(
+                    op, f"property ({op.owner!r}, {op.key!r}) already exists", index
+                )
+            props[(op.owner, op.key)] = op.value
+            self.owned[op.owner] += 1
+        elif isinstance(op, DeleteNode):
+            if op.node not in nodes:
+                raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
+            if self.ends[op.node]:
+                raise PreconditionViolated(op, f"node {op.node!r} is an edge endpoint", index)
+            if self.owned[op.node]:
+                raise PreconditionViolated(op, f"node {op.node!r} still has properties", index)
+            del nodes[op.node]
+        elif isinstance(op, DeleteEdge):
+            if op.edge not in edges:
+                raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
+            if self.owned[op.edge]:
+                raise PreconditionViolated(op, f"edge {op.edge!r} still has properties", index)
+            s, t, _ = edges.pop(op.edge)
+            self.ends[s] -= 1
+            self.ends[t] -= 1
+        elif isinstance(op, DeleteProp):
+            if (op.owner, op.key) not in props:
+                raise PreconditionViolated(
+                    op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
+                )
+            del props[(op.owner, op.key)]
+            self.owned[op.owner] -= 1
+        elif isinstance(op, UpdateProp):
+            if (op.owner, op.key) not in props:
+                raise PreconditionViolated(
+                    op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
+                )
+            props[(op.owner, op.key)] = op.value
+        elif isinstance(op, RelabelNode):
+            if op.node not in nodes:
+                raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
+            nodes[op.node] = op.label
+        elif isinstance(op, RelabelEdge):
+            if op.edge not in edges:
+                raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
+            s, t, _ = edges[op.edge]
+            edges[op.edge] = (s, t, op.label)
+        else:
+            raise TypeError(f"not an edit operation: {op!r}")
+
+    def graph(self) -> PropertyGraph:
+        return PropertyGraph(self.nodes, self.edges, self.props)
+
+
 def apply_op(g: PropertyGraph, op: EditOp, index: int | None = None) -> PropertyGraph:
     """Apply one edit operation, returning the edited graph.
 
@@ -152,72 +241,23 @@ def apply_op(g: PropertyGraph, op: EditOp, index: int | None = None) -> Property
     properties; a deleted edge must carry no properties; deleted and updated
     properties must exist. Violations raise ``PreconditionViolated``.
     """
-    nodes, edges, props = g.nodes, g.edges, g.props
-    if isinstance(op, InsertNode):
-        if g.has_id(op.node):
-            raise PreconditionViolated(op, f"id {op.node!r} already exists", index)
-        return PropertyGraph({**nodes, op.node: op.label}, edges, props)
-    if isinstance(op, InsertEdge):
-        if g.has_id(op.edge):
-            raise PreconditionViolated(op, f"id {op.edge!r} already exists", index)
-        for endpoint in (op.src, op.tgt):
-            if endpoint not in nodes:
-                raise PreconditionViolated(op, f"endpoint {endpoint!r} is not a node", index)
-        return PropertyGraph(nodes, {**edges, op.edge: (op.src, op.tgt, op.label)}, props)
-    if isinstance(op, InsertProp):
-        if not g.has_id(op.owner):
-            raise PreconditionViolated(op, f"owner {op.owner!r} does not exist", index)
-        if (op.owner, op.key) in props:
-            raise PreconditionViolated(
-                op, f"property ({op.owner!r}, {op.key!r}) already exists", index
-            )
-        return PropertyGraph(nodes, edges, {**props, (op.owner, op.key): op.value})
-    if isinstance(op, DeleteNode):
-        if op.node not in nodes:
-            raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
-        if any(op.node in (s, t) for s, t, _ in edges.values()):
-            raise PreconditionViolated(op, f"node {op.node!r} is an edge endpoint", index)
-        if any(x == op.node for x, _ in props):
-            raise PreconditionViolated(op, f"node {op.node!r} still has properties", index)
-        return PropertyGraph({v: l for v, l in nodes.items() if v != op.node}, edges, props)
-    if isinstance(op, DeleteEdge):
-        if op.edge not in edges:
-            raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
-        if any(x == op.edge for x, _ in props):
-            raise PreconditionViolated(op, f"edge {op.edge!r} still has properties", index)
-        return PropertyGraph(nodes, {e: v for e, v in edges.items() if e != op.edge}, props)
-    if isinstance(op, DeleteProp):
-        if (op.owner, op.key) not in props:
-            raise PreconditionViolated(
-                op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
-            )
-        return PropertyGraph(
-            nodes, edges, {pk: d for pk, d in props.items() if pk != (op.owner, op.key)}
-        )
-    if isinstance(op, UpdateProp):
-        if (op.owner, op.key) not in props:
-            raise PreconditionViolated(
-                op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
-            )
-        return PropertyGraph(nodes, edges, {**props, (op.owner, op.key): op.value})
-    if isinstance(op, RelabelNode):
-        if op.node not in nodes:
-            raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
-        return PropertyGraph({**nodes, op.node: op.label}, edges, props)
-    if isinstance(op, RelabelEdge):
-        if op.edge not in edges:
-            raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
-        s, t, _ = edges[op.edge]
-        return PropertyGraph(nodes, {**edges, op.edge: (s, t, op.label)}, props)
-    raise TypeError(f"not an edit operation: {op!r}")
+    draft = _Draft(g)
+    draft.apply(op, index)
+    return draft.graph()
 
 
 def apply_script(g: PropertyGraph, ops: list) -> PropertyGraph:
-    """Fold ``apply_op`` left to right; fails at the first violated
-    precondition, reporting the operation index."""
+    """Apply the operations left to right, with the preconditions of
+    ``apply_op``; fails at the first violated one, reporting its index.
+
+    All operations edit one working copy of ``g`` and the result graph is
+    built once at the end, so the time is linear in the sizes of ``g`` and
+    the script (plus sorting the result). ``g`` itself is never changed.
+    """
+    draft = _Draft(g)
     for i, op in enumerate(ops):
-        g = apply_op(g, op, index=i)
-    return g
+        draft.apply(op, i)
+    return draft.graph()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from pgmatch import (
     apply_script,
     canonicalize,
     format_script,
+    gen_chain,
     is_canonical,
     parse_script,
     script_cost,
@@ -122,6 +124,146 @@ def test_delete_all_insert_all_maps_between_random_graphs():
         script = delete_all_insert_all(g1, g2)
         assert apply_script(g1, script) == g2
         assert is_canonical(script)
+
+
+# Script application keeps running counts of the edge endpoints at each node
+# and of the properties of each owner; these tests pin the places where the
+# counts change.
+
+
+@pytest.mark.parametrize(
+    "graph,prefix",
+    [
+        (PropertyGraph({"v": "a"}, {"e": ("v", "v", "x")}), []),
+        (PropertyGraph({"v": "a"}), [InsertEdge("e", "v", "v", "x")]),
+    ],
+    ids=["input-loop", "inserted-loop"],
+)
+def test_deleting_a_self_loop_frees_its_node(graph, prefix):
+    script = prefix + [DeleteEdge("e"), DeleteNode("v")]
+    assert apply_script(graph, script) == PropertyGraph()
+
+
+def test_delete_node_after_its_edges_and_properties_are_deleted():
+    g = PropertyGraph(
+        {"v0": "a", "v1": "a"},
+        {"e1": ("v0", "v1", "x"), "e2": ("v0", "v1", "x"), "e3": ("v1", "v0", "y")},
+        {("v0", "k1"): "d", ("v0", "k2"): "d", ("v1", "k1"): "d"},
+    )
+    script = [
+        DeleteProp("v0", "k1"),
+        DeleteProp("v0", "k2"),
+        DeleteEdge("e1"),
+        DeleteEdge("e2"),
+        DeleteEdge("e3"),
+        DeleteNode("v0"),
+    ]
+    assert apply_script(g, script) == PropertyGraph({"v1": "a"}, {}, {("v1", "k1"): "d"})
+
+
+def test_delete_node_with_one_property_left_is_rejected():
+    g = PropertyGraph({"v": "a"}, {}, {("v", "k1"): "d", ("v", "k2"): "d"})
+    with pytest.raises(PreconditionViolated, match="still has properties") as err:
+        apply_script(g, [DeleteProp("v", "k1"), DeleteNode("v")])
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize(
+    "insert,fragment",
+    [
+        (InsertEdge("e", "v0", "v2", "x"), "is an edge endpoint"),
+        (InsertEdge("e", "v2", "v2", "x"), "is an edge endpoint"),
+        (InsertProp("v2", "k", "d"), "still has properties"),
+    ],
+)
+def test_delete_node_after_an_insertion_at_it_is_rejected(insert, fragment):
+    g = PropertyGraph({"v0": "a", "v1": "a"}, {"e0": ("v0", "v1", "x")})
+    script = [InsertNode("v2", "a"), insert, RelabelNode("v2", "b"), DeleteNode("v2")]
+    with pytest.raises(PreconditionViolated, match=fragment) as err:
+        apply_script(g, script)
+    assert err.value.index == 3
+
+
+def test_delete_edge_after_its_properties_are_deleted():
+    g = PropertyGraph(
+        {"v": "a"}, {"e": ("v", "v", "x")}, {("e", "k1"): "d", ("e", "k2"): "d"}
+    )
+    script = [DeleteProp("e", "k2"), DeleteProp("e", "k1"), DeleteEdge("e")]
+    assert apply_script(g, script) == PropertyGraph({"v": "a"})
+    with pytest.raises(PreconditionViolated, match="still has properties") as err:
+        apply_script(g, script[:1] + script[2:])
+    assert err.value.index == 1
+
+
+def test_delete_edge_after_a_property_is_inserted_on_it_is_rejected():
+    g = PropertyGraph({"v": "a"}, {"e": ("v", "v", "x")})
+    with pytest.raises(PreconditionViolated, match="still has properties") as err:
+        apply_script(g, [InsertProp("e", "k", "d"), DeleteEdge("e")])
+    assert err.value.index == 1
+
+
+def test_node_deleted_and_reinserted_under_the_same_id():
+    g = PropertyGraph({"v": "a", "w": "a"}, {"e": ("v", "w", "x")}, {("v", "k"): "d"})
+    script = [
+        DeleteProp("v", "k"),
+        DeleteEdge("e"),
+        DeleteNode("v"),
+        InsertNode("v", "b"),
+        InsertEdge("e", "w", "v", "y"),
+        InsertProp("v", "k", "d2"),
+    ]
+    out = apply_script(g, script)
+    assert out == PropertyGraph({"v": "b", "w": "a"}, {"e": ("w", "v", "y")}, {("v", "k"): "d2"})
+    with pytest.raises(PreconditionViolated, match="is an edge endpoint") as err:
+        apply_script(g, script + [DeleteProp("v", "k"), DeleteNode("v")])
+    assert err.value.index == 7
+
+
+def test_failing_script_leaves_the_input_unchanged():
+    g = PropertyGraph(
+        {"v": "a", "w": "b"},
+        {"e": ("v", "w", "x"), "l": ("w", "w", "y")},
+        {("v", "k"): "d", ("e", "k"): "d"},
+    )
+    before = PropertyGraph(dict(g.nodes), dict(g.edges), dict(g.props))
+    script = [
+        DeleteProp("e", "k"),
+        DeleteEdge("e"),
+        UpdateProp("v", "k", "d2"),
+        RelabelNode("w", "c"),
+        RelabelEdge("l", "z"),
+        InsertNode("u", "a"),
+        InsertEdge("f", "u", "v", "x"),
+        InsertProp("u", "k", "d"),
+        DeleteNode("w"),
+    ]
+    with pytest.raises(PreconditionViolated) as err:
+        apply_script(g, script)
+    assert err.value.index == 8
+    assert g == before
+    assert list(g.edges.items()) == list(before.edges.items())
+    for op in script:
+        try:
+            apply_op(g, op)
+        except PreconditionViolated:
+            pass
+    assert g == before
+
+
+def test_apply_script_is_linear_in_the_script_length():
+    """A full rewrite of a 1600-edge chain with a property on every element
+    (9603 operations) must not rebuild the graph per operation."""
+    chain = gen_chain(1600, "a")
+    props = {(x, "k"): "d" for x in [*chain.nodes, *chain.edges]}
+    g1 = PropertyGraph(chain.nodes, chain.edges, props)
+    g2 = gen_chain(1600, "b")
+    script = delete_all_insert_all(g1, g2)
+    assert len(script) == 9603
+    start = time.perf_counter()
+    out = apply_script(g1, script)
+    elapsed = time.perf_counter() - start
+    assert out == g2
+    assert elapsed < 2.0, f"{len(script)} operations took {elapsed:.2f} s"
 
 
 # -- costs ----------------------------------------------------------------------
