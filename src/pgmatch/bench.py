@@ -34,7 +34,7 @@ from .search import (
 
 CSV_COLUMNS = ("instance", "kind", "backend", "status", "cost", "ms", "timed_out")
 
-_DECISION_KINDS = {ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB}
+_DECISION_KINDS = (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB)
 _SOLVED = {"SAT", "UNSAT", "OPTIMUM"}
 
 
@@ -95,24 +95,23 @@ def load_suite(path: str) -> list[BenchCase]:
 _SHAPES = {"chain": gen_chain, "cycle": gen_cycle}
 
 
+def _shape_pairs(kind: ProblemKind) -> list[BenchCase]:
+    """Chain/cycle pairs for k in 10..100 across all four shape pairs."""
+    return [
+        BenchCase(f"{kind.value}-{s1}{k}-{s2}{k}", kind, _SHAPES[s1](k, "a"), _SHAPES[s2](k, "b"))
+        for s1 in _SHAPES
+        for s2 in _SHAPES
+        for k in range(10, 101, 10)
+    ]
+
+
 def synthetic_matrix() -> list[BenchCase]:
     """Chain/cycle pairs for k in 10..100 across all four shape pairs and all
     problems, plus random graphs with edge probability 0.1; the subgraph rows
     additionally embed a one-shorter chain into the cycle."""
     cases: list[BenchCase] = []
-    ks = range(10, 101, 10)
-    for kind in (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB, ProblemKind.GED):
-        for s1 in ("chain", "cycle"):
-            for s2 in ("chain", "cycle"):
-                for k in ks:
-                    cases.append(
-                        BenchCase(
-                            f"{kind.value}-{s1}{k}-{s2}{k}",
-                            kind,
-                            _SHAPES[s1](k, "a"),
-                            _SHAPES[s2](k, "b"),
-                        )
-                    )
+    for kind in (*_DECISION_KINDS, ProblemKind.GED):
+        cases += _shape_pairs(kind)
         for n in range(5, 51, 5):
             cases.append(
                 BenchCase(
@@ -137,19 +136,7 @@ def synthetic_matrix() -> list[BenchCase]:
 def native_matrix(ged_max_k: int = 8) -> list[BenchCase]:
     """The decision matrix plus edit distance on chain-versus-cycle pairs
     small enough for the exact native search."""
-    cases: list[BenchCase] = []
-    for kind in (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB):
-        for s1 in ("chain", "cycle"):
-            for s2 in ("chain", "cycle"):
-                for k in range(10, 101, 10):
-                    cases.append(
-                        BenchCase(
-                            f"{kind.value}-{s1}{k}-{s2}{k}",
-                            kind,
-                            _SHAPES[s1](k, "a"),
-                            _SHAPES[s2](k, "b"),
-                        )
-                    )
+    cases = [case for kind in _DECISION_KINDS for case in _shape_pairs(kind)]
     for k in range(1, ged_max_k + 1):
         cases.append(
             BenchCase(

@@ -32,8 +32,9 @@ from .editing import (
     op_sort_key,
     script_from_matching,
 )
-from .encode import Fact, parse_atom
+from .encode import Fact
 from .graphs import Matching, PropertyGraph, UnknownIdError, rename_graph
+from .records import scan_atoms
 
 SOLVER_ENV_VAR = "PGMATCH_SOLVER"
 
@@ -130,40 +131,12 @@ _BANNER_WORDS = (
 
 def split_atoms(line: str) -> list[str]:
     """Split one model line into atom strings; spaces inside quoted constants
-    and parentheses do not separate atoms."""
-    atoms: list[str] = []
-    current: list[str] = []
-    depth = 0
-    in_quotes = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_quotes:
-            current.append(c)
-            if c == "\\" and i + 1 < len(line):
-                current.append(line[i + 1])
-                i += 1
-            elif c == '"':
-                in_quotes = False
-        elif c == '"':
-            current.append(c)
-            in_quotes = True
-        elif c == "(":
-            depth += 1
-            current.append(c)
-        elif c == ")":
-            depth -= 1
-            current.append(c)
-        elif c.isspace() and depth == 0:
-            if current:
-                atoms.append("".join(current))
-                current = []
-        else:
-            current.append(c)
-        i += 1
-    if current:
-        atoms.append("".join(current))
-    return atoms
+    do not separate atoms, and a malformed atom raises ValueError."""
+    return [text for text, _, _ in scan_atoms(line)]
+
+
+def _model(line: str) -> list[Fact]:
+    return [Fact(pred, args) for _, pred, args in scan_atoms(line)]
 
 
 def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, str | None]:
@@ -184,7 +157,7 @@ def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, 
         stripped = line.strip()
         if expect_model:
             # the model line may be empty: a model with no shown atoms
-            models.append([parse_atom(a) for a in split_atoms(stripped)])
+            models.append(_model(stripped))
             expect_model = False
             continue
         if not stripped:
@@ -208,7 +181,7 @@ def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, 
             if not _ATOM_LINE.match(stripped):
                 continue
             try:
-                models.append([parse_atom(a) for a in split_atoms(stripped)])
+                models.append(_model(stripped))
             except ValueError:
                 continue
     return models, costs, status

@@ -15,7 +15,7 @@ core operations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
 from .graphs import Matching, PropertyGraph, UnknownIdError
@@ -128,21 +128,28 @@ MODE_RELABEL = "relabel"
 
 _PHASE_INDEX = {kind: i for i, kind in enumerate(PHASE_ORDER)}
 
+# Per operation kind: its class, its fields in text order, and how many of
+# them lead its sort key (the owning id, then the key of a property).
+_OP_KINDS = {
+    cls.kind: (cls, tuple(f.name for f in fields(cls)), 2 if cls.kind.endswith("P") else 1)
+    for cls in (
+        InsertNode,
+        InsertEdge,
+        InsertProp,
+        DeleteNode,
+        DeleteEdge,
+        DeleteProp,
+        UpdateProp,
+        RelabelNode,
+        RelabelEdge,
+    )
+}
+
 
 def op_sort_key(op: EditOp) -> tuple:
     """Deterministic order: phase, then owning id, then key."""
-    payload = {
-        "insV": lambda o: (o.node,),
-        "insE": lambda o: (o.edge,),
-        "insP": lambda o: (o.owner, o.key),
-        "delV": lambda o: (o.node,),
-        "delE": lambda o: (o.edge,),
-        "delP": lambda o: (o.owner, o.key),
-        "updP": lambda o: (o.owner, o.key),
-        "relV": lambda o: (o.node,),
-        "relE": lambda o: (o.edge,),
-    }[op.kind](op)
-    return (_PHASE_INDEX[op.kind],) + payload
+    _, names, width = _OP_KINDS[op.kind]
+    return (_PHASE_INDEX[op.kind], *[getattr(op, name) for name in names[:width]])
 
 
 class _Draft:
@@ -520,33 +527,9 @@ def script_from_matching(
     return script, script_cost(script, cm)
 
 
-_OP_FIELDS = {
-    "insV": (InsertNode, 2),
-    "insE": (InsertEdge, 4),
-    "insP": (InsertProp, 3),
-    "delV": (DeleteNode, 1),
-    "delE": (DeleteEdge, 1),
-    "delP": (DeleteProp, 2),
-    "updP": (UpdateProp, 3),
-    "relV": (RelabelNode, 2),
-    "relE": (RelabelEdge, 2),
-}
-
-
 def format_op(op: EditOp) -> str:
     """One-line text rendering, e.g. ``delV v3`` or ``insE e9 v1 v2 lbl``."""
-    payload = {
-        "insV": lambda o: [o.node, o.label],
-        "insE": lambda o: [o.edge, o.src, o.tgt, o.label],
-        "insP": lambda o: [o.owner, o.key, o.value],
-        "delV": lambda o: [o.node],
-        "delE": lambda o: [o.edge],
-        "delP": lambda o: [o.owner, o.key],
-        "updP": lambda o: [o.owner, o.key, o.value],
-        "relV": lambda o: [o.node, o.label],
-        "relE": lambda o: [o.edge, o.label],
-    }[op.kind](op)
-    return format_record([op.kind] + payload)
+    return format_record([op.kind, *[getattr(op, name) for name in _OP_KINDS[op.kind][1]]])
 
 
 def format_script(ops: list) -> str:
@@ -562,9 +545,10 @@ def parse_script(text: str) -> list:
         raise ValueError(str(exc)) from exc
     for lineno, tokens in records:
         kind, args = tokens[0], tokens[1:]
-        if kind not in _OP_FIELDS:
+        if kind not in _OP_KINDS:
             raise ValueError(f"line {lineno}: unknown operation {kind!r}")
-        cls, arity = _OP_FIELDS[kind]
+        cls, names, _ = _OP_KINDS[kind]
+        arity = len(names)
         if len(args) != arity:
             raise ValueError(
                 f"line {lineno}: {kind} takes {arity} arguments, got {len(args)}"

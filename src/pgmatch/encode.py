@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .editing import CostModel
 from .graphs import PropertyGraph, validate
+from .records import quote, scan_atoms, unquote
 
 _BARE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _RESERVED = frozenset({"not"})
@@ -23,35 +24,15 @@ _RESERVED = frozenset({"not"})
 
 def escape_atom(text: str) -> str:
     """Render one constant: bare when it is a safe lowercase name, otherwise
-    double-quoted with backslash escapes. Distinct inputs never collide."""
+    a quoted string. Distinct inputs never collide."""
     if _BARE.match(text) and text not in _RESERVED:
         return text
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return quote(text)
 
 
 def unescape_atom(token: str) -> str:
     """Invert ``escape_atom`` on one rendered constant."""
-    if not token.startswith('"'):
-        return token
-    if len(token) < 2 or not token.endswith('"'):
-        raise ValueError(f"malformed quoted constant: {token!r}")
-    body = token[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in '"\\':
-                raise ValueError(f"bad escape in constant: {token!r}")
-            out.append(body[i + 1])
-            i += 2
-        elif c == '"':
-            raise ValueError(f"unescaped quote in constant: {token!r}")
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return unquote(token) if token.startswith('"') else token
 
 
 @dataclass(frozen=True)
@@ -69,44 +50,11 @@ class Fact:
 
 def parse_atom(text: str) -> Fact:
     """Parse one rendered atom like ``h(v1,"V 2")`` back into a Fact."""
-    text = text.strip().rstrip(".")
-    open_paren = text.find("(")
-    if open_paren < 0:
-        if not text or "(" in text or ")" in text:
-            raise ValueError(f"malformed atom: {text!r}")
-        return Fact(text, ())
-    pred = text[:open_paren]
-    if not pred or not text.endswith(")"):
+    atoms = scan_atoms(text)
+    if len(atoms) != 1:
         raise ValueError(f"malformed atom: {text!r}")
-    body = text[open_paren + 1 : -1]
-    args: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if in_quotes:
-            current.append(c)
-            if c == "\\" and i + 1 < len(body):
-                current.append(body[i + 1])
-                i += 1
-            elif c == '"':
-                in_quotes = False
-        elif c == '"':
-            current.append(c)
-            in_quotes = True
-        elif c == ",":
-            args.append("".join(current).strip())
-            current = []
-        else:
-            current.append(c)
-        i += 1
-    if in_quotes:
-        raise ValueError(f"unterminated string in atom: {text!r}")
-    args.append("".join(current).strip())
-    if any(not a for a in args):
-        raise ValueError(f"malformed atom: {text!r}")
-    return Fact(pred, tuple(unescape_atom(a) for a in args))
+    _, pred, args = atoms[0]
+    return Fact(pred, args)
 
 
 class ProblemKind(enum.Enum):

@@ -1,12 +1,37 @@
-"""Line-oriented record syntax shared by the graph and edit-script text formats.
+"""The quoted-string syntax of the graph, edit-script and solver text forms.
 
-A record is one line of whitespace-separated tokens. A token that contains
-whitespace, a double quote, a backslash, or a leading ``#`` is written
-double-quoted, with ``\\`` escapes for ``"`` and ``\\``. ``#`` starts a
-comment outside of quotes; blank lines are ignored.
+A string that cannot stand bare is written between ``"`` delimiters with
+``\\"`` and ``\\\\`` as the only escapes. Each form keeps its own rule for
+when to quote. A record (a graph-file or script line) is a run of
+whitespace-separated tokens; a token that is empty, starts with ``#`` or
+contains whitespace, ``"`` or ``\\`` is quoted, and ``#`` starts a comment
+outside of quotes. A model line of solver output is a run of
+whitespace-separated atoms ``name`` or ``name(arg,...)``, each argument a
+quoted string or a bare run without whitespace, ``"``, ``(``, ``)`` or ``,``.
 """
 
 from __future__ import annotations
+
+import functools
+import re
+
+# The body of a quoted string: it stops right before the closing quote, a
+# bad escape or the end of the text, and never backtracks.
+_BODY = r'(?:[^"\\]|\\["\\])*'
+_QUOTED = re.compile(f'"{_BODY}"')
+_unescape = functools.partial(re.compile(r'\\(["\\])').sub, r"\1")
+_PLAIN = re.compile(r'[^\s"\\#][^\s"\\]*')
+
+# A record token after whitespace: an opening quote and body, then what
+# ended it ('"', a bad escape, or nothing at the end); or a bare token and a
+# quote glued to it; or the '#' of a comment.
+_RECORD_TOKEN = re.compile(rf'\s*(?:("{_BODY})(.?)|([^\s"#][^\s"]*)("?)|#)')
+
+# An atom after whitespace, or the end of the line: its text, its name
+# (without the dot that closes a rendered fact) and its argument text.
+_ARG = rf'(?:"{_BODY}"|[^\s"(),]+)'
+_ATOM = re.compile(rf'\s*(?:(([^\s"(),]*[^\s"(),.])(?:\(({_ARG}(?:,{_ARG})*)\))?\.*)(?!\S)|\Z)')
+_ARGS = re.compile(f'("{_BODY}")|([^,]+)')
 
 
 class RecordSyntaxError(ValueError):
@@ -19,57 +44,39 @@ class RecordSyntaxError(ValueError):
         super().__init__(message)
 
 
+def quote(text: str) -> str:
+    """``text`` as a quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def unquote(token: str) -> str:
+    """The text of one quoted string (inverse of ``quote``)."""
+    if not _QUOTED.fullmatch(token):
+        raise ValueError(f"malformed quoted string: {token!r}")
+    return _unescape(token[1:-1])
+
+
 def quote_token(text: str) -> str:
     """Render one token, quoting only when the plain form would be ambiguous."""
-    if text and not _needs_quoting(text):
-        return text
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def _needs_quoting(text: str) -> bool:
-    return text.startswith("#") or any(c.isspace() or c in '"\\' for c in text)
+    return text if _PLAIN.fullmatch(text) else quote(text)
 
 
 def tokenize_line(line: str, lineno: int | None = None) -> list[str]:
     """Split one line into tokens, honouring quotes, escapes and comments."""
     tokens: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-        elif c == "#":
+    for quoted, end, bare, glued in _RECORD_TOKEN.findall(line):
+        if bare:
+            if glued:
+                raise RecordSyntaxError("quote in the middle of a token", lineno)
+            tokens.append(bare)
+        elif not quoted:
             break
-        elif c == '"':
-            token, i = _read_quoted(line, i, lineno)
-            tokens.append(token)
+        elif end == '"':
+            tokens.append(_unescape(quoted[1:]))
         else:
-            start = i
-            while i < n and not line[i].isspace():
-                if line[i] == '"':
-                    raise RecordSyntaxError("quote in the middle of a token", lineno)
-                i += 1
-            tokens.append(line[start:i])
+            message = "bad escape in quoted token" if end else "unterminated quoted token"
+            raise RecordSyntaxError(message, lineno)
     return tokens
-
-
-def _read_quoted(line: str, start: int, lineno: int | None) -> tuple[str, int]:
-    parts: list[str] = []
-    i = start + 1
-    while i < len(line):
-        c = line[i]
-        if c == "\\":
-            if i + 1 >= len(line) or line[i + 1] not in '"\\':
-                raise RecordSyntaxError("bad escape in quoted token", lineno)
-            parts.append(line[i + 1])
-            i += 2
-        elif c == '"':
-            return "".join(parts), i + 1
-        else:
-            parts.append(c)
-            i += 1
-    raise RecordSyntaxError("unterminated quoted token", lineno)
 
 
 def format_record(tokens: list[str]) -> str:
@@ -84,3 +91,23 @@ def parse_records(text: str) -> list[tuple[int, list[str]]]:
         if tokens:
             out.append((lineno, tokens))
     return out
+
+
+def scan_atoms(line: str) -> list[tuple[str, str, tuple[str, ...]]]:
+    """Split one model line into atoms, as (atom text, name, unquoted
+    arguments) each; ValueError at the first malformed atom."""
+    atoms = []
+    pos = 0
+    while True:
+        m = _ATOM.match(line, pos)
+        if m is None:
+            raise ValueError(f"malformed atom: {line[pos:].strip()!r}")
+        text, name, arg_text = m.groups()
+        if text is None:
+            return atoms
+        if arg_text is None:
+            args: tuple[str, ...] = ()
+        else:
+            args = tuple(_unescape(q[1:-1]) if q else a for q, a in _ARGS.findall(arg_text))
+        atoms.append((text, name, args))
+        pos = m.end()

@@ -196,39 +196,32 @@ class _DecisionSearch:
 
     # -- label and property tests ------------------------------------------
 
-    def _node_pair_ok(self, v: str, w: str) -> bool:
-        if self.label_hard and self.g1.nodes[v] != self.g2.nodes[w]:
-            return False
+    def _pair_cost(self, lab1: str, lab2: str, p1: dict[str, str], p2: dict[str, str]) -> int | None:
+        """The soft cost of mapping a node or edge with label ``lab1`` and
+        properties ``p1`` to one with ``lab2`` and ``p2`` (its mismatched
+        properties; 0 under hard properties), or None when the pair is not
+        allowed."""
+        if self.label_hard and lab1 != lab2:
+            return None
         if self.props_hard:
-            if self.kind == "iso":
-                return self.ix.props1[v] == self.ix.props2[w]
-            return _dominated(self.ix.props1[v], self.ix.props2[w])
-        return True
-
-    def _node_pair_cost(self, v: str, w: str) -> int:
-        if self.props_hard:
-            return 0
-        if self.kind == "iso":
-            return _symmetric_mismatch(self.ix.props1[v], self.ix.props2[w])
-        return _one_way_mismatch(self.ix.props1[v], self.ix.props2[w])
-
-    def _edge_pair_ok(self, e: str, f: str) -> bool:
-        if self.label_hard and self.g1.edges[e][2] != self.g2.edges[f][2]:
-            return False
-        if self.props_hard:
-            if self.kind == "iso":
-                return self.ix.props1[e] == self.ix.props2[f]
-            return _dominated(self.ix.props1[e], self.ix.props2[f])
-        return True
-
-    def _edge_pair_cost(self, e: str, f: str) -> int:
-        if self.props_hard:
-            return 0
-        if self.kind == "iso":
-            return _symmetric_mismatch(self.ix.props1[e], self.ix.props2[f])
-        return _one_way_mismatch(self.ix.props1[e], self.ix.props2[f])
+            return 0 if (p1 == p2 if self.kind == "iso" else _dominated(p1, p2)) else None
+        return _symmetric_mismatch(p1, p2) if self.kind == "iso" else _one_way_mismatch(p1, p2)
 
     # -- per-bucket edge feasibility ---------------------------------------
+
+    def _edge_options(self, b1: list[str], b2: list[str]) -> dict[str, list[tuple[int, str]]]:
+        """Per edge of ``b1``, the ``(soft cost, edge of b2)`` pairs it may
+        map to, in ``b2`` order."""
+        pair_cost, edges1, edges2 = self._pair_cost, self.g1.edges, self.g2.edges
+        props1, props2 = self.ix.props1, self.ix.props2
+        return {
+            e: [
+                (c, f)
+                for f in b2
+                if (c := pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])) is not None
+            ]
+            for e in b1
+        }
 
     def _bucket_check(self, b1: list[str], b2: list[str]) -> int | None:
         """Feasibility and soft cost of one parallel-edge bucket pair.
@@ -236,31 +229,26 @@ class _DecisionSearch:
         Returns the minimal extra cost (0 under hard properties) or None when
         the bucket cannot be matched as the problem kind requires.
         """
-        if self.kind == "hom":
-            total = 0
-            for e in b1:
-                costs = [self._edge_pair_cost(e, f) for f in b2 if self._edge_pair_ok(e, f)]
-                if not costs:
-                    return None
-                total += min(costs)
-            return total
+        if len(b1) == 1 == len(b2):  # one edge a side, as in simple graphs
+            e, f = b1[0], b2[0]
+            return self._pair_cost(
+                self.g1.edges[e][2], self.g2.edges[f][2], self.ix.props1[e], self.ix.props2[f]
+            )
         if self.kind == "iso" and len(b1) != len(b2):
             return None
         if self.kind == "sub" and len(b1) > len(b2):
             return None
+        options = self._edge_options(b1, b2)
+        if self.kind == "hom":
+            total = 0
+            for opts in options.values():
+                if not opts:
+                    return None
+                total += min(opts)[0]
+            return total
         if self.props_hard:
-            pairs = _cover_left(b1, b2, self._edge_pair_ok)
-            if pairs is None:
-                return None
-            if self.kind == "iso" and len(pairs) != len(b2):
-                return None
-            return 0
-        return _min_cost_assignment(
-            b1,
-            b2,
-            lambda e, f: self._edge_pair_cost(e, f) if self._edge_pair_ok(e, f) else None,
-            perfect=self.kind == "iso",
-        )[0]
+            return None if _cover_left(options) is None else 0
+        return _min_cost_assignment(options, b2, perfect=self.kind == "iso")[0]
 
     def _assign_buckets(self, v: str, w: str, assignment: dict, inv: dict) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``
@@ -345,6 +333,7 @@ class _DecisionSearch:
         soft ones keeps the cheapest (the first found among equals) and
         returns it."""
         order, soft = self.order1, not self.props_hard
+        nodes2, props2 = self.g2.nodes, self.ix.props2
         best_cost: int | None = None  # soft-mode incumbent
         best: dict[str, str] | None = None
         assignment: dict[str, str] = {}
@@ -369,15 +358,17 @@ class _DecisionSearch:
                 v, cands, base = frames[-1]
                 if v in assignment:
                     inv.pop(assignment.pop(v), None)
+                lab1, p1 = self.g1.nodes[v], self.ix.props1[v]
                 for w in cands:
-                    if not self._node_pair_ok(v, w):
+                    node_cost = self._pair_cost(lab1, nodes2[w], p1, props2[w])
+                    if node_cost is None:
                         continue
                     assignment[v] = w
                     cost = self._assign_buckets(v, w, assignment, inv)
                     if cost is not None:
                         if self.injective:
                             inv[w] = v
-                        acc = base + self._node_pair_cost(v, w) + cost
+                        acc = base + node_cost + cost
                         break
                     del assignment[v]
                 else:
@@ -404,35 +395,23 @@ class _DecisionSearch:
         return Matching(dict(assignment), edge_map)
 
     def _bucket_pairs(self, b1: list[str], b2: list[str]) -> dict[str, str]:
+        options = self._edge_options(b1, b2)
         if self.kind == "hom":
-            out = {}
-            for e in b1:
-                if self.props_hard:
-                    out[e] = min(f for f in b2 if self._edge_pair_ok(e, f))
-                else:
-                    out[e] = min(
-                        (self._edge_pair_cost(e, f), f) for f in b2 if self._edge_pair_ok(e, f)
-                    )[1]
-            return out
+            return {e: min(opts)[1] for e, opts in options.items()}
         if self.props_hard:
-            pairs = _cover_left(b1, b2, self._edge_pair_ok)
-        else:
-            pairs = _min_cost_assignment(
-                b1,
-                b2,
-                lambda e, f: self._edge_pair_cost(e, f) if self._edge_pair_ok(e, f) else None,
-                perfect=self.kind == "iso",
-            )[1]
-        return dict(pairs)
+            return dict(sorted((e, f) for f, e in _cover_left(options).items()))
+        return dict(_min_cost_assignment(options, b2, perfect=self.kind == "iso")[1])
 
 
-def _cover_left(b1: list[str], b2: list[str], allowed) -> list[tuple[str, str]] | None:
-    """Injective matching covering all of ``b1`` (augmenting paths), or None."""
+def _cover_left(options: dict[str, list[tuple[int, str]]]) -> dict[str, str] | None:
+    """Injective matching that gives every key of ``options`` one of its
+    ``(cost, target)`` options, found by augmenting paths, as a target ->
+    key map; None if there is none."""
     match_of: dict[str, str] = {}
 
     def try_assign(e: str, visited: set[str]) -> bool:
-        for f in b2:
-            if f in visited or not allowed(e, f):
+        for _, f in options[e]:
+            if f in visited:
                 continue
             visited.add(f)
             if f not in match_of or try_assign(match_of[f], visited):
@@ -440,17 +419,20 @@ def _cover_left(b1: list[str], b2: list[str], allowed) -> list[tuple[str, str]] 
                 return True
         return False
 
-    for e in b1:
+    for e in options:
         if not try_assign(e, set()):
             return None
-    return sorted((e, f) for f, e in match_of.items())
+    return match_of
 
 
 def _min_cost_assignment(
-    b1: list[str], b2: list[str], pair_cost, perfect: bool
+    options: dict[str, list[tuple[int, str]]], b2: list[str], perfect: bool
 ) -> tuple[int | None, list[tuple[str, str]]]:
-    """Cheapest injective assignment matching all of ``b1`` (and all of
-    ``b2`` when ``perfect``); (None, []) when impossible."""
+    """Cheapest injective assignment that gives every key of ``options`` one
+    of its ``(cost, target)`` options (and uses all of ``b2`` when
+    ``perfect``); (None, []) when impossible."""
+    b1 = list(options)
+    bit = {f: 1 << j for j, f in enumerate(b2)}
     best: list = [None, []]
 
     def rec(i: int, used: int, acc: int, pairs: list) -> None:
@@ -461,14 +443,11 @@ def _min_cost_assignment(
                 return
             best[0], best[1] = acc, list(pairs)
             return
-        for j, f in enumerate(b2):
-            if used & (1 << j):
-                continue
-            c = pair_cost(b1[i], f)
-            if c is None:
+        for c, f in options[b1[i]]:
+            if used & bit[f]:
                 continue
             pairs.append((b1[i], f))
-            rec(i + 1, used | (1 << j), acc + c, pairs)
+            rec(i + 1, used | bit[f], acc + c, pairs)
             pairs.pop()
 
     rec(0, 0, 0, [])

@@ -195,6 +195,22 @@ def test_decode_edit_script_delete_insert():
     script, cost = decode_edit_script(ans, g1, g2)
     assert [op.kind for op in script] == ["delV", "insV"]
     assert cost == 2
+    # property atoms out of key order: the script orders by owner, then key
+    g1 = PropertyGraph({"v1": "a"}, {}, {("v1", "k1"): "d", ("v1", "k2"): "d"})
+    atoms = [Fact("delete_prop", ("v1", k)) for k in ("k2", "k1")]
+    ans = answer(
+        atoms + [Fact("delete_node", ("v1",)), Fact("insert_node", ("w1", "b"))],
+        costs=(4,),
+        optimal=True,
+        status=SolverStatus.OPTIMUM,
+    )
+    script, cost = decode_edit_script(ans, g1, g2)
+    assert [(op.kind, getattr(op, "key", None)) for op in script] == [
+        ("delP", "k1"),
+        ("delP", "k2"),
+        ("delV", None),
+        ("insV", None),
+    ]
 
 
 def test_decode_edit_script_detects_missing_insert_atom():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_graph
 from pgmatch import CostModel, PropertyGraph
+from pgmatch.bridge import parse_solver_output
 from pgmatch.encode import (
     Fact,
     ProblemKind,
@@ -30,6 +31,11 @@ WEIRD_ATOMS = [
     "not",
     "",
     "tab\there",
+    "a,b",
+    "f(x)",
+    "#c",
+    "x.",
+    ")(",
 ]
 
 
@@ -50,6 +56,9 @@ def test_escape_round_trip_and_injectivity():
     assert len(set(rendered)) == len(WEIRD_ATOMS)
     for atom, token in zip(WEIRD_ATOMS, rendered):
         assert unescape_atom(token) == atom
+    line = " ".join(f"h({token},{token})" for token in rendered) + f" t({','.join(rendered)})"
+    models, _, _ = parse_solver_output(f"Answer: 1\n{line}\nSATISFIABLE\n")
+    assert models == [[Fact("h", (a, a)) for a in WEIRD_ATOMS] + [Fact("t", tuple(WEIRD_ATOMS))]]
 
 
 def test_fact_rendering():

@@ -16,7 +16,21 @@ from pgmatch import (
     rename_graph,
     validate,
 )
+from pgmatch.editing import (
+    DeleteEdge,
+    DeleteNode,
+    DeleteProp,
+    InsertEdge,
+    InsertNode,
+    InsertProp,
+    RelabelEdge,
+    RelabelNode,
+    UpdateProp,
+    format_script,
+    parse_script,
+)
 from pgmatch.graphs import matching_violations
+from test_encode import WEIRD_ATOMS
 
 
 def chain2():
@@ -256,6 +270,31 @@ def test_parse_graph_quoting_and_comments():
     assert g.nodes["V 1"] == "label with space"
     assert g.edges["E 9"] == ("V 1", "v2", 'quote"ed')
     assert parse_graph(format_graph(g)) == g
+    # ids, labels, keys and values that the random graphs never need to quote
+    w = WEIRD_ATOMS
+    r = w[1:] + w[:1]
+    weird = PropertyGraph(
+        dict(zip(w, r)),
+        {f"{a}'": (a, b, b) for a, b in zip(w, r)},
+        {**{(a, b): a for a, b in zip(w, r)}, **{(f"{a}'", a): b for a, b in zip(w, r)}},
+    )
+    assert parse_graph(format_graph(weird)) == weird
+    script = [
+        op
+        for a, b, c, d in zip(w, r, w[2:] + w[:2], w[3:] + w[:3])
+        for op in (
+            InsertNode(a, b),
+            InsertEdge(a, b, c, d),
+            InsertProp(a, b, c),
+            DeleteNode(a),
+            DeleteEdge(b),
+            DeleteProp(a, b),
+            UpdateProp(a, b, c),
+            RelabelNode(a, b),
+            RelabelEdge(a, b),
+        )
+    ]
+    assert parse_script(format_script(script)) == script
 
 
 def test_parse_graph_rejects_invalid():
@@ -267,3 +306,7 @@ def test_parse_graph_rejects_invalid():
         parse_graph("q v a\n")
     with pytest.raises(GraphFormatError):
         parse_graph('n v "unterminated\n')
+    with pytest.raises(GraphFormatError, match="quote in the middle of a token"):
+        parse_graph('n v a"b\n')
+    with pytest.raises(GraphFormatError, match="bad escape in quoted token"):
+        parse_graph('n v "a\\q"\n')

@@ -170,6 +170,10 @@ def test_searches_agree_with_brute_force_on_random_pairs():
         g = random_graph(rng, prefix="a", max_nodes=3, edge_p=0.5, self_loops=True)
         if g.nodes:
             pairs.append((g, _one_label_short(rng, g)))
+    for _ in range(60):
+        # the same graph with other parallel edges on each side
+        g = random_graph(rng, prefix="a", max_nodes=3, edge_p=0.5, self_loops=True)
+        pairs.append((_with_parallel_edges(rng, g), _with_parallel_edges(rng, _renamed_copy(rng, g))))
     relabel, soft = SearchOptions(mode="relabel"), SearchOptions(properties="soft")
     for g1, g2 in pairs:
         unlabelled = _stripped(g1, labels=True), _stripped(g2, labels=True)
