@@ -22,10 +22,10 @@ _QUOTED = re.compile(f'"{_BODY}"')
 _unescape = functools.partial(re.compile(r'\\(["\\])').sub, r"\1")
 _PLAIN = re.compile(r'[^\s"\\#][^\s"\\]*')
 
-# A record token after whitespace: an opening quote and body, then what
-# ended it ('"', a bad escape, or nothing at the end); or a bare token and a
-# quote glued to it; or the '#' of a comment.
-_RECORD_TOKEN = re.compile(rf'\s*(?:("{_BODY})(.?)|([^\s"#][^\s"]*)("?)|#)')
+# A record token: an opening quote and body, then what ended it ('"', a bad
+# escape, or nothing at the end); or a bare token and a quote glued to it; or
+# the '#' of a comment. None can start at whitespace, so findall steps over it.
+_RECORD_TOKEN = re.compile(rf'("{_BODY})(.?)|([^\s"#][^\s"]*)("?)|#')
 
 # An atom after whitespace, or the end of the line: its text, its name
 # (without the dot that closes a rendered fact) and its argument text.

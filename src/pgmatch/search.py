@@ -193,6 +193,9 @@ class _DecisionSearch:
         self.order1 = _ordered_nodes(g1, opts.node_order)
         self.ix = _PairIndex(g1, g2)
         self.deadline = _Deadline(opts.budget)
+        pair_cost, edges1, edges2 = self._pair_cost, g1.edges, g2.edges
+        props1, props2 = self.ix.props1, self.ix.props2
+        self._edge_cost = lambda e, f: pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])
 
     # -- label and property tests ------------------------------------------
 
@@ -209,46 +212,33 @@ class _DecisionSearch:
 
     # -- per-bucket edge feasibility ---------------------------------------
 
-    def _edge_options(self, b1: list[str], b2: list[str]) -> dict[str, list[tuple[int, str]]]:
-        """Per edge of ``b1``, the ``(soft cost, edge of b2)`` pairs it may
-        map to, in ``b2`` order."""
-        pair_cost, edges1, edges2 = self._pair_cost, self.g1.edges, self.g2.edges
-        props1, props2 = self.ix.props1, self.ix.props2
-        return {
-            e: [
-                (c, f)
-                for f in b2
-                if (c := pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])) is not None
-            ]
-            for e in b1
-        }
-
     def _bucket_check(self, b1: list[str], b2: list[str]) -> int | None:
         """Feasibility and soft cost of one parallel-edge bucket pair.
 
         Returns the minimal extra cost (0 under hard properties) or None when
         the bucket cannot be matched as the problem kind requires.
         """
-        if len(b1) == 1 == len(b2):  # one edge a side, as in simple graphs
-            e, f = b1[0], b2[0]
-            return self._pair_cost(
-                self.g1.edges[e][2], self.g2.edges[f][2], self.ix.props1[e], self.ix.props2[f]
-            )
+        edge_cost = self._edge_cost
+        if self.kind == "hom":
+            total = 0
+            for e in b1:
+                costs = [c for f in b2 if (c := edge_cost(e, f)) is not None]
+                if not costs:
+                    return None
+                total += min(costs)
+            return total
         if self.kind == "iso" and len(b1) != len(b2):
             return None
         if self.kind == "sub" and len(b1) > len(b2):
             return None
-        options = self._edge_options(b1, b2)
-        if self.kind == "hom":
-            total = 0
-            for opts in options.values():
-                if not opts:
-                    return None
-                total += min(opts)[0]
-            return total
         if self.props_hard:
-            return None if _cover_left(options) is None else 0
-        return _min_cost_assignment(options, b2, perfect=self.kind == "iso")[0]
+            pairs = _cover_left(b1, b2, edge_cost)
+            if pairs is None:
+                return None
+            if self.kind == "iso" and len(pairs) != len(b2):
+                return None
+            return 0
+        return _min_cost_assignment(b1, b2, edge_cost, perfect=self.kind == "iso")[0]
 
     def _assign_buckets(self, v: str, w: str, assignment: dict, inv: dict) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``
@@ -395,23 +385,24 @@ class _DecisionSearch:
         return Matching(dict(assignment), edge_map)
 
     def _bucket_pairs(self, b1: list[str], b2: list[str]) -> dict[str, str]:
-        options = self._edge_options(b1, b2)
+        edge_cost = self._edge_cost
         if self.kind == "hom":
-            return {e: min(opts)[1] for e, opts in options.items()}
+            return {e: min((c, f) for f in b2 if (c := edge_cost(e, f)) is not None)[1] for e in b1}
         if self.props_hard:
-            return dict(sorted((e, f) for f, e in _cover_left(options).items()))
-        return dict(_min_cost_assignment(options, b2, perfect=self.kind == "iso")[1])
+            pairs = _cover_left(b1, b2, edge_cost)
+        else:
+            pairs = _min_cost_assignment(b1, b2, edge_cost, perfect=self.kind == "iso")[1]
+        return dict(pairs)
 
 
-def _cover_left(options: dict[str, list[tuple[int, str]]]) -> dict[str, str] | None:
-    """Injective matching that gives every key of ``options`` one of its
-    ``(cost, target)`` options, found by augmenting paths, as a target ->
-    key map; None if there is none."""
+def _cover_left(b1: list[str], b2: list[str], pair_cost) -> list[tuple[str, str]] | None:
+    """Injective matching covering all of ``b1`` (augmenting paths) with
+    pairs whose ``pair_cost`` is not None, or None."""
     match_of: dict[str, str] = {}
 
     def try_assign(e: str, visited: set[str]) -> bool:
-        for _, f in options[e]:
-            if f in visited:
+        for f in b2:
+            if f in visited or pair_cost(e, f) is None:
                 continue
             visited.add(f)
             if f not in match_of or try_assign(match_of[f], visited):
@@ -419,20 +410,17 @@ def _cover_left(options: dict[str, list[tuple[int, str]]]) -> dict[str, str] | N
                 return True
         return False
 
-    for e in options:
+    for e in b1:
         if not try_assign(e, set()):
             return None
-    return match_of
+    return sorted((e, f) for f, e in match_of.items())
 
 
 def _min_cost_assignment(
-    options: dict[str, list[tuple[int, str]]], b2: list[str], perfect: bool
+    b1: list[str], b2: list[str], pair_cost, perfect: bool
 ) -> tuple[int | None, list[tuple[str, str]]]:
-    """Cheapest injective assignment that gives every key of ``options`` one
-    of its ``(cost, target)`` options (and uses all of ``b2`` when
-    ``perfect``); (None, []) when impossible."""
-    b1 = list(options)
-    bit = {f: 1 << j for j, f in enumerate(b2)}
+    """Cheapest injective assignment matching all of ``b1`` (and all of
+    ``b2`` when ``perfect``); (None, []) when impossible."""
     best: list = [None, []]
 
     def rec(i: int, used: int, acc: int, pairs: list) -> None:
@@ -443,11 +431,14 @@ def _min_cost_assignment(
                 return
             best[0], best[1] = acc, list(pairs)
             return
-        for c, f in options[b1[i]]:
-            if used & bit[f]:
+        for j, f in enumerate(b2):
+            if used & (1 << j):
+                continue
+            c = pair_cost(b1[i], f)
+            if c is None:
                 continue
             pairs.append((b1[i], f))
-            rec(i + 1, used | bit[f], acc + c, pairs)
+            rec(i + 1, used | (1 << j), acc + c, pairs)
             pairs.pop()
 
     rec(0, 0, 0, [])

@@ -29,6 +29,29 @@ LABELS = ("a", "b")
 KEYS = ("k1", "k2")
 VALUES = ("d1", "d2")
 
+# Strings that need quoting, or sit near a quoting rule, in one text form or
+# another: as solver constants, record tokens or both.
+WEIRD_ATOMS = [
+    "plain",
+    "v1",
+    "CamelCase",
+    "V1",
+    "has space",
+    'with"quote',
+    "back\\slash",
+    "1starts_with_digit",
+    "_underscore",
+    "ünïcode",
+    "not",
+    "",
+    "tab\there",
+    "a,b",
+    "f(x)",
+    "#c",
+    "x.",
+    ")(",
+]
+
 
 def random_graph(
     rng: random.Random,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import WEIRD_ATOMS, random_graph
 from pgmatch import CostModel, PropertyGraph
 from pgmatch.bridge import parse_solver_output
 from pgmatch.encode import (
@@ -16,27 +16,6 @@ from pgmatch.encode import (
     render_job,
     unescape_atom,
 )
-
-WEIRD_ATOMS = [
-    "plain",
-    "v1",
-    "CamelCase",
-    "V1",
-    "has space",
-    'with"quote',
-    "back\\slash",
-    "1starts_with_digit",
-    "_underscore",
-    "ünïcode",
-    "not",
-    "",
-    "tab\there",
-    "a,b",
-    "f(x)",
-    "#c",
-    "x.",
-    ")(",
-]
 
 
 def test_escape_bare_when_safe():

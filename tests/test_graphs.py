@@ -1,8 +1,15 @@
 import random
+import time
 
 import pytest
 
-from conftest import brute_hom_exists, brute_sub_exists, random_graph, random_partial_iso
+from conftest import (
+    WEIRD_ATOMS,
+    brute_hom_exists,
+    brute_sub_exists,
+    random_graph,
+    random_partial_iso,
+)
 from pgmatch import (
     GraphFormatError,
     Matching,
@@ -30,7 +37,6 @@ from pgmatch.editing import (
     parse_script,
 )
 from pgmatch.graphs import matching_violations
-from test_encode import WEIRD_ATOMS
 
 
 def chain2():
@@ -295,6 +301,12 @@ def test_parse_graph_quoting_and_comments():
         )
     ]
     assert parse_script(format_script(script)) == script
+    # long runs of blanks, inside and after a record and on a line of their
+    # own, are read in linear time
+    padded = "n" + " \t" * 10_000 + "v1 a" + " " * 20_000 + "\n" + "\t" * 20_000 + "\n"
+    start = time.perf_counter()
+    assert parse_graph(padded) == PropertyGraph({"v1": "a"}, {}, {})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_graph_rejects_invalid():

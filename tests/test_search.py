@@ -239,6 +239,14 @@ def test_soft_properties_return_min_mismatch_witness():
     g2b = PropertyGraph({"w1": "a"}, {}, {("w1", "k"): "d2"})
     assert search_sub(g1, g2b) is None
     assert search_sub(g1, g2b, soft).node_map == {"v": "w1"}
+    # and among parallel edges the cheaper one is the witness's edge
+    h1 = PropertyGraph({"v": "a", "u": "a"}, {"e": ("v", "u", "r")}, {("e", "k"): "d1"})
+    h2 = PropertyGraph(
+        {"x": "a", "y": "a"},
+        {"f1": ("x", "y", "r"), "f2": ("x", "y", "r")},
+        {("f1", "k"): "d2", ("f2", "k"): "d1"},
+    )
+    assert search_hom(h1, h2, soft).edge_map == {"e": "f2"}
 
 
 def test_search_timeout_raises():
