@@ -55,6 +55,7 @@ class BenchResult:
     cost: int | None
     ms: float
     timed_out: bool
+    error: str | None = None  # "TypeName: message" of an ERROR cell; not a CSV column
 
     @property
     def solved(self) -> bool:
@@ -195,6 +196,7 @@ def _run_asp(case: BenchCase, budget: float, solver: SolverConfig) -> tuple[str,
 
 def _run_cell(case: BenchCase, backend: str, budget: float, solver: SolverConfig | None) -> BenchResult:
     start = time.monotonic()
+    error = None
     try:
         if backend == "native":
             status, cost, timed_out = _run_native(case, budget)
@@ -204,10 +206,10 @@ def _run_cell(case: BenchCase, backend: str, budget: float, solver: SolverConfig
             status, cost, timed_out = _run_asp(case, budget, solver)
         else:
             raise ValueError(f"unknown backend {backend!r}")
-    except Exception:
-        status, cost, timed_out = "ERROR", None, False
+    except Exception as exc:  # one failed cell must not end the run
+        status, cost, timed_out, error = "ERROR", None, False, f"{type(exc).__name__}: {exc}"
     ms = (time.monotonic() - start) * 1000.0
-    return BenchResult(case.instance, case.kind.value, backend, status, cost, ms, timed_out)
+    return BenchResult(case.instance, case.kind.value, backend, status, cost, ms, timed_out, error)
 
 
 def run_bench(
@@ -268,4 +270,5 @@ def render_summary(results: list[BenchResult]) -> str:
         rows = [r for r in results if r.kind == kind and r.backend == backend]
         solved = sum(r.solved for r in rows)
         lines.append(f"{kind:<10} {backend:<8} {len(rows):>5} {solved:>6} {rate:>6.0%}")
+    lines += [f"ERROR {r.instance} {r.backend}: {r.error}" for r in results if r.status == "ERROR"]
     return "\n".join(lines)

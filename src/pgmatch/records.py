@@ -1,7 +1,10 @@
 """The quoted-string syntax of the graph, edit-script and solver text forms.
 
-A string that cannot stand bare is written between ``"`` delimiters with
-``\\"`` and ``\\\\`` as the only escapes. Each form keeps its own rule for
+A string that cannot stand bare is written between ``"`` delimiters. Its
+escapes are ``\\"`` and ``\\\\``, and one per line break, so that a quoted
+string never spans two lines: ``\\n`` for a line feed (as Clingo writes it)
+and ``\\u`` with four hex digits for each other character at which
+``str.splitlines`` ends a line. Each form keeps its own rule for
 when to quote. A record (a graph-file or script line) is a run of
 whitespace-separated tokens; a token that is empty, starts with ``#`` or
 contains whitespace, ``"`` or ``\\`` is quoted, and ``#`` starts a comment
@@ -15,11 +18,23 @@ from __future__ import annotations
 import functools
 import re
 
+# Each escape and the character it stands for.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ESCAPES = {
+    '"': '\\"',
+    "\\": "\\\\",
+    "\n": "\\n",
+    **{c: f"\\u{ord(c):04x}" for c in _LINE_BREAKS[1:]},
+}
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+_ESCAPE = "|".join(re.escape(e) for e in _ESCAPES.values())
+_UNESCAPED = {e: c for c, e in _ESCAPES.items()}
+
 # The body of a quoted string: it stops right before the closing quote, a
 # bad escape or the end of the text, and never backtracks.
-_BODY = r'(?:[^"\\]|\\["\\])*'
+_BODY = rf'(?:[^"\\]|{_ESCAPE})*'
 _QUOTED = re.compile(f'"{_BODY}"')
-_unescape = functools.partial(re.compile(r'\\(["\\])').sub, r"\1")
+_unescape = functools.partial(re.compile(_ESCAPE).sub, lambda m: _UNESCAPED[m.group()])
 _PLAIN = re.compile(r'[^\s"\\#][^\s"\\]*')
 
 # A record token: an opening quote and body, then what ended it ('"', a bad
@@ -46,7 +61,8 @@ class RecordSyntaxError(ValueError):
 
 def quote(text: str) -> str:
     """``text`` as a quoted string."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + _LINE_BREAK.sub(lambda m: _ESCAPES[m.group()], text) + '"'
 
 
 def unquote(token: str) -> str:

@@ -12,6 +12,13 @@ buckets priced or checked are those between ``v`` and its decided neighbours
 and (iso and edit distance) the g2 buckets between ``v``'s image and nodes
 with a preimage. Iso and sub are first cut by node and edge counts, and edit
 distance is bounded below by them, per label when labels must match.
+
+Before branching, a decision search gives each g1 node a candidate domain:
+the g2 nodes that pass cheap necessary conditions (label, hard properties,
+a directed cycle through the image of a node on one, and for iso and sub
+the edge ends per direction and edge label). An empty domain decides None
+at once, so a cycle is refused a chain without a search; otherwise every
+candidate list is drawn from the domain.
 """
 
 from __future__ import annotations
@@ -143,6 +150,69 @@ class _PairIndex:
         self.all_nodes2 = sorted(g2.nodes)
 
 
+def _cyclic_nodes(succ: dict[str, set[str]]) -> set[str]:
+    """The nodes on a directed cycle of the graph with successor sets
+    ``succ``: those with a self-loop or in a strongly connected component of
+    two or more nodes (Tarjan's algorithm on an explicit stack)."""
+    out = {v for v, ws in succ.items() if v in ws}
+    done = len(succ)  # the index of a node whose component is complete
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                i = index.get(w)
+                if i is None:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if i < low[v]:
+                    low[v] = i
+            else:
+                work.pop()
+                lv = low[v]
+                if work and lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+                if lv == index[v]:
+                    w = stack.pop()
+                    index[w] = done
+                    while w != v:
+                        out.add(w)
+                        w = stack.pop()
+                        index[w] = done
+                        out.add(w)
+    return out
+
+
+def _degree_signatures(g: PropertyGraph, by_label: bool) -> dict[str, tuple]:
+    """Per node, the sorted ``(direction, edge label)`` of its edge ends,
+    one per edge: direction 0 out of it, 1 into it, 2 a self-loop, so that
+    parallel edges count one each and self-loops apart, as the edge buckets
+    are matched. The edge label is None for every edge unless ``by_label``."""
+    ends: dict[str, list] = {v: [] for v in g.nodes}
+    for s, t, lab in g.edges.values():
+        key = lab if by_label else None
+        if s == t:
+            ends[s].append((2, key))
+        else:
+            ends[s].append((0, key))
+            ends[t].append((1, key))
+    return {v: tuple(sorted(e)) for v, e in ends.items()}
+
+
+def _numbered(sig: tuple) -> list[tuple]:
+    """``(end, n)`` for the n-th equal end of a sorted degree signature."""
+    return [(end, i - sig.index(end)) for i, end in enumerate(sig)]
+
+
 def _ordered_nodes(g: PropertyGraph, order: str) -> list[str]:
     if order == "lex":
         return sorted(g.nodes)
@@ -193,6 +263,7 @@ class _DecisionSearch:
         self.order1 = _ordered_nodes(g1, opts.node_order)
         self.ix = _PairIndex(g1, g2)
         self.deadline = _Deadline(opts.budget)
+        self.domains: dict[str, tuple[list[str], set[str]]] | None = None  # set by run()
         pair_cost, edges1, edges2 = self._pair_cost, g1.edges, g2.edges
         props1, props2 = self.ix.props1, self.ix.props2
         self._edge_cost = lambda e, f: pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])
@@ -269,7 +340,6 @@ class _DecisionSearch:
 
     def _candidates(self, v: str, assignment: dict[str, str], inv: dict) -> list[str]:
         ix = self.ix
-        lab = self.g1.nodes[v]
         hard = self.label_hard
         # one g2 node set per assigned neighbour: the predecessors (edges out
         # of v) or successors (edges into v) of its image
@@ -282,21 +352,23 @@ class _DecisionSearch:
             for s, elab in ix.in1[v]
             if s in assignment
         ]
+        base, domain = self.domains[v]
         if not narrow:
-            base = ix.nodes2_by_label.get(lab, []) if hard else ix.all_nodes2
             return [w for w in base if w not in inv] if self.injective else base
         narrow.sort(key=len)
-        nodes2 = self.g2.nodes
         return sorted(
             w
             for w in narrow[0].intersection(*narrow[1:])
-            if (not hard or nodes2[w] == lab) and (not self.injective or w not in inv)
+            if w in domain and (not self.injective or w not in inv)
         )
 
     # -- main search ----------------------------------------------------------
 
     def run(self) -> Matching | None:
         if self.kind != "hom" and not self._counts_fit():
+            return None
+        self.domains = self._root_domains()
+        if self.domains is None:
             return None
         found = self._search()
         return self._finish(found) if found is not None else None
@@ -315,6 +387,79 @@ class _DecisionSearch:
 
         c1, c2 = counts(self.g1), counts(self.g2)
         return c1 == c2 if self.kind == "iso" else c1 <= c2
+
+    def _root_domains(self) -> dict[str, tuple[list[str], set[str]]] | None:
+        """Each g1 node's candidate domain, as a sorted list and a set, or
+        None when a domain is empty. A g2 node ``w`` is in ``v``'s domain
+        when it has ``v``'s label (``label-hard``) and ``v``'s properties
+        (hard properties), lies on a directed cycle if ``v`` does (a hom maps
+        a cycle onto a closed walk), and for sub (iso) has at least (exactly)
+        as many edges out of, into and looping at it as ``v``, per edge label
+        (in total under ``relabel``). Each filter drops only candidates that
+        belong to no complete witness."""
+        g1, g2, ix = self.g1, self.g2, self.ix
+        hard, kind = self.label_hard, self.kind
+        succ1: dict[str, set[str]] = {v: set() for v in g1.nodes}
+        for s, t in ix.pairs1:
+            succ1[s].add(t)
+        cyclic1 = _cyclic_nodes(succ1)
+        cyclic2 = _cyclic_nodes({w: ix.succ2[w][None] for w in g2.nodes}) if cyclic1 else set()
+        if cyclic1 and not cyclic2:
+            return None  # a cycle has no image in an acyclic graph
+        sigs1: dict[str, tuple] = {}
+        sigs2: dict[str, tuple] = {}
+        if self.injective:
+            sigs1, sigs2 = _degree_signatures(g1, hard), _degree_signatures(g2, hard)
+        # g2 nodes in classes of equal (label, cyclic, signature); the classes
+        # that fit a g1 node are found by ANDing bitsets over the classes
+        classes: dict[tuple, list[str]] = {}
+        for w in ix.all_nodes2:
+            key = (g2.nodes[w] if hard else None, w in cyclic2, sigs2.get(w, ()))
+            classes.setdefault(key, []).append(w)
+        # per label, on a cycle, and per signature (iso) or per numbered edge
+        # end (sub: at least that many such ends)
+        with_label: dict = {}
+        with_sig: dict = {}
+        on_cycle = 0
+        for j, (lab, cyclic, sig) in enumerate(classes):
+            bit = 1 << j
+            with_label[lab] = with_label.get(lab, 0) | bit
+            on_cycle |= bit if cyclic else 0
+            for item in (sig,) if kind == "iso" else _numbered(sig):
+                with_sig[item] = with_sig.get(item, 0) | bit
+        members = list(classes.values())
+        by_prop: dict[tuple[str, str], set[str]] = {}
+        if self.props_hard:
+            for (x, k), d in g2.props.items():
+                if x in g2.nodes:
+                    by_prop.setdefault((k, d), set()).add(x)
+        bases: dict = {}  # shared by the g1 nodes of one class
+        domains = {}
+        for v in g1.nodes:
+            key = (g1.nodes[v] if hard else None, v in cyclic1, sigs1.get(v, ()))
+            base = bases.get(key)
+            if base is None:
+                lab, cyclic, sig = key
+                mask = with_label.get(lab, 0) & (on_cycle if cyclic else -1)
+                if kind != "hom":
+                    for item in (sig,) if kind == "iso" else _numbered(sig):
+                        mask &= with_sig.get(item, 0)
+                ws = []
+                while mask > 0:  # the set bits, lowest first
+                    low = mask & -mask
+                    ws += members[low.bit_length() - 1]
+                    mask ^= low
+                ws.sort()
+                base = bases[key] = (ws, set(ws))
+            props = ix.props1[v] if self.props_hard else None
+            if props:
+                have = [by_prop.get(item, _EMPTY) for item in props.items()]
+                ws = sorted(base[1].intersection(*have))
+                base = (ws, set(ws))
+            if not base[0]:
+                return None
+            domains[v] = base
+        return domains
 
     def _search(self) -> dict[str, str] | None:
         """Depth first over ``order1`` on an explicit stack, candidates in

@@ -50,6 +50,10 @@ WEIRD_ATOMS = [
     "#c",
     "x.",
     ")(",
+    "two\nlines",
+    "carriage\rreturn\r\n",
+    "next\x85line",
+    "line\u2028separator",
 ]
 
 

@@ -79,6 +79,19 @@ def test_error_cells_recorded_and_run_continues():
     assert by_id["ok"].status == "SAT"
 
 
+def test_error_cells_keep_their_cause(tmp_path):
+    missing = str(tmp_path / "no-such-solver")
+    cases = [BenchCase("hom", ProblemKind.HOM, gen_chain(1, "a"), gen_chain(1, "b"))]
+    results = run_bench(cases, ("asp",), budget=5.0, solver=SolverConfig(missing, (), budget=5.0))
+    (r,) = results
+    assert r.status == "ERROR"
+    assert r.error.startswith("ProcessFailure: cannot start solver") and missing in r.error
+    assert f"ERROR hom asp: {r.error}" in render_summary(results).splitlines()
+    assert r.error not in render_csv(results)
+    ok = run_bench(cases, ("native",), budget=5.0)
+    assert ok[0].error is None and "ERROR" not in render_summary(ok)
+
+
 def test_asp_backend_through_fake_solver():
     cases = [BenchCase("hom", ProblemKind.HOM, gen_chain(1, "a"), gen_chain(1, "b"))]
     solver = SolverConfig(sys.executable, (str(FAKE_SOLVER),), budget=10.0)

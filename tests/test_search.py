@@ -149,6 +149,44 @@ def _stripped(g: PropertyGraph, labels: bool = False, props: bool = False) -> Pr
     )
 
 
+def _with_cycle(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` plus one directed cycle through all of its nodes."""
+    ids = sorted(g.nodes)
+    edges = {f"{v}c": (v, ids[(i + 1) % len(ids)], rng.choice(LABELS)) for i, v in enumerate(ids)}
+    return PropertyGraph(g.nodes, {**g.edges, **edges}, g.props)
+
+
+def _acyclic(g: PropertyGraph, self_loops: bool) -> PropertyGraph:
+    """``g`` with every edge pointing up the id order: its only cycles are
+    its self-loops, if they are kept."""
+    edges = {
+        e: (min(s, t), max(s, t), lab)
+        for e, (s, t, lab) in g.edges.items()
+        if s != t or self_loops
+    }
+    props = {k: d for k, d in g.props.items() if k[0] in g.nodes or k[0] in edges}
+    return PropertyGraph(g.nodes, edges, props)
+
+
+def _degree_deficient(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """A renamed copy of ``g`` with one edge moved between two new nodes:
+    as many edges per label, more nodes, one endpoint short of an edge."""
+    if not g.edges:
+        return _renamed_copy(rng, g)
+    e = rng.choice(sorted(g.edges))
+    nodes = {**g.nodes, "zv1": rng.choice(LABELS), "zv2": rng.choice(LABELS)}
+    edges = {**g.edges, e: ("zv1", "zv2", g.edges[e][2])}
+    return _renamed_copy(rng, PropertyGraph(nodes, edges, g.props))
+
+
+def _fresh_value(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` with one node property set to a value no random graph uses."""
+    if not g.nodes:
+        return g
+    owner = rng.choice(sorted(g.nodes))
+    return PropertyGraph(g.nodes, g.edges, {**g.props, (owner, rng.choice(KEYS)): "fresh"})
+
+
 def test_searches_agree_with_brute_force_on_random_pairs():
     rng = random.Random(101)
     pairs = [
@@ -174,6 +212,16 @@ def test_searches_agree_with_brute_force_on_random_pairs():
         # the same graph with other parallel edges on each side
         g = random_graph(rng, prefix="a", max_nodes=3, edge_p=0.5, self_loops=True)
         pairs.append((_with_parallel_edges(rng, g), _with_parallel_edges(rng, _renamed_copy(rng, g))))
+    for _ in range(40):
+        # cyclic patterns, targets without cycles or with only self-loops
+        g = _with_cycle(rng, random_graph(rng, prefix="a", max_nodes=3, self_loops=True))
+        h = random_graph(rng, prefix="b", max_nodes=4, edge_p=0.5, self_loops=True)
+        pairs.append((g, _acyclic(h, self_loops=False)))
+        pairs.append((g, _acyclic(h, self_loops=True)))
+    for _ in range(40):
+        g = random_graph(rng, prefix="a", max_nodes=4, edge_p=0.4, self_loops=True)
+        pairs.append((g, _degree_deficient(rng, g)))
+        pairs.append((_fresh_value(rng, g), _renamed_copy(rng, g)))
     relabel, soft = SearchOptions(mode="relabel"), SearchOptions(properties="soft")
     for g1, g2 in pairs:
         unlabelled = _stripped(g1, labels=True), _stripped(g2, labels=True)
@@ -269,6 +317,47 @@ def test_decision_searches_find_identity_on_long_chain():
         assert w is not None
         assert w.node_map == {v: v for v in g.nodes}
         assert w.edge_map == {e: e for e in g.edges}
+
+
+def test_cycle_into_chain_is_unsat_at_the_root():
+    # every pattern node lies on a cycle and no target node does; tried from
+    # each start image in turn, this costs about k² search steps
+    cycle, chain = gen_cycle(400, "a"), gen_chain(400, "b")
+    assert search_hom(cycle, chain, SearchOptions(budget=0.5)) is None
+    assert search_sub(cycle, chain, SearchOptions(budget=0.5)) is None
+
+
+def test_cycle_rule_edge_cases():
+    # a cycle maps onto a self-loop, a closed walk of length one
+    cycle, loop = gen_cycle(5, "a"), gen_cycle(1, "b")
+    w = search_hom(cycle, loop)
+    assert w is not None and check_homomorphism(w, cycle, loop)
+    # a 2-cycle has no image in a chain, whatever its parallel edges
+    two = gen_cycle(2, "a")
+    chain = gen_chain(3, "b")
+    parallel = PropertyGraph(chain.nodes, {**chain.edges, "bp": ("bv001", "bv002", "e")})
+    for search, brute in ((search_hom, brute_hom_exists), (search_sub, brute_sub_exists)):
+        assert search(two, parallel) is None and not brute(two, parallel)
+    # a back edge with another label closes a cycle that only relabel can use
+    back = PropertyGraph(chain.nodes, {**chain.edges, "bb": ("bv003", "bv002", "f")})
+    unlabelled = PropertyGraph(
+        {v: "n" for v in back.nodes}, {f: (s, t, "e") for f, (s, t, _) in back.edges.items()}
+    )
+    for search, brute in ((search_hom, brute_hom_exists), (search_sub, brute_sub_exists)):
+        assert search(two, back) is None and not brute(two, back)
+        w = search(two, back, RELABEL)
+        assert w is not None and brute(two, unlabelled)
+        assert set(w.node_map.values()) == {"bv002", "bv003"}
+    # a cyclic pattern with a property value the target lacks is refused
+    # before the first search node, so even a spent budget answers
+    g1 = PropertyGraph(cycle.nodes, cycle.edges, {("av000", "k"): "fresh"})
+    target = gen_cycle(5, "b")
+    g2 = PropertyGraph(target.nodes, target.edges, {("bv000", "k"): "old"})
+    spent = SearchOptions(budget=1e-9)
+    for search in (search_hom, search_iso, search_sub):
+        assert search(g1, g2, spent) is None
+        with pytest.raises(SearchTimeout):
+            search(g1, g1, spent)
 
 
 # -- minimum edit matching -------------------------------------------------------
