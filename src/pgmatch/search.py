@@ -3,15 +3,15 @@ decision with witness, and minimum-cost partial-isomorphism search for
 (weighted) edit distance, plus an exhaustive oracle for small graphs.
 
 All searches are deterministic: node variables follow the configured order,
-candidate values are tried lexicographically, and incumbents are replaced
-only by strictly better ones. Every search call builds one graph-pair index
-(``_PairIndex``) and keeps its path on an explicit stack, so no graph is too
-deep for it. A step deciding g1 node ``v`` visits only ``v``'s neighbours:
-decision candidates come from the images of its assigned neighbours, and the
-buckets priced or checked are those between ``v`` and its decided neighbours
-and (iso and edit distance) the g2 buckets between ``v``'s image and nodes
-with a preimage. Iso and sub are first cut by node and edge counts, and edit
-distance is bounded below by them, per label when labels must match.
+candidate values are tried lexicographically, and incumbents are replaced only
+by strictly better ones. Iso and sub are first cut by node and edge counts,
+and edit distance is bounded below by them, per label when labels must match.
+Past that cut a search builds one graph-pair index (``_PairIndex``) and keeps
+its path on an explicit stack, so no graph is too deep for it. A step deciding
+g1 node ``v`` visits only ``v``'s neighbours: decision candidates come from
+the images of its assigned neighbours, and the buckets priced or checked are
+those between ``v`` and its decided neighbours and (iso and edit distance) the
+g2 buckets between ``v``'s image and nodes with a preimage.
 
 Before branching, a decision search gives each g1 node a candidate domain:
 the g2 nodes that pass cheap necessary conditions (label, hard properties,
@@ -19,6 +19,11 @@ a directed cycle through the image of a node on one, and for iso and sub
 the edge ends per direction and edge label). An empty domain decides None
 at once, so a cycle is refused a chain without a search; otherwise every
 candidate list is drawn from the domain.
+
+Iso, sub and edit distance price the parallel edges between two nodes (a
+bucket) with one assignment solver, ``_assign``; hom, not injective, takes each
+edge's cheapest image. A witness pairs each bucket lexicographically first
+among its cheapest pairings.
 """
 
 from __future__ import annotations
@@ -250,6 +255,116 @@ class _Deadline:
         return time.monotonic() >= self.expires
 
 
+def _assign(costs: list[list], deadline: _Deadline) -> tuple[int, list[int]] | None:
+    """The cheapest assignment of each row of ``costs`` (no more rows than
+    columns) to its own column, None entries forbidden: the total and each
+    row's column, or None when no assignment exists. Each row starts at its
+    cheapest column when no earlier row took it; every other row is routed
+    along a shortest augmenting path over row and column potentials (Jonker &
+    Volgenant, Computing 1987), the deadline checked at every path step."""
+    n, m = len(costs), len(costs[0]) if costs else 0
+    u, v = [0] * n, [0] * m  # potentials: c - u[i] - v[j] >= 0, 0 on assigned pairs
+    col_of, row_of = [-1] * n, [-1] * m
+    for i, row in enumerate(costs):
+        low, j1 = math.inf, -1
+        for j, c in enumerate(row):
+            if c is not None and c < low:
+                low, j1 = c, j
+        if j1 < 0:
+            return None
+        u[i] = low
+        if row_of[j1] < 0:
+            row_of[j1], col_of[i] = i, j1
+    for start in [i for i, j in enumerate(col_of) if j < 0]:
+        dist = [math.inf] * m  # reduced path length from row start to each column
+        back = [start] * m  # the row before each column on its path
+        done = [False] * m
+        path: list[int] = []  # columns settled, in order; the last is free
+        i, top = start, 0
+        while i >= 0:
+            if deadline.check():
+                raise SearchTimeout("the time budget ran out inside an edge bucket")
+            row, base = costs[i], top - u[i]
+            low, j1 = math.inf, -1
+            for j in range(m):
+                if not done[j]:
+                    c = row[j]
+                    if c is not None and c + base - v[j] < dist[j]:
+                        dist[j], back[j] = c + base - v[j], i
+                    if dist[j] < low:
+                        low, j1 = dist[j], j
+            if j1 < 0:
+                return None  # no path from row start reaches a free column
+            top, done[j1], i = low, True, row_of[j1]
+            path.append(j1)
+        u[start] += top
+        for j in path[:-1]:  # the free column at the end has dist[j] == top
+            v[j] -= top - dist[j]
+            u[row_of[j]] += top - dist[j]
+        j = path[-1]
+        while i != start:  # shift each row on the path to the column after it
+            i = back[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+    return sum([row[j] for row, j in zip(costs, col_of)]), col_of
+
+
+def _bucket_cost(
+    b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
+) -> tuple[int, dict[str, str]] | None:
+    """The cost and pairs of the cheapest pairing of bucket ``b1`` with ``b2``,
+    or None when there is none. Each ``e`` of ``b1`` takes its own ``f`` of
+    ``b2`` at ``edge_cost(e, f)`` (None: not allowed), or, for edit distance,
+    is deleted at ``dele[e]``, each ``f`` left over inserted at ``ins[f]``: a
+    pair then costs ``edge_cost(e, f) - ins[f]`` on top of inserting all of
+    ``b2``, and each row has its own deletion column (Riesen & Bunke 2009)."""
+    if dele is None:
+        costs, base = [[edge_cost(e, f) for f in b2] for e in b1], 0
+    else:
+        costs, base = [], sum([ins[f] for f in b2])
+        for i, e in enumerate(b1):
+            row = [None if (c := edge_cost(e, f)) is None else c - ins[f] for f in b2]
+            row += [None] * len(b1)
+            row[len(b2) + i] = dele[e]
+            costs.append(row)
+    found = _assign(costs, deadline)
+    if found is None:
+        return None
+    return base + found[0], {e: b2[j] for e, j in zip(b1, found[1]) if j < len(b2)}
+
+
+def _bucket_pairs(
+    b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
+) -> list[tuple[str, str]]:
+    """The lexicographically first of the cheapest pairings of one bucket
+    (arguments as for ``_bucket_cost``), built edge by edge: end it when
+    deleting and inserting the rest is optimal, else take the first pair that
+    keeps the optimum, else delete. Without ``dele`` neither the end nor the
+    deletion can be the optimum, so every edge of ``b1`` is paired. A pair of
+    the last cheapest pairing solved keeps the optimum without a new solve."""
+    pairs: list[tuple[str, str]] = []
+    left, cheapest = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)
+    for i, e in enumerate(b1):
+        if dele is not None and left == sum(dele[x] for x in b1[i:]) + sum(ins[f] for f in b2):
+            break
+        for f in b2:
+            c = edge_cost(e, f)
+            if c is None:
+                continue
+            rest = [x for x in b2 if x != f]
+            if cheapest.get(e) != f:
+                found = _bucket_cost(b1[i + 1 :], rest, edge_cost, deadline, dele, ins)
+                if found is None or found[0] != left - c:
+                    continue
+                cheapest = found[1]
+            pairs.append((e, f))
+            left, b2 = left - c, rest
+            break
+        else:
+            left -= dele[e]
+    return pairs
+
+
 class _DecisionSearch:
     """Backtracking engine shared by the three decision problems; each step
     visits only the neighbours of the node it assigns."""
@@ -260,13 +375,9 @@ class _DecisionSearch:
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.props_hard = opts.properties == PROPS_HARD
-        self.order1 = _ordered_nodes(g1, opts.node_order)
-        self.ix = _PairIndex(g1, g2)
+        self.node_order = opts.node_order
         self.deadline = _Deadline(opts.budget)
-        self.domains: dict[str, tuple[list[str], set[str]]] | None = None  # set by run()
-        pair_cost, edges1, edges2 = self._pair_cost, g1.edges, g2.edges
-        props1, props2 = self.ix.props1, self.ix.props2
-        self._edge_cost = lambda e, f: pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])
+        # run() sets ix, _edge_cost, pricing and domains once the counts fit
 
     # -- label and property tests ------------------------------------------
 
@@ -289,8 +400,8 @@ class _DecisionSearch:
         Returns the minimal extra cost (0 under hard properties) or None when
         the bucket cannot be matched as the problem kind requires.
         """
-        edge_cost = self._edge_cost
         if self.kind == "hom":
+            edge_cost = self._edge_cost
             total = 0
             for e in b1:
                 costs = [c for f in b2 if (c := edge_cost(e, f)) is not None]
@@ -298,18 +409,10 @@ class _DecisionSearch:
                     return None
                 total += min(costs)
             return total
-        if self.kind == "iso" and len(b1) != len(b2):
+        if len(b1) > len(b2) or self.kind == "iso" and len(b1) != len(b2):
             return None
-        if self.kind == "sub" and len(b1) > len(b2):
-            return None
-        if self.props_hard:
-            pairs = _cover_left(b1, b2, edge_cost)
-            if pairs is None:
-                return None
-            if self.kind == "iso" and len(pairs) != len(b2):
-                return None
-            return 0
-        return _min_cost_assignment(b1, b2, edge_cost, perfect=self.kind == "iso")[0]
+        found = _bucket_cost(b1, b2, *self.pricing)
+        return None if found is None else found[0]
 
     def _assign_buckets(self, v: str, w: str, assignment: dict, inv: dict) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``
@@ -367,6 +470,11 @@ class _DecisionSearch:
     def run(self) -> Matching | None:
         if self.kind != "hom" and not self._counts_fit():
             return None
+        self.ix = ix = _PairIndex(self.g1, self.g2)
+        pair_cost, edges1, edges2 = self._pair_cost, self.g1.edges, self.g2.edges
+        props1, props2 = ix.props1, ix.props2
+        self._edge_cost = lambda e, f: pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])
+        self.pricing = (self._edge_cost, self.deadline)  # for the bucket helpers
         self.domains = self._root_domains()
         if self.domains is None:
             return None
@@ -462,12 +570,12 @@ class _DecisionSearch:
         return domains
 
     def _search(self) -> dict[str, str] | None:
-        """Depth first over ``order1`` on an explicit stack, candidates in
-        lexicographic order, the deadline checked at every node entered.
-        Under hard properties returns the first complete assignment; under
-        soft ones keeps the cheapest (the first found among equals) and
+        """Depth first in the configured node order on an explicit stack,
+        candidates in lexicographic order, the deadline checked at every node
+        entered. Under hard properties returns the first complete assignment;
+        under soft ones keeps the cheapest (the first found among equals) and
         returns it."""
-        order, soft = self.order1, not self.props_hard
+        order, soft = _ordered_nodes(self.g1, self.node_order), not self.props_hard
         nodes2, props2 = self.g2.nodes, self.ix.props2
         best_cost: int | None = None  # soft-mode incumbent
         best: dict[str, str] | None = None
@@ -517,77 +625,15 @@ class _DecisionSearch:
 
     def _finish(self, assignment: dict[str, str]) -> Matching:
         edge_map: dict[str, str] = {}
-        done: set[tuple[str, str]] = set()
-        for e in sorted(self.g1.edges):
-            s, t, _ = self.g1.edges[e]
-            key = (s, t)
-            if key in done:
-                continue
-            done.add(key)
-            b1 = self.ix.pairs1.get(key, [])
-            b2 = self.ix.pairs2.get((assignment[s], assignment[t]), [])
-            edge_map.update(self._bucket_pairs(b1, b2))
-        return Matching(dict(assignment), edge_map)
-
-    def _bucket_pairs(self, b1: list[str], b2: list[str]) -> dict[str, str]:
         edge_cost = self._edge_cost
-        if self.kind == "hom":
-            return {e: min((c, f) for f in b2 if (c := edge_cost(e, f)) is not None)[1] for e in b1}
-        if self.props_hard:
-            pairs = _cover_left(b1, b2, edge_cost)
-        else:
-            pairs = _min_cost_assignment(b1, b2, edge_cost, perfect=self.kind == "iso")[1]
-        return dict(pairs)
-
-
-def _cover_left(b1: list[str], b2: list[str], pair_cost) -> list[tuple[str, str]] | None:
-    """Injective matching covering all of ``b1`` (augmenting paths) with
-    pairs whose ``pair_cost`` is not None, or None."""
-    match_of: dict[str, str] = {}
-
-    def try_assign(e: str, visited: set[str]) -> bool:
-        for f in b2:
-            if f in visited or pair_cost(e, f) is None:
-                continue
-            visited.add(f)
-            if f not in match_of or try_assign(match_of[f], visited):
-                match_of[f] = e
-                return True
-        return False
-
-    for e in b1:
-        if not try_assign(e, set()):
-            return None
-    return sorted((e, f) for f, e in match_of.items())
-
-
-def _min_cost_assignment(
-    b1: list[str], b2: list[str], pair_cost, perfect: bool
-) -> tuple[int | None, list[tuple[str, str]]]:
-    """Cheapest injective assignment matching all of ``b1`` (and all of
-    ``b2`` when ``perfect``); (None, []) when impossible."""
-    best: list = [None, []]
-
-    def rec(i: int, used: int, acc: int, pairs: list) -> None:
-        if best[0] is not None and acc >= best[0]:
-            return
-        if i == len(b1):
-            if perfect and used != (1 << len(b2)) - 1:
-                return
-            best[0], best[1] = acc, list(pairs)
-            return
-        for j, f in enumerate(b2):
-            if used & (1 << j):
-                continue
-            c = pair_cost(b1[i], f)
-            if c is None:
-                continue
-            pairs.append((b1[i], f))
-            rec(i + 1, used | (1 << j), acc + c, pairs)
-            pairs.pop()
-
-    rec(0, 0, 0, [])
-    return best[0], best[1]
+        for (s, t), b1 in self.ix.pairs1.items():
+            b2 = self.ix.pairs2.get((assignment[s], assignment[t]), [])
+            if self.kind == "hom":
+                for e in b1:
+                    edge_map[e] = min((c, f) for f in b2 if (c := edge_cost(e, f)) is not None)[1]
+            else:
+                edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
+        return Matching(dict(assignment), edge_map)
 
 
 def _require_valid(g1: PropertyGraph, g2: PropertyGraph) -> None:
@@ -669,6 +715,7 @@ class _GedSearch:
         self.assignment: dict[str, str | None] = {}
         self.inv: dict[str, str] = {}  # used g2 node -> its preimage
         self.deadline = _Deadline(opts.budget)
+        self.pricing = (self._edge_pair_cost, self.deadline, self.del_edge, self.ins_edge)
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
@@ -701,55 +748,6 @@ class _GedSearch:
         label = 0 if lab1 == lab2 else self.cm.edge_sub
         return label + self._prop_pair_cost(self.ix.props1[e], self.ix.props2[f])
 
-    def _bucket_cost(self, b1: list[str], b2: list[str]) -> int:
-        """Exact minimum over all injective partial pairings of one bucket,
-        unmatched edges priced as deletions and insertions."""
-        best = [sum(self.del_edge[e] for e in b1) + sum(self.ins_edge[f] for f in b2)]
-
-        def rec(i: int, used: int, acc: int) -> None:
-            if self.deadline.check():
-                raise SearchTimeout("edit-distance search exceeded its budget")
-            if acc >= best[0]:
-                return
-            if i == len(b1):
-                total = acc + sum(
-                    self.ins_edge[f] for j, f in enumerate(b2) if not used & (1 << j)
-                )
-                if total < best[0]:
-                    best[0] = total
-                return
-            e = b1[i]
-            for j, f in enumerate(b2):
-                if used & (1 << j):
-                    continue
-                c = self._edge_pair_cost(e, f)
-                if c is not None:
-                    rec(i + 1, used | (1 << j), acc + c)
-            rec(i + 1, used, acc + self.del_edge[e])
-
-        rec(0, 0, 0)
-        return best[0]
-
-    def _bucket_pairs(self, b1: list[str], b2: list[str]) -> list[tuple[str, str]]:
-        """The lexicographically first of the cheapest pairings of one bucket,
-        built edge by edge: end it when deleting and inserting the rest is
-        optimal, else take the first pair that keeps the optimum, else delete."""
-        pairs: list[tuple[str, str]] = []
-        left = self._bucket_cost(b1, b2)
-        for i, e in enumerate(b1):
-            if left == sum(self.del_edge[x] for x in b1[i:]) + sum(self.ins_edge[f] for f in b2):
-                break
-            for f in b2:
-                c = self._edge_pair_cost(e, f)
-                rest = [x for x in b2 if x != f]
-                if c is not None and c + self._bucket_cost(b1[i + 1 :], rest) == left:
-                    pairs.append((e, f))
-                    left, b2 = left - c, rest
-                    break
-            else:
-                left -= self.del_edge[e]
-        return pairs
-
     def _decide_cost(self, v: str, w: str | None, closed1: list) -> tuple[int, list]:
         """Cost settled by deciding ``v`` as ``w`` (None: delete ``v``), and
         the g2 buckets it settles: those between ``w`` and used g2 nodes,
@@ -763,7 +761,7 @@ class _GedSearch:
             ws = w if s == v else assignment[s]
             wt = w if t == v else assignment[t]
             b2 = pairs2.get((ws, wt)) if ws is not None and wt is not None else None
-            total += self._bucket_cost(b1, b2) if b2 else self.del_bucket1[(s, t)]
+            total += _bucket_cost(b1, b2, *self.pricing)[0] if b2 else self.del_bucket1[(s, t)]
         closed2 = []
         for x, k in self.at2[w]:
             u = v if x == w else inv.get(x)
@@ -868,7 +866,7 @@ class _GedSearch:
         edge_map: dict[str, str] = {}
         for (s, t), b1 in sorted(self.ix.pairs1.items()):
             b2 = self.ix.pairs2.get((node_map.get(s), node_map.get(t)), [])
-            edge_map.update(self._bucket_pairs(b1, b2))
+            edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
         return Matching(node_map, edge_map)
 
 

@@ -408,6 +408,32 @@ def test_min_edit_matches_oracle_on_random_pairs():
             assert result.cost == len(result.script)
 
 
+def test_min_edit_matches_oracle_on_wide_buckets():
+    # two nodes a side and up to five parallel edges, mostly in one bucket,
+    # with mixed labels and properties: pairs, deletions and insertions compete
+    rng = random.Random(139)
+    ties = CostModel(weights={"insE": 1, "delE": 1}, edge_sub=2)
+
+    def wide(p: str) -> PropertyGraph:
+        a, b = f"{p}1", f"{p}2"
+        edges, props = {}, {}
+        for i in range(rng.randint(1, 5)):
+            ends = (a, b) if rng.random() < 0.7 else rng.choice(((b, a), (a, a)))
+            edges[f"{p}e{i}"] = (*ends, rng.choice(LABELS))
+            for k in KEYS:
+                if rng.random() < 0.4:
+                    props[(f"{p}e{i}", k)] = rng.choice(VALUES)
+        return PropertyGraph({a: "a", b: rng.choice(LABELS)}, edges, props)
+
+    for trial in range(150):
+        g1, g2 = wide("v"), wide("w")
+        cm = [CostModel.unit(), CostModel.gedc(), ties][trial % 3]
+        opts = SearchOptions(mode="relabel" if trial % 2 else "label-hard", cost_model=cm)
+        result = min_edit_matching(g1, g2, opts)
+        assert result.optimal
+        assert result.cost == oracle_ged(g1, g2, opts)
+
+
 def test_min_edit_script_applies_to_target():
     from pgmatch import apply_script, rename_graph
 
@@ -452,6 +478,21 @@ def test_parallel_edge_bucket_ties_take_the_first_cheapest_pairing():
     result = min_edit_matching(g1, g2, SearchOptions(mode="relabel", cost_model=cm))
     assert result.cost == 2
     assert result.matching.edge_map == {"e1": "f1"}
+    # under hard properties e1 may take f1 or f2 and e2 f1 or f3: e1 keeps
+    # f1, the first, and e2 takes f3, rather than e2 taking f1 from e1
+    g1 = PropertyGraph(
+        {"v1": "a", "v2": "a"},
+        {"e1": ("v1", "v2", "x"), "e2": ("v1", "v2", "x")},
+        {("e1", "k"): "1", ("e2", "j"): "1"},
+    )
+    g2 = PropertyGraph(
+        {"w1": "a", "w2": "a"},
+        {"f1": ("w1", "w2", "x"), "f2": ("w1", "w2", "x"), "f3": ("w1", "w2", "x")},
+        {("f1", "k"): "1", ("f1", "j"): "1", ("f2", "k"): "1", ("f3", "j"): "1"},
+    )
+    witness = search_sub(g1, g2)
+    assert witness.edge_map == {"e1": "f1", "e2": "f3"}
+    assert check_subgraph_embedding(witness, g1, g2)
 
 
 def test_ged_zero_iff_isomorphic():
@@ -493,19 +534,32 @@ def test_min_edit_timeout_returns_incumbent():
     assert result.cost >= oracle_ged(g1, g2)
 
 
-def test_min_edit_timeout_holds_inside_a_bucket():
-    # one bucket pair of 9 parallel edges each, every pairing an update: its
-    # exact costing alone runs far past the budget
-    def two_nodes(p: str, value: str) -> PropertyGraph:
-        edges = {f"{p}e{i}": (f"{p}1", f"{p}2", "x") for i in range(9)}
-        return PropertyGraph({f"{p}1": "a", f"{p}2": "a"}, edges, {(e, "k"): value for e in edges})
+def _one_bucket(p: str, n: int, value: str) -> PropertyGraph:
+    """Two nodes and ``n`` parallel edges between them, each with property
+    ``k`` set to ``value``."""
+    edges = {f"{p}e{i}": (f"{p}1", f"{p}2", "x") for i in range(n)}
+    return PropertyGraph({f"{p}1": "a", f"{p}2": "a"}, edges, {(e, "k"): value for e in edges})
 
+
+def test_min_edit_timeout_holds_inside_a_bucket():
+    # one bucket pair of 300 parallel edges each, every pairing an update:
+    # one assignment solve of it takes several times the budget
     budget = 0.5
-    g1, g2 = two_nodes("v", "p"), two_nodes("w", "q")
+    g1, g2 = _one_bucket("v", 300, "p"), _one_bucket("w", 300, "q")
     start = time.monotonic()
     result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
     assert time.monotonic() - start <= 2 * budget + 0.1
     assert not result.optimal
+
+
+def test_min_edit_large_buckets_prove_optimal_within_budget():
+    # every pairing an update: a factorial enumeration of these buckets
+    # would run far past the budget, one assignment solve takes milliseconds
+    for k in (9, 12):
+        g1, g2 = _one_bucket("v", k, "p"), _one_bucket("w", k, "q")
+        result = min_edit_matching(g1, g2, SearchOptions(budget=0.5))
+        assert result.optimal and result.cost == k
+        assert result.matching.edge_map == {f"ve{i}": f"we{i}" for i in range(k)}
 
 
 def test_min_edit_identity_on_long_chain():
