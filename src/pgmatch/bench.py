@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass
 
 from .bridge import SolverConfig, SolverStatus, run_solver
-from .editing import MODE_RELABEL, CostModel
-from .encode import ProblemKind, render_job
+from .editing import MODE_LABEL_HARD, MODE_RELABEL
+from .encode import ProblemKind, kind_cost_model, render_job
 from .generators import gen_chain, gen_cycle, gen_random
 from .graphs import PropertyGraph, load_graph
 from .search import (
@@ -154,7 +154,6 @@ PRESETS = {"synthetic-matrix": synthetic_matrix, "native-matrix": native_matrix}
 
 
 def _run_native(case: BenchCase, budget: float) -> tuple[str, int | None, bool]:
-    opts = SearchOptions(budget=budget)
     if case.kind in _DECISION_KINDS:
         searcher = {
             ProblemKind.HOM: search_hom,
@@ -162,31 +161,22 @@ def _run_native(case: BenchCase, budget: float) -> tuple[str, int | None, bool]:
             ProblemKind.SUB: search_sub,
         }[case.kind]
         try:
-            witness = searcher(case.g1, case.g2, opts)
+            witness = searcher(case.g1, case.g2, SearchOptions(budget=budget))
         except SearchTimeout:
             return "TIMEOUT", None, True
         return ("SAT", None, False) if witness is not None else ("UNSAT", None, False)
-    if case.kind is ProblemKind.GED:
-        result: GedResult = min_edit_matching(case.g1, case.g2, opts)
-    elif case.kind is ProblemKind.GED_RELABEL:
-        result = min_edit_matching(
-            case.g1, case.g2, SearchOptions(mode=MODE_RELABEL, budget=budget)
-        )
-    elif case.kind is ProblemKind.GEDC_WEIGHTED:
-        result = min_edit_matching(
-            case.g1,
-            case.g2,
-            SearchOptions(mode=MODE_RELABEL, cost_model=CostModel.gedc(), budget=budget),
-        )
-    else:
+    if case.kind not in (ProblemKind.GED, ProblemKind.GED_RELABEL, ProblemKind.GEDC_WEIGHTED):
         raise ValueError(f"the native backend cannot run {case.kind.value}")
+    mode = MODE_LABEL_HARD if case.kind is ProblemKind.GED else MODE_RELABEL
+    opts = SearchOptions(mode=mode, cost_model=kind_cost_model(case.kind), budget=budget)
+    result: GedResult = min_edit_matching(case.g1, case.g2, opts)
     if result.optimal:
         return "OPTIMUM", result.cost, False
     return "TIMEOUT", result.cost, True
 
 
 def _run_asp(case: BenchCase, budget: float, solver: SolverConfig) -> tuple[str, int | None, bool]:
-    cm = CostModel.gedc() if case.kind is ProblemKind.GEDC_WEIGHTED else None
+    cm = kind_cost_model(case.kind) if case.kind is ProblemKind.GEDC_WEIGHTED else None
     program = render_job(case.g1, case.g2, case.kind, cm)
     cfg = SolverConfig(solver.executable, solver.args, budget, solver.models)
     ans = run_solver(program, cfg)

@@ -26,7 +26,7 @@ from .editing import (
     CostModel,
     format_script,
 )
-from .encode import ProblemKind, render_job
+from .encode import GEDC_WEIGHTS, ProblemKind, kind_cost_model, render_job
 from .generators import gen_chain, gen_cycle, gen_random
 from .graphs import format_graph, load_graph
 from .search import (
@@ -39,13 +39,18 @@ from .search import (
 )
 
 
-def _cost_model(name: str) -> CostModel:
+def _cost_model(name: str, expressible: frozenset | None = None) -> CostModel:
+    """A preset by name or a JSON weights file; a file may name only the
+    ``expressible`` weights, when given."""
     if name == "unit":
         return CostModel.unit()
     if name == "gedc":
         return CostModel.gedc()
     with open(name, encoding="utf-8") as fh:
         data = json.load(fh)
+    extra = sorted(set(data) - expressible) if expressible is not None else []
+    if extra:
+        raise ValueError(f"weights the solver program cannot express: {', '.join(extra)}")
     return CostModel(
         weights={k: int(v) for k, v in data.items() if k not in ("node_sub", "edge_sub")},
         node_sub=int(data.get("node_sub", 1)),
@@ -107,10 +112,19 @@ def _cmd_ged(args) -> int:
     return EXIT_CODES[SolverStatus.TIMEOUT]
 
 
+def _job_cost_model(args, kind: ProblemKind) -> CostModel | None:
+    """The ``--weights`` a solver job for ``kind`` takes: those of a gedc job,
+    None for the other kinds, whose programs take no weights."""
+    if kind is ProblemKind.GEDC_WEIGHTED:
+        return _cost_model(args.weights, GEDC_WEIGHTS)
+    _cost_model(args.weights, frozenset())  # a weights file is refused, not ignored
+    return None
+
+
 def _cmd_encode(args) -> int:
     g1, g2 = load_graph(args.g1), load_graph(args.g2)
     kind = ProblemKind.from_name(args.kind)
-    cm = _cost_model(args.weights) if kind is ProblemKind.GEDC_WEIGHTED else None
+    cm = _job_cost_model(args, kind)
     _write_out(render_job(g1, g2, kind, cm, neq=args.neq), args.output)
     return 0
 
@@ -118,7 +132,7 @@ def _cmd_encode(args) -> int:
 def _cmd_solve(args) -> int:
     g1, g2 = load_graph(args.g1), load_graph(args.g2)
     kind = ProblemKind.from_name(args.kind)
-    cm = _cost_model(args.weights) if kind is ProblemKind.GEDC_WEIGHTED else None
+    cm = _job_cost_model(args, kind)
     cfg = _solver_config(args)
     if cfg is None:
         print("no solver configured (use --solver or PGMATCH_SOLVER)", file=sys.stderr)
@@ -129,7 +143,7 @@ def _cmd_solve(args) -> int:
     if ans.status in (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT):
         if kind in (ProblemKind.GED, ProblemKind.GED_RELABEL, ProblemKind.GEDC_WEIGHTED):
             mode = MODE_LABEL_HARD if kind is ProblemKind.GED else MODE_RELABEL
-            script, cost = decode_edit_script(ans, g1, g2, mode, cm or _cost_model("unit"))
+            script, cost = decode_edit_script(ans, g1, g2, mode, kind_cost_model(kind, cm))
             print(f"cost: {cost}")
             sys.stdout.write(format_script(script))
         elif ans.atoms:

@@ -77,6 +77,26 @@ class ProblemKind(enum.Enum):
         raise ValueError(f"unknown problem kind {name!r}")
 
 
+# The weights the gedc program takes as ``#const`` values; it has no
+# property rule, so property edits cost nothing in it.
+GEDC_WEIGHTS = frozenset({"node_sub", "insV", "delV", "edge_sub", "insE", "delE"})
+
+
+def kind_cost_model(kind: ProblemKind, cm: CostModel | None = None) -> CostModel:
+    """The cost model the program of an edit-distance ``kind`` encodes: unit
+    costs for ged and ged-relabel, and for gedc the node and edge weights of
+    ``cm`` (``CostModel.gedc()`` when None) with property weights 0."""
+    if kind is ProblemKind.GEDC_WEIGHTED:
+        cm = cm or CostModel.gedc()
+        weights = {k: (w if k in GEDC_WEIGHTS else 0) for k, w in cm.weights.items()}
+        return CostModel(weights, cm.node_sub, cm.edge_sub)
+    if kind not in (ProblemKind.GED, ProblemKind.GED_RELABEL):
+        raise ValueError(f"{kind.value} is not an edit-distance kind")
+    if cm is not None:
+        raise ValueError(f"{kind.value} does not take a cost model")
+    return CostModel.unit()
+
+
 @dataclass(frozen=True)
 class AspProgram:
     kind: ProblemKind

@@ -3,9 +3,11 @@ decision with witness, and minimum-cost partial-isomorphism search for
 (weighted) edit distance, plus an exhaustive oracle for small graphs.
 
 All searches are deterministic: node variables follow the configured order,
-candidate values are tried lexicographically, and incumbents are replaced only
-by strictly better ones. Iso and sub are first cut by node and edge counts,
-and edit distance is bounded below by them, per label when labels must match.
+and incumbents are replaced only by strictly better ones. Decision searches
+try candidate values lexicographically; edit distance tries the cheapest step
+first, then the candidate closest in out- and in-degree, then by id. Iso and
+sub are first cut by node and edge counts, and edit distance is bounded below
+by them, per label when labels must match.
 Past that cut a search builds one graph-pair index (``_PairIndex``) and keeps
 its path on an explicit stack, so no graph is too deep for it. A step deciding
 g1 node ``v`` visits only ``v``'s neighbours: decision candidates come from
@@ -218,13 +220,21 @@ def _numbered(sig: tuple) -> list[tuple]:
     return [(end, i - sig.index(end)) for i, end in enumerate(sig)]
 
 
+def _in_out_degrees(g: PropertyGraph) -> dict[str, tuple[int, int]]:
+    """Per node, the edges out of it and into it; a self-loop is one of
+    each, and parallel edges count one each."""
+    out = {v: 0 for v in g.nodes}
+    into = {v: 0 for v in g.nodes}
+    for s, t, _ in g.edges.values():
+        out[s] += 1
+        into[t] += 1
+    return {v: (out[v], into[v]) for v in g.nodes}
+
+
 def _ordered_nodes(g: PropertyGraph, order: str) -> list[str]:
     if order == "lex":
         return sorted(g.nodes)
-    degree = {v: 0 for v in g.nodes}
-    for s, t, _ in g.edges.values():
-        degree[s] += 1
-        degree[t] += 1
+    degree = {v: o + i for v, (o, i) in _in_out_degrees(g).items()}
     return sorted(g.nodes, key=lambda v: (-degree[v], v))
 
 
@@ -665,9 +675,11 @@ def search_sub(g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions | None 
 class _GedSearch:
     """Branch-and-bound over partial injective node matchings.
 
-    Nodes of the first graph are decided in order, matched or deleted. Each
-    decision settles the g1 buckets between ``v`` and its decided neighbours
-    and the g2 buckets between its image and the used g2 nodes. The pruning
+    Nodes of the first graph are decided in order, matched or deleted, the
+    cheapest decision first and, among equal-cost matches, the g2 node closest
+    to ``v`` in out- and in-degree (see ``_decisions``). Each decision settles
+    the g1 buckets between ``v`` and its decided neighbours and the g2
+    buckets between its image and the used g2 nodes. The pruning
     bound compares, per label class (per label under ``label-hard``, one
     class under ``relabel``), the undecided g1 nodes with the unused g2 nodes
     and the unsettled g1 edges with the unsettled g2 edges: each surplus must
@@ -681,6 +693,7 @@ class _GedSearch:
         self.cm = opts.cost_model
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.order1 = _ordered_nodes(g1, opts.node_order)
+        self.degrees1, self.degrees2 = _in_out_degrees(g1), _in_out_degrees(g2)
         self.ix = ix = _PairIndex(g1, g2)
         w = self.cm.weights
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
@@ -842,16 +855,27 @@ class _GedSearch:
 
     def _decisions(self, v: str, acc: int):
         """Apply each option for ``v`` in turn (unused candidates and deletion,
-        cheapest step first, then matching before deleting, then by g2 node
-        id), yield the settled cost with it applied, and undo it when resumed."""
+        cheapest step first, then matching before deleting, then the candidate
+        ``w`` whose out- and in-degree differ least from ``v``'s, by
+        ``|out(v) - out(w)| + |in(v) - in(w)|``, then by g2 node id), yield
+        the settled cost with it applied, and undo it when resumed."""
         ix, assignment, inv = self.ix, self.assignment, self.inv
         closed1 = [(k, b1) for u, k, b1 in ix.at1[v] if u == v or u in assignment]
         candidates = self.candidates.get(self._cls(self.g1.nodes[v]), [])
-        options = [
-            (*self._decide_cost(v, w, closed1), w) for w in candidates + [None] if w not in inv
-        ]
-        options.sort(key=lambda o: (o[0], o[2] is None, o[2] or ""))
-        for step_cost, closed2, w in options:
+        out_v, in_v = self.degrees1[v]
+        degrees2 = self.degrees2
+        # (step cost, degree gap, w, closed2): deletion's infinite gap puts it
+        # after the matches of equal cost, and as no two options tie before w,
+        # sorting never compares w with None or reaches closed2
+        options = []
+        for w in candidates:
+            if w not in inv:
+                step_cost, closed2 = self._decide_cost(v, w, closed1)
+                out_w, in_w = degrees2[w]
+                options.append((step_cost, abs(out_v - out_w) + abs(in_v - in_w), w, closed2))
+        options.append((self._decide_cost(v, None, closed1)[0], math.inf, None, []))
+        options.sort()
+        for step_cost, _, w, closed2 in options:
             assignment[v] = w
             if w is not None:
                 inv[w] = v

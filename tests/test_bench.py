@@ -1,8 +1,11 @@
 import json
 import sys
 
+import pytest
+
 from conftest import FAKE_SOLVER
-from pgmatch import SolverConfig
+from pgmatch import CostModel, PropertyGraph, SolverConfig
+from pgmatch.bridge import AnswerSet, DecodeMismatchError, SolverStatus, decode_edit_script
 from pgmatch.bench import (
     CSV_COLUMNS,
     BenchCase,
@@ -14,7 +17,7 @@ from pgmatch.bench import (
     success_rates,
     synthetic_matrix,
 )
-from pgmatch.encode import ProblemKind
+from pgmatch.encode import ProblemKind, kind_cost_model, parse_atom
 from pgmatch.generators import gen_chain, gen_cycle
 
 
@@ -147,3 +150,29 @@ def test_presets_shape():
     assert kinds == {ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB, ProblemKind.GED}
     assert len(native) == 3 * 4 * 10 + 8
     assert all(not set(c.g1.nodes) & set(c.g2.nodes) for c in native)
+
+
+def test_gedc_kind_prices_properties_as_its_program_does():
+    # gedc.lp has no property rule: a property update costs nothing in it,
+    # so the native run and the decoding of a gedc model must agree on 0
+    g1 = PropertyGraph({"v1": "a"}, props={("v1", "k"): "1"})
+    g2 = PropertyGraph({"w1": "a"}, props={("w1", "k"): "2"})
+    [result] = run_bench([BenchCase("gedc-upd", ProblemKind.GEDC_WEIGHTED, g1, g2)], budget=10.0)
+    assert (result.status, result.cost) == ("OPTIMUM", 0)
+    model = AnswerSet((parse_atom("h(v1,w1)"),), (0,), True, SolverStatus.OPTIMUM)
+    cm = kind_cost_model(ProblemKind.GEDC_WEIGHTED)
+    script, cost = decode_edit_script(model, g1, g2, "relabel", cm)
+    assert cost == 0 and [op.kind for op in script] == ["updP"]
+    with pytest.raises(DecodeMismatchError):
+        decode_edit_script(model, g1, g2, "relabel", CostModel.gedc())
+
+
+def test_kind_cost_model():
+    gedc = kind_cost_model(ProblemKind.GEDC_WEIGHTED)
+    assert gedc.weights == {"delE": 2, "delP": 0, "delV": 4, "insE": 2, "insP": 0, "insV": 4, "updP": 0}
+    assert (gedc.node_sub, gedc.edge_sub) == (2, 1)
+    assert kind_cost_model(ProblemKind.GED) == kind_cost_model(ProblemKind.GED_RELABEL) == CostModel.unit()
+    with pytest.raises(ValueError):
+        kind_cost_model(ProblemKind.GED, CostModel.gedc())
+    with pytest.raises(ValueError):
+        kind_cost_model(ProblemKind.HOM)

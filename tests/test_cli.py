@@ -89,6 +89,20 @@ def test_encode_kinds_to_stdout_and_file(graphs, tmp_path, capsys):
     assert "V1 <> V2" in capsys.readouterr().out
 
 
+def test_solver_jobs_refuse_weights_their_program_cannot_express(graphs, tmp_path, capsys):
+    a, b = graphs
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"delV": 5, "node_sub": 3, "updP": 2, "insP": 1}), encoding="utf-8")
+    assert main(["encode", "--kind", "gedc", "--weights", str(weights), a, b]) == 3
+    assert "cannot express: insP, updP" in capsys.readouterr().err
+    assert main(["encode", "--kind", "ged", "--weights", str(weights), a, b]) == 3
+    assert "cannot express: delV, insP, node_sub, updP" in capsys.readouterr().err
+    weights.write_text(json.dumps({"delV": 5, "node_sub": 3}), encoding="utf-8")
+    assert main(["encode", "--kind", "gedc", "--weights", str(weights), a, b]) == 0
+    out = capsys.readouterr().out
+    assert "#const c_node_del=5." in out and "#const c_node_sub=3." in out
+
+
 def test_encode_rejects_unknown_kind(graphs, capsys):
     a, b = graphs
     assert main(["encode", "--kind", "bogus", a, b]) == 3

@@ -573,6 +573,49 @@ def test_min_edit_identity_on_long_chain():
     assert result.cost == 0 and result.optimal
 
 
+def _near_isomorphic_pair(rng: random.Random, n: int, dropped: int):
+    """G(n, 0.2) with one node label and one node property of three values,
+    and a renamed copy of it with ``dropped`` edges deleted."""
+    nodes = {f"a{i}": "n" for i in range(n)}
+    props = {(v, "k"): rng.choice("123") for v in nodes}
+    edges = {}
+    for s in nodes:
+        for t in nodes:
+            if s != t and rng.random() < 0.2:
+                edges[f"ae{len(edges)}"] = (s, t, "e")
+    kept = sorted(set(edges) - set(rng.sample(sorted(edges), dropped)))
+    images = list(range(n))
+    rng.shuffle(images)
+    name = {f"a{i}": f"b{j}" for i, j in enumerate(images)}
+    g2 = PropertyGraph(
+        {name[v]: "n" for v in nodes},
+        {f"be{i}": (name[edges[e][0]], name[edges[e][1]], "e") for i, e in enumerate(kept)},
+        {(name[v], k): d for (v, k), d in props.items()},
+    )
+    return PropertyGraph(nodes, edges, props), g2
+
+
+def test_min_edit_proves_near_isomorphic_pairs_at_the_root():
+    # The edge counts bound the cost below by 3 * delE and the planted
+    # deletions meet it, so a first dive that keeps the structure proves the
+    # optimum at once. Tried by g2 id alone, equal-cost candidates lead the
+    # dive far from it, and no pair here proves within the budget. The pairs
+    # come from one seed in a fixed order and are not chosen; one that does
+    # not prove would stay, checked only for cost >= optimum.
+    rng = random.Random(0)
+    settings = [
+        SearchOptions(budget=0.5),
+        SearchOptions(mode="relabel", budget=0.5),
+        SearchOptions(mode="relabel", cost_model=CostModel.gedc(), budget=0.5),
+    ]
+    for n in (26, 40):
+        g1, g2 = _near_isomorphic_pair(rng, n, 3)
+        for opts in settings:
+            result = min_edit_matching(g1, g2, opts)
+            assert result.optimal, (n, opts.mode, opts.cost_model)
+            assert result.cost == 3 * opts.cost_model.weights["delE"]
+
+
 def test_oracle_size_guard():
     with pytest.raises(SizeGuardError):
         oracle_ged(gen_chain(8, "a"), gen_chain(1, "b"))
