@@ -301,8 +301,12 @@ def decode_edit_script(
         if spec is None:
             continue
         saw_script_atoms = True
-        cls, _ = spec
+        cls, arity = spec
         args = fact.args
+        if len(args) != arity:
+            raise DecodeMismatchError(
+                f"edit atom {fact.render()} has {len(args)} arguments, {fact.pred} takes {arity}"
+            )
         if fact.pred == "insert_edge":
             e, s, t, lab = args
             atom_ops.append(InsertEdge(e, matched_from.get(s, s), matched_from.get(t, t), lab))

@@ -52,9 +52,9 @@ def _cost_model(name: str, expressible: frozenset | None = None) -> CostModel:
     if extra:
         raise ValueError(f"weights the solver program cannot express: {', '.join(extra)}")
     return CostModel(
-        weights={k: int(v) for k, v in data.items() if k not in ("node_sub", "edge_sub")},
-        node_sub=int(data.get("node_sub", 1)),
-        edge_sub=int(data.get("edge_sub", 1)),
+        weights={k: v for k, v in data.items() if k not in ("node_sub", "edge_sub")},
+        node_sub=data.get("node_sub", 1),
+        edge_sub=data.get("edge_sub", 1),
     )
 
 

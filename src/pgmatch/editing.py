@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
-from .graphs import Matching, PropertyGraph, UnknownIdError
+from .graphs import Matching, PropertyGraph, UnknownIdError, matching_violations
 from .records import RecordSyntaxError, format_record, parse_records
 
 
@@ -288,8 +288,12 @@ class CostModel:
         unknown = set(filled) - CORE_KINDS
         if unknown:
             raise ValueError(f"unknown operation kinds in cost model: {sorted(unknown)}")
-        if any(w < 0 for w in filled.values()) or self.node_sub < 0 or self.edge_sub < 0:
-            raise ValueError("cost model weights must be non-negative")
+        subs = (("node_sub", self.node_sub), ("edge_sub", self.edge_sub))
+        for key, w in (*self.weights.items(), *subs):
+            if type(w) is not int:
+                raise ValueError(f"cost model weight {key} must be an integer, not {w!r}")
+            if w < 0:
+                raise ValueError(f"cost model weight {key} must be non-negative")
         object.__setattr__(self, "weights", dict(sorted(filled.items())))
 
     @classmethod
@@ -432,34 +436,18 @@ def _check_partial_isomorphism(
     h: Matching, g1: PropertyGraph, g2: PropertyGraph, mode: str
 ) -> None:
     try:
-        if not h.is_injective():
-            raise InvalidMatchingError("matching is not injective")
-        for v, w in h.node_map.items():
-            if v not in g1.nodes:
-                raise InvalidMatchingError(f"unknown node {v!r} in matching")
-            if w not in g2.nodes:
-                raise InvalidMatchingError(f"unknown node {w!r} in matching")
-            if mode == MODE_LABEL_HARD and g1.nodes[v] != g2.nodes[w]:
-                raise InvalidMatchingError(
-                    f"nodes {v!r} and {w!r} have different labels under {mode} matching"
-                )
-        for e, f in h.edge_map.items():
-            if e not in g1.edges:
-                raise InvalidMatchingError(f"unknown edge {e!r} in matching")
-            if f not in g2.edges:
-                raise InvalidMatchingError(f"unknown edge {f!r} in matching")
-            s1, t1, lab1 = g1.edges[e]
-            s2, t2, lab2 = g2.edges[f]
-            if h.node_map.get(s1) != s2 or h.node_map.get(t1) != t2:
-                raise InvalidMatchingError(
-                    f"edge pair {e!r} -> {f!r} is not endpoint-consistent"
-                )
-            if mode == MODE_LABEL_HARD and lab1 != lab2:
-                raise InvalidMatchingError(
-                    f"edges {e!r} and {f!r} have different labels under {mode} matching"
-                )
+        issues = matching_violations(h, g1, g2)
     except UnknownIdError as exc:
         raise InvalidMatchingError(str(exc)) from exc
+    if mode == MODE_LABEL_HARD:
+        for v, w in h.node_map.items():
+            if g1.nodes[v] != g2.nodes[w]:
+                issues.append(f"nodes {v!r} and {w!r} have different labels under {mode} matching")
+        for e, f in h.edge_map.items():
+            if g1.edges[e][2] != g2.edges[f][2]:
+                issues.append(f"edges {e!r} and {f!r} have different labels under {mode} matching")
+    if issues:
+        raise InvalidMatchingError("; ".join(issues))
 
 
 def script_from_matching(

@@ -111,7 +111,7 @@ def encode_graph_facts(g: PropertyGraph, which: int) -> list[Fact]:
         raise ValueError("which must be 1 or 2")
     issues = validate(g)
     if issues:
-        raise ValueError("cannot encode an invalid graph: " + "; ".join(issues))
+        raise ValueError(f"graph {which} is invalid: " + "; ".join(issues))
     facts = [Fact(f"n{which}", (v, lab)) for v, lab in g.nodes.items()]
     facts += [Fact(f"e{which}", (e, s, t, lab)) for e, (s, t, lab) in g.edges.items()]
     facts += [Fact(f"p{which}", (x, k, d)) for (x, k), d in g.props.items()]
@@ -350,10 +350,8 @@ def render_job(
     The two graphs must use disjoint id spaces; otherwise the pairing atoms
     and cost terms become ambiguous.
     """
-    for which, g in ((1, g1), (2, g2)):
-        issues = validate(g)
-        if issues:
-            raise ValueError(f"graph {which} is invalid: " + "; ".join(issues))
+    facts1 = [f.render() for f in encode_graph_facts(g1, 1)]
+    facts2 = [f.render() for f in encode_graph_facts(g2, 2)]
     ids1 = set(g1.nodes) | set(g1.edges)
     ids2 = set(g2.nodes) | set(g2.edges)
     shared = ids1 & ids2
@@ -363,8 +361,6 @@ def render_job(
             + ", ".join(sorted(shared)[:5])
         )
     blocks = []
-    facts1 = [f.render() for f in encode_graph_facts(g1, 1)]
-    facts2 = [f.render() for f in encode_graph_facts(g2, 2)]
     if facts1:
         blocks.append("\n".join(facts1) + "\n")
     if facts2:

@@ -22,17 +22,21 @@ the edge ends per direction and edge label). An empty domain decides None
 at once, so a cycle is refused a chain without a search; otherwise every
 candidate list is drawn from the domain.
 
-Iso, sub and edit distance price the parallel edges between two nodes (a
-bucket) with one assignment solver, ``_assign``; hom, not injective, takes each
-edge's cheapest image. A witness pairs each bucket lexicographically first
-among its cheapest pairings.
+Both engines price a node or edge pair with one function (``_pair_pricer``):
+a label substitution plus property updates, deletions and insertions. Edit
+distance takes the cost model's weights; decision searches count property
+edits at unit weights, insertions only for iso, and under hard properties
+allow a pair only at cost 0. Iso, sub and edit distance price the parallel
+edges between two nodes (a bucket) with one assignment solver, ``_assign``;
+hom, not injective, takes each edge's cheapest image. A witness pairs each
+bucket lexicographically first among its cheapest pairings
+(``_witness_edges``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .editing import (
@@ -111,56 +115,127 @@ def _edges_by_pair(g: PropertyGraph) -> dict[tuple[str, str], list[str]]:
     return out
 
 
+def _buckets_at(g: PropertyGraph, pairs: dict) -> dict[str, list]:
+    """Per node ``v``, the buckets incident to it as ``(u, (s, t), bucket)``
+    with ``u`` the other endpoint (``v`` itself for a self-loop), so each
+    bucket is listed once per endpoint."""
+    at: dict[str, list] = {v: [] for v in g.nodes}
+    for (s, t), b in pairs.items():
+        at[s].append((t, (s, t), b))
+        if s != t:
+            at[t].append((s, (s, t), b))
+    return at
+
+
+def _class_tallies(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tuple:
+    """Per label class (the label under ``label-hard``, None for every
+    element under ``relabel``), the ``[g1, g2]`` counts of nodes and of
+    edges."""
+    nodes: dict = {}
+    edges: dict = {}
+    for i, g in enumerate((g1, g2)):
+        for lab in g.nodes.values():
+            nodes.setdefault(lab if label_hard else None, [0, 0])[i] += 1
+        for _, _, lab in g.edges.values():
+            edges.setdefault(lab if label_hard else None, [0, 0])[i] += 1
+    return nodes, edges
+
+
 _EMPTY: frozenset = frozenset()
 
 
 class _PairIndex:
     """Tables for one (g1, g2) pair, built once per search call.
 
+    - ``labels1`` / ``labels2``: the label per node and edge id, and
+      ``cls1`` / ``cls2`` its label class: the label under ``label-hard``,
+      None under ``relabel``, so that elements of one class may be paired.
     - ``props1`` / ``props2``: properties per owner (node or edge id).
     - ``pairs1`` / ``pairs2``: edge buckets, the sorted parallel edges per
       (src, tgt).
-    - ``at1[v]``: the g1 buckets incident to ``v`` as ``(u, (s, t), bucket)``
-      with ``u`` the other endpoint (``v`` itself for a self-loop), so each
-      bucket is listed once per endpoint; ``out1[v]`` / ``in1[v]``: the
-      distinct ``(neighbour, edge label)`` pairs of ``v``'s edges to and from
-      other nodes.
-    - ``succ2[w]`` / ``pred2[w]``: g2 successors and predecessors of ``w``
-      keyed by edge label, and under ``None`` over all labels.
-    - ``nodes2_by_label`` / ``all_nodes2``: g2 node ids in sorted order.
+    - ``at1`` / ``at2``: the buckets incident to each node (``_buckets_at``).
+    - ``out1[v]`` / ``in1[v]``: the distinct ``(neighbour, edge class)``
+      pairs of ``v``'s edges to and from other nodes.
+    - ``succ2[w][c]`` / ``pred2[w][c]``: g2 successors and predecessors of
+      ``w`` over edges of class ``c``.
+    - ``nodes2_by_cls``: g2 node ids per class, in sorted order.
     """
 
-    def __init__(self, g1: PropertyGraph, g2: PropertyGraph):
+    def __init__(self, g1: PropertyGraph, g2: PropertyGraph, label_hard: bool):
+        self.labels1, self.labels2 = (
+            {**g.nodes, **{e: lab for e, (_, _, lab) in g.edges.items()}} for g in (g1, g2)
+        )
+        self.cls1, self.cls2 = (
+            labels if label_hard else dict.fromkeys(labels)
+            for labels in (self.labels1, self.labels2)
+        )
         self.props1 = _props_by_owner(g1)
         self.props2 = _props_by_owner(g2)
         self.pairs1 = _edges_by_pair(g1)
         self.pairs2 = _edges_by_pair(g2)
-        self.at1: dict[str, list] = {v: [] for v in g1.nodes}
+        self.at1 = _buckets_at(g1, self.pairs1)
+        self.at2 = _buckets_at(g2, self.pairs2)
+        cls1, cls2 = self.cls1, self.cls2
         self.out1: dict[str, set] = {v: set() for v in g1.nodes}
         self.in1: dict[str, set] = {v: set() for v in g1.nodes}
         for (s, t), b1 in self.pairs1.items():
-            self.at1[s].append((t, (s, t), b1))
             if s != t:
-                self.at1[t].append((s, (s, t), b1))
                 for e in b1:
-                    self.out1[s].add((t, g1.edges[e][2]))
-                    self.in1[t].add((s, g1.edges[e][2]))
-        self.succ2: dict[str, dict] = {w: {None: set()} for w in g2.nodes}
-        self.pred2: dict[str, dict] = {w: {None: set()} for w in g2.nodes}
-        for s, t, lab in g2.edges.values():
-            for key in (None, lab):
-                self.succ2[s].setdefault(key, set()).add(t)
-                self.pred2[t].setdefault(key, set()).add(s)
-        self.nodes2_by_label: dict[str, list[str]] = {}
+                    self.out1[s].add((t, cls1[e]))
+                    self.in1[t].add((s, cls1[e]))
+        self.succ2: dict[str, dict] = {w: {} for w in g2.nodes}
+        self.pred2: dict[str, dict] = {w: {} for w in g2.nodes}
+        for f, (s, t, _) in g2.edges.items():
+            self.succ2[s].setdefault(cls2[f], set()).add(t)
+            self.pred2[t].setdefault(cls2[f], set()).add(s)
+        self.nodes2_by_cls: dict = {}
         for w in sorted(g2.nodes):
-            self.nodes2_by_label.setdefault(g2.nodes[w], []).append(w)
-        self.all_nodes2 = sorted(g2.nodes)
+            self.nodes2_by_cls.setdefault(cls2[w], []).append(w)
 
 
-def _cyclic_nodes(succ: dict[str, set[str]]) -> set[str]:
-    """The nodes on a directed cycle of the graph with successor sets
-    ``succ``: those with a self-loop or in a strongly connected component of
-    two or more nodes (Tarjan's algorithm on an explicit stack)."""
+def _pair_pricer(ix: _PairIndex, sub: int | None, upd: int, dele: int, ins: int, hard=False):
+    """The price of pairing a g1 node or edge ``x`` with a g2 element ``y``
+    of the same kind, or None when the pair is not allowed: ``sub`` when
+    their labels differ (None: labels must match), plus, per property key,
+    ``upd`` when both carry it with different values, ``dele`` when only
+    ``x`` carries it and ``ins`` when only ``y`` does. Under ``hard`` a pair
+    is allowed only when its property cost is 0."""
+    labels1, labels2, props1, props2 = ix.labels1, ix.labels2, ix.props1, ix.props2
+
+    def price(x: str, y: str) -> int | None:
+        if labels1[x] == labels2[y]:
+            cost = 0
+        elif sub is None:
+            return None
+        else:
+            cost = sub
+        p1, p2 = props1[x], props2[y]
+        if not (p1 or p2):
+            return cost
+        props = 0
+        for k, d in p1.items():
+            if k not in p2:
+                props += dele
+            elif p2[k] != d:
+                props += upd
+        if ins:
+            for k in p2:
+                if k not in p1:
+                    props += ins
+        if hard and props:
+            return None
+        return cost + props
+
+    return price
+
+
+def _cyclic_nodes(g: PropertyGraph, pairs: dict) -> set[str]:
+    """The nodes of ``g`` (edge buckets ``pairs``) on a directed cycle:
+    those with a self-loop or in a strongly connected component of two or
+    more nodes (Tarjan's algorithm on an explicit stack)."""
+    succ: dict[str, set[str]] = {v: set() for v in g.nodes}
+    for s, t in pairs:
+        succ[s].add(t)
     out = {v for v, ws in succ.items() if v in ws}
     done = len(succ)  # the index of a node whose component is complete
     index: dict[str, int] = {}
@@ -199,14 +274,14 @@ def _cyclic_nodes(succ: dict[str, set[str]]) -> set[str]:
     return out
 
 
-def _degree_signatures(g: PropertyGraph, by_label: bool) -> dict[str, tuple]:
-    """Per node, the sorted ``(direction, edge label)`` of its edge ends,
+def _degree_signatures(g: PropertyGraph, cls: dict) -> dict[str, tuple]:
+    """Per node, the sorted ``(direction, edge class)`` of its edge ends,
     one per edge: direction 0 out of it, 1 into it, 2 a self-loop, so that
     parallel edges count one each and self-loops apart, as the edge buckets
-    are matched. The edge label is None for every edge unless ``by_label``."""
+    are matched. ``cls`` gives each edge's label class."""
     ends: dict[str, list] = {v: [] for v in g.nodes}
-    for s, t, lab in g.edges.values():
-        key = lab if by_label else None
+    for e, (s, t, _) in g.edges.items():
+        key = cls[e]
         if s == t:
             ends[s].append((2, key))
         else:
@@ -236,19 +311,6 @@ def _ordered_nodes(g: PropertyGraph, order: str) -> list[str]:
         return sorted(g.nodes)
     degree = {v: o + i for v, (o, i) in _in_out_degrees(g).items()}
     return sorted(g.nodes, key=lambda v: (-degree[v], v))
-
-
-def _dominated(p1: dict[str, str], p2: dict[str, str]) -> bool:
-    return all(p2.get(k) == v for k, v in p1.items())
-
-
-def _one_way_mismatch(p1: dict[str, str], p2: dict[str, str]) -> int:
-    return sum(1 for k, v in p1.items() if p2.get(k) != v)
-
-
-def _symmetric_mismatch(p1: dict[str, str], p2: dict[str, str]) -> int:
-    keys = set(p1) | set(p2)
-    return sum(1 for k in keys if p1.get(k) != p2.get(k))
 
 
 class _Deadline:
@@ -375,6 +437,24 @@ def _bucket_pairs(
     return pairs
 
 
+def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple, hom: bool = False) -> dict:
+    """The edge map of a witness for ``node_map``: each g1 bucket takes the
+    lexicographically first of its cheapest pairings with the g2 bucket
+    between the images of its ends (``pricing`` as the arguments after the
+    buckets of ``_bucket_pairs``), none when an end has no image. Under
+    ``hom`` each edge takes its cheapest image, the first by id among equals."""
+    price = pricing[0]
+    edge_map: dict[str, str] = {}
+    for (s, t), b1 in ix.pairs1.items():
+        b2 = ix.pairs2.get((node_map.get(s), node_map.get(t)), [])
+        if hom:
+            for e in b1:
+                edge_map[e] = min((c, f) for f in b2 if (c := price(e, f)) is not None)[1]
+        else:
+            edge_map.update(_bucket_pairs(b1, b2, *pricing))
+    return edge_map
+
+
 class _DecisionSearch:
     """Backtracking engine shared by the three decision problems; each step
     visits only the neighbours of the node it assigns."""
@@ -387,20 +467,7 @@ class _DecisionSearch:
         self.props_hard = opts.properties == PROPS_HARD
         self.node_order = opts.node_order
         self.deadline = _Deadline(opts.budget)
-        # run() sets ix, _edge_cost, pricing and domains once the counts fit
-
-    # -- label and property tests ------------------------------------------
-
-    def _pair_cost(self, lab1: str, lab2: str, p1: dict[str, str], p2: dict[str, str]) -> int | None:
-        """The soft cost of mapping a node or edge with label ``lab1`` and
-        properties ``p1`` to one with ``lab2`` and ``p2`` (its mismatched
-        properties; 0 under hard properties), or None when the pair is not
-        allowed."""
-        if self.label_hard and lab1 != lab2:
-            return None
-        if self.props_hard:
-            return 0 if (p1 == p2 if self.kind == "iso" else _dominated(p1, p2)) else None
-        return _symmetric_mismatch(p1, p2) if self.kind == "iso" else _one_way_mismatch(p1, p2)
+        # run() sets ix, price, pricing and domains once the counts fit
 
     # -- per-bucket edge feasibility ---------------------------------------
 
@@ -411,10 +478,10 @@ class _DecisionSearch:
         the bucket cannot be matched as the problem kind requires.
         """
         if self.kind == "hom":
-            edge_cost = self._edge_cost
+            price = self.price
             total = 0
             for e in b1:
-                costs = [c for f in b2 if (c := edge_cost(e, f)) is not None]
+                costs = [c for f in b2 if (c := price(e, f)) is not None]
                 if not costs:
                     return None
                 total += min(costs)
@@ -432,13 +499,9 @@ class _DecisionSearch:
         pairs1, pairs2 = self.ix.pairs1, self.ix.pairs2
         if self.kind == "iso":
             # cut: a g2 bucket at w needs a g1 bucket between the preimages
-            for x in self.ix.succ2[w][None]:
+            for x, (s, t), _ in self.ix.at2[w]:
                 u = v if x == w else inv.get(x)
-                if u is not None and (v, u) not in pairs1:
-                    return None
-            for x in self.ix.pred2[w][None]:
-                u = v if x == w else inv.get(x)
-                if u is not None and (u, v) not in pairs1:
+                if u is not None and (v if s == w else u, v if t == w else u) not in pairs1:
                     return None
         total = 0
         for u, (s, t), b1 in self.ix.at1[v]:
@@ -453,17 +516,12 @@ class _DecisionSearch:
 
     def _candidates(self, v: str, assignment: dict[str, str], inv: dict) -> list[str]:
         ix = self.ix
-        hard = self.label_hard
         # one g2 node set per assigned neighbour: the predecessors (edges out
-        # of v) or successors (edges into v) of its image
+        # of v) or successors (edges into v) of its image over that edge class
         narrow = [
-            ix.pred2[assignment[t]].get(elab if hard else None, _EMPTY)
-            for t, elab in ix.out1[v]
-            if t in assignment
+            ix.pred2[assignment[t]].get(c, _EMPTY) for t, c in ix.out1[v] if t in assignment
         ] + [
-            ix.succ2[assignment[s]].get(elab if hard else None, _EMPTY)
-            for s, elab in ix.in1[v]
-            if s in assignment
+            ix.succ2[assignment[s]].get(c, _EMPTY) for s, c in ix.in1[v] if s in assignment
         ]
         base, domain = self.domains[v]
         if not narrow:
@@ -480,31 +538,29 @@ class _DecisionSearch:
     def run(self) -> Matching | None:
         if self.kind != "hom" and not self._counts_fit():
             return None
-        self.ix = ix = _PairIndex(self.g1, self.g2)
-        pair_cost, edges1, edges2 = self._pair_cost, self.g1.edges, self.g2.edges
-        props1, props2 = ix.props1, ix.props2
-        self._edge_cost = lambda e, f: pair_cost(edges1[e][2], edges2[f][2], props1[e], props2[f])
-        self.pricing = (self._edge_cost, self.deadline)  # for the bucket helpers
+        self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
+        # relabeling is free; soft properties cost their unit edits, inserted
+        # ones only for iso, and hard ones must cost nothing
+        sub = None if self.label_hard else 0
+        self.price = _pair_pricer(ix, sub, 1, 1, int(self.kind == "iso"), self.props_hard)
+        self.pricing = (self.price, self.deadline)  # for the bucket helpers
         self.domains = self._root_domains()
         if self.domains is None:
             return None
         found = self._search()
-        return self._finish(found) if found is not None else None
+        if found is None:
+            return None
+        return Matching(found, _witness_edges(ix, found, self.pricing, self.kind == "hom"))
 
     def _counts_fit(self) -> bool:
         """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
         iso and at most as many for sub, per node and per edge label when
         labels must match."""
-
-        def counts(g: PropertyGraph) -> Counter:
-            if not self.label_hard:
-                return Counter(nodes=len(g.nodes), edges=len(g.edges))
-            return Counter([("node", lab) for lab in g.nodes.values()]) + Counter(
-                [("edge", lab) for _, _, lab in g.edges.values()]
-            )
-
-        c1, c2 = counts(self.g1), counts(self.g2)
-        return c1 == c2 if self.kind == "iso" else c1 <= c2
+        nodes, edges = _class_tallies(self.g1, self.g2, self.label_hard)
+        counts = [*nodes.values(), *edges.values()]
+        if self.kind == "iso":
+            return all(n1 == n2 for n1, n2 in counts)
+        return all(n1 <= n2 for n1, n2 in counts)
 
     def _root_domains(self) -> dict[str, tuple[list[str], set[str]]] | None:
         """Each g1 node's candidate domain, as a sorted list and a set, or
@@ -515,46 +571,42 @@ class _DecisionSearch:
         as many edges out of, into and looping at it as ``v``, per edge label
         (in total under ``relabel``). Each filter drops only candidates that
         belong to no complete witness."""
-        g1, g2, ix = self.g1, self.g2, self.ix
-        hard, kind = self.label_hard, self.kind
-        succ1: dict[str, set[str]] = {v: set() for v in g1.nodes}
-        for s, t in ix.pairs1:
-            succ1[s].add(t)
-        cyclic1 = _cyclic_nodes(succ1)
-        cyclic2 = _cyclic_nodes({w: ix.succ2[w][None] for w in g2.nodes}) if cyclic1 else set()
+        g1, g2, ix, kind = self.g1, self.g2, self.ix, self.kind
+        cyclic1 = _cyclic_nodes(g1, ix.pairs1)
+        cyclic2 = _cyclic_nodes(g2, ix.pairs2) if cyclic1 else set()
         if cyclic1 and not cyclic2:
             return None  # a cycle has no image in an acyclic graph
         sigs1: dict[str, tuple] = {}
         sigs2: dict[str, tuple] = {}
         if self.injective:
-            sigs1, sigs2 = _degree_signatures(g1, hard), _degree_signatures(g2, hard)
-        # g2 nodes in classes of equal (label, cyclic, signature); the classes
-        # that fit a g1 node are found by ANDing bitsets over the classes
-        classes: dict[tuple, list[str]] = {}
-        for w in ix.all_nodes2:
-            key = (g2.nodes[w] if hard else None, w in cyclic2, sigs2.get(w, ()))
-            classes.setdefault(key, []).append(w)
-        # per label, on a cycle, and per signature (iso) or per numbered edge
-        # end (sub: at least that many such ends)
+            sigs1, sigs2 = _degree_signatures(g1, ix.cls1), _degree_signatures(g2, ix.cls2)
+        # g2 nodes in groups of equal (label class, cyclic, signature); the
+        # groups that fit a g1 node are found by ANDing bitsets over them
+        groups: dict[tuple, list[str]] = {}
+        for w in sorted(g2.nodes):
+            key = (ix.cls2[w], w in cyclic2, sigs2.get(w, ()))
+            groups.setdefault(key, []).append(w)
+        # per label class, on a cycle, and per signature (iso) or per numbered
+        # edge end (sub: at least that many such ends)
         with_label: dict = {}
         with_sig: dict = {}
         on_cycle = 0
-        for j, (lab, cyclic, sig) in enumerate(classes):
+        for j, (lab, cyclic, sig) in enumerate(groups):
             bit = 1 << j
             with_label[lab] = with_label.get(lab, 0) | bit
             on_cycle |= bit if cyclic else 0
             for item in (sig,) if kind == "iso" else _numbered(sig):
                 with_sig[item] = with_sig.get(item, 0) | bit
-        members = list(classes.values())
+        members = list(groups.values())
         by_prop: dict[tuple[str, str], set[str]] = {}
         if self.props_hard:
             for (x, k), d in g2.props.items():
                 if x in g2.nodes:
                     by_prop.setdefault((k, d), set()).add(x)
-        bases: dict = {}  # shared by the g1 nodes of one class
+        bases: dict = {}  # shared by the g1 nodes of one group
         domains = {}
         for v in g1.nodes:
-            key = (g1.nodes[v] if hard else None, v in cyclic1, sigs1.get(v, ()))
+            key = (ix.cls1[v], v in cyclic1, sigs1.get(v, ()))
             base = bases.get(key)
             if base is None:
                 lab, cyclic, sig = key
@@ -586,7 +638,7 @@ class _DecisionSearch:
         under soft ones keeps the cheapest (the first found among equals) and
         returns it."""
         order, soft = _ordered_nodes(self.g1, self.node_order), not self.props_hard
-        nodes2, props2 = self.g2.nodes, self.ix.props2
+        price = self.price
         best_cost: int | None = None  # soft-mode incumbent
         best: dict[str, str] | None = None
         assignment: dict[str, str] = {}
@@ -611,9 +663,8 @@ class _DecisionSearch:
                 v, cands, base = frames[-1]
                 if v in assignment:
                     inv.pop(assignment.pop(v), None)
-                lab1, p1 = self.g1.nodes[v], self.ix.props1[v]
                 for w in cands:
-                    node_cost = self._pair_cost(lab1, nodes2[w], p1, props2[w])
+                    node_cost = price(v, w)
                     if node_cost is None:
                         continue
                     assignment[v] = w
@@ -630,20 +681,6 @@ class _DecisionSearch:
                 break
             else:
                 return best
-
-    # -- witness completion ----------------------------------------------------
-
-    def _finish(self, assignment: dict[str, str]) -> Matching:
-        edge_map: dict[str, str] = {}
-        edge_cost = self._edge_cost
-        for (s, t), b1 in self.ix.pairs1.items():
-            b2 = self.ix.pairs2.get((assignment[s], assignment[t]), [])
-            if self.kind == "hom":
-                for e in b1:
-                    edge_map[e] = min((c, f) for f in b2 if (c := edge_cost(e, f)) is not None)[1]
-            else:
-                edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
-        return Matching(dict(assignment), edge_map)
 
 
 def _require_valid(g1: PropertyGraph, g2: PropertyGraph) -> None:
@@ -694,72 +731,36 @@ class _GedSearch:
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.order1 = _ordered_nodes(g1, opts.node_order)
         self.degrees1, self.degrees2 = _in_out_degrees(g1), _in_out_degrees(g2)
-        self.ix = ix = _PairIndex(g1, g2)
+        self.ix = ix = _PairIndex(g1, g2, self.label_hard)
         w = self.cm.weights
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
         self.w_del_e, self.w_ins_e = w["delE"], w["insE"]
-        self.w_del_p, self.w_ins_p, self.w_upd_p = w["delP"], w["insP"], w["updP"]
+        subs = (None, None) if self.label_hard else (self.cm.node_sub, self.cm.edge_sub)
+        self.node_price, edge_price = (
+            _pair_pricer(ix, sub, w["updP"], w["delP"], w["insP"]) for sub in subs
+        )
 
         def priced(w_op: int, w_prop: int, props: dict, owners) -> dict[str, int]:
             return {x: w_op + w_prop * len(props[x]) for x in owners}
 
-        self.del_node = priced(self.w_del_v, self.w_del_p, ix.props1, g1.nodes)
-        self.ins_node = priced(self.w_ins_v, self.w_ins_p, ix.props2, g2.nodes)
-        self.del_edge = priced(self.w_del_e, self.w_del_p, ix.props1, g1.edges)
-        self.ins_edge = priced(self.w_ins_e, self.w_ins_p, ix.props2, g2.edges)
+        self.del_node = priced(self.w_del_v, w["delP"], ix.props1, g1.nodes)
+        self.ins_node = priced(self.w_ins_v, w["insP"], ix.props2, g2.nodes)
+        self.del_edge = priced(self.w_del_e, w["delP"], ix.props1, g1.edges)
+        self.ins_edge = priced(self.w_ins_e, w["insP"], ix.props2, g2.edges)
         self.del_bucket1 = {k: sum(self.del_edge[e] for e in b) for k, b in ix.pairs1.items()}
         self.ins_bucket2 = {k: sum(self.ins_edge[f] for f in b) for k, b in ix.pairs2.items()}
-        self.candidates = ix.nodes2_by_label if self.label_hard else {None: ix.all_nodes2}
-        self.at2: dict[str, list] = {w2: [] for w2 in g2.nodes}  # g2 buckets as ix.at1
-        for s, t in ix.pairs2:
-            self.at2[s].append((t, (s, t)))
-            if s != t:
-                self.at2[t].append((s, (s, t)))
         # per label class: [undecided g1, unused g2] nodes, [unsettled g1, g2] edges
-        self.node_left: dict = {}
-        self.edge_left: dict = {}
-        for i, g in enumerate((g1, g2)):
-            for lab in g.nodes.values():
-                self.node_left.setdefault(self._cls(lab), [0, 0])[i] += 1
-            for _, _, lab in g.edges.values():
-                self.edge_left.setdefault(self._cls(lab), [0, 0])[i] += 1
+        self.node_left, self.edge_left = _class_tallies(g1, g2, self.label_hard)
         # what a leaf inserts: unused g2 nodes and g2 edges with an unused endpoint
         self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
         self.assignment: dict[str, str | None] = {}
         self.inv: dict[str, str] = {}  # used g2 node -> its preimage
         self.deadline = _Deadline(opts.budget)
-        self.pricing = (self._edge_pair_cost, self.deadline, self.del_edge, self.ins_edge)
+        self.pricing = (edge_price, self.deadline, self.del_edge, self.ins_edge)
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
         self.timed_out = False
-
-    def _cls(self, label: str) -> str | None:
-        return label if self.label_hard else None
-
-    def _prop_pair_cost(self, p1: dict[str, str], p2: dict[str, str]) -> int:
-        total = 0
-        for k, v in p1.items():
-            if k in p2:
-                if p2[k] != v:
-                    total += self.w_upd_p
-            else:
-                total += self.w_del_p
-        for k in p2:
-            if k not in p1:
-                total += self.w_ins_p
-        return total
-
-    def _node_pair_cost(self, v: str, w: str) -> int:
-        label = 0 if self.g1.nodes[v] == self.g2.nodes[w] else self.cm.node_sub
-        return label + self._prop_pair_cost(self.ix.props1[v], self.ix.props2[w])
-
-    def _edge_pair_cost(self, e: str, f: str) -> int | None:
-        lab1, lab2 = self.g1.edges[e][2], self.g2.edges[f][2]
-        if lab1 != lab2 and self.label_hard:
-            return None
-        label = 0 if lab1 == lab2 else self.cm.edge_sub
-        return label + self._prop_pair_cost(self.ix.props1[e], self.ix.props2[f])
 
     def _decide_cost(self, v: str, w: str | None, closed1: list) -> tuple[int, list]:
         """Cost settled by deciding ``v`` as ``w`` (None: delete ``v``), and
@@ -768,15 +769,16 @@ class _GedSearch:
         buckets ``closed1`` join ``v`` and its decided neighbours."""
         if w is None:
             return self.del_node[v] + sum(self.del_bucket1[k] for k, _ in closed1), []
-        total = self._node_pair_cost(v, w)
-        assignment, inv, pairs1, pairs2 = self.assignment, self.inv, self.ix.pairs1, self.ix.pairs2
+        total = self.node_price(v, w)
+        ix, assignment, inv = self.ix, self.assignment, self.inv
+        pairs1, pairs2 = ix.pairs1, ix.pairs2
         for (s, t), b1 in closed1:
             ws = w if s == v else assignment[s]
             wt = w if t == v else assignment[t]
             b2 = pairs2.get((ws, wt)) if ws is not None and wt is not None else None
             total += _bucket_cost(b1, b2, *self.pricing)[0] if b2 else self.del_bucket1[(s, t)]
         closed2 = []
-        for x, k in self.at2[w]:
+        for x, k, _ in ix.at2[w]:
             u = v if x == w else inv.get(x)
             if u is not None:
                 closed2.append(k)
@@ -787,17 +789,17 @@ class _GedSearch:
     def _shift(self, v: str, w: str | None, closed1: list, closed2: list, d: int) -> None:
         """Move the running counts and the leaf's insertion sum by one
         decision: ``d`` is -1 to decide ``v`` as ``w``, +1 to undo it."""
-        g1, g2, edge_left = self.g1, self.g2, self.edge_left
-        self.node_left[self._cls(g1.nodes[v])][0] += d
+        ix, edge_left = self.ix, self.edge_left
+        self.node_left[ix.cls1[v]][0] += d
         for _, b1 in closed1:
             for e in b1:
-                edge_left[self._cls(g1.edges[e][2])][0] += d
+                edge_left[ix.cls1[e]][0] += d
         if w is not None:
-            self.node_left[self._cls(g2.nodes[w])][1] += d
+            self.node_left[ix.cls2[w]][1] += d
             self.ins_open += d * self.ins_node[w]
             for k in closed2:
-                for f in self.ix.pairs2[k]:
-                    edge_left[self._cls(g2.edges[f][2])][1] += d
+                for f in ix.pairs2[k]:
+                    edge_left[ix.cls2[f]][1] += d
                 self.ins_open += d * self.ins_bucket2[k]
 
     def _lower_bound_tail(self) -> int:
@@ -815,7 +817,8 @@ class _GedSearch:
         except SearchTimeout:
             self.timed_out = True
         self.deadline.expires = math.inf  # the incumbent's matching is rebuilt unbudgeted
-        matching = self._rebuild_matching(self.best_assignment)
+        node_map = {v: w for v, w in self.best_assignment.items() if w is not None}
+        matching = Matching(node_map, _witness_edges(self.ix, node_map, self.pricing))
         script, cost = script_from_matching(
             matching, self.g1, self.g2, self.opts.mode, self.cm
         )
@@ -861,7 +864,7 @@ class _GedSearch:
         the settled cost with it applied, and undo it when resumed."""
         ix, assignment, inv = self.ix, self.assignment, self.inv
         closed1 = [(k, b1) for u, k, b1 in ix.at1[v] if u == v or u in assignment]
-        candidates = self.candidates.get(self._cls(self.g1.nodes[v]), [])
+        candidates = ix.nodes2_by_cls.get(ix.cls1[v], [])
         out_v, in_v = self.degrees1[v]
         degrees2 = self.degrees2
         # (step cost, degree gap, w, closed2): deletion's infinite gap puts it
@@ -884,14 +887,6 @@ class _GedSearch:
             self._shift(v, w, closed1, closed2, 1)
             inv.pop(w, None)
             del assignment[v]
-
-    def _rebuild_matching(self, assignment: dict[str, str | None]) -> Matching:
-        node_map = {v: w for v, w in assignment.items() if w is not None}
-        edge_map: dict[str, str] = {}
-        for (s, t), b1 in sorted(self.ix.pairs1.items()):
-            b2 = self.ix.pairs2.get((node_map.get(s), node_map.get(t)), [])
-            edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
-        return Matching(node_map, edge_map)
 
 
 def min_edit_matching(

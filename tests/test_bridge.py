@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -234,6 +235,23 @@ def test_decode_edit_script_detects_cost_mismatch():
         status=SolverStatus.OPTIMUM,
     )
     with pytest.raises(DecodeMismatchError, match="cost"):
+        decode_edit_script(ans, g1, g2)
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [Fact("delete_node", ("v1", "x")), Fact("insert_edge", ("e", "v1", "w1")), Fact("insert_node", ())],
+)
+def test_decode_edit_script_names_a_malformed_edit_atom(atom):
+    g1 = PropertyGraph({"v1": "a"})
+    g2 = PropertyGraph({"w1": "b"})
+    ans = answer(
+        [Fact("delete_node", ("v1",)), Fact("insert_node", ("w1", "b")), atom],
+        costs=(2,),
+        optimal=True,
+        status=SolverStatus.OPTIMUM,
+    )
+    with pytest.raises(DecodeMismatchError, match=f"edit atom {re.escape(atom.render())} has"):
         decode_edit_script(ans, g1, g2)
 
 

@@ -77,6 +77,25 @@ def test_ged_custom_weights_file(tmp_path, capsys):
     assert "cost: 10" in capsys.readouterr().out
 
 
+def test_ged_refuses_weights_that_are_not_integers(tmp_path, capsys):
+    a = tmp_path / "a.pg"
+    b = tmp_path / "b.pg"
+    a.write_text("n a a\n", encoding="utf-8")
+    b.write_text("n b b\n", encoding="utf-8")
+    weights = tmp_path / "weights.json"
+    for data, key in (
+        ({"delV": 1.5, "insV": 1.5}, "delV"),
+        ({"delV": "2"}, "delV"),
+        ({"delV": True}, "delV"),
+        ({"edge_sub": 0.5}, "edge_sub"),
+    ):
+        weights.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["ged", "--weights", str(weights), str(a), str(b)]) == 3
+        captured = capsys.readouterr()
+        assert "cost:" not in captured.out
+        assert f"weight {key} must be an integer" in captured.err
+
+
 def test_encode_kinds_to_stdout_and_file(graphs, tmp_path, capsys):
     a, b = graphs
     assert main(["encode", "--kind", "hom", a, b]) == 0

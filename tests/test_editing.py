@@ -298,6 +298,22 @@ def test_cost_model_rejects_negative_weights():
         CostModel(weights={"nope": 1})
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"weights": {"delV": 1.5}}, "delV"),
+        ({"weights": {"insP": 2.0}}, "insP"),
+        ({"weights": {"delE": "2"}}, "delE"),
+        ({"weights": {"updP": True}}, "updP"),
+        ({"node_sub": 0.5}, "node_sub"),
+        ({"edge_sub": False}, "edge_sub"),
+    ],
+)
+def test_cost_model_refuses_weights_that_are_not_integers(kwargs, key):
+    with pytest.raises(ValueError, match=f"weight {key} must be an integer"):
+        CostModel(**kwargs)
+
+
 # -- canonical form ---------------------------------------------------------------
 
 

@@ -211,6 +211,13 @@ def test_render_job_on_empty_graphs_has_rules_only():
     assert text == encode_problem(ProblemKind.HOM).text
 
 
+def test_render_job_names_the_invalid_graph():
+    good = PropertyGraph({"w": "a"})
+    bad = PropertyGraph({"v": "a"}, {"e": ("v", "missing", "x")})
+    with pytest.raises(ValueError, match="graph 2 is invalid: edge 'e'"):
+        render_job(good, bad, ProblemKind.HOM)
+
+
 def test_render_job_rejects_shared_ids():
     g = PropertyGraph({"v1": "a"})
     with pytest.raises(ValueError, match="disjoint"):

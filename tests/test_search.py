@@ -295,6 +295,20 @@ def test_soft_properties_return_min_mismatch_witness():
         {("f1", "k"): "d2", ("f2", "k"): "d1"},
     )
     assert search_hom(h1, h2, soft).edge_map == {"e": "f2"}
+    # iso prices the properties both ways, sub only those of g1: iso's
+    # cheapest witness has 4 mismatches against 5, sub's has 3 against 4
+    k1 = PropertyGraph(
+        {"v1": "a", "v2": "a"},
+        {},
+        {("v1", "a"): "1", ("v1", "b"): "2", ("v2", "a"): "2", ("v2", "c"): "1"},
+    )
+    k2 = PropertyGraph(
+        {"w1": "a", "w2": "a"},
+        {},
+        {("w1", "b"): "1", ("w2", "a"): "1", ("w2", "c"): "2"},
+    )
+    assert search_iso(k1, k2, soft).node_map == {"v1": "w1", "v2": "w2"}
+    assert search_sub(k1, k2, soft).node_map == {"v1": "w2", "v2": "w1"}
 
 
 def test_search_timeout_raises():
