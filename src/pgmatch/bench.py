@@ -80,16 +80,16 @@ def load_suite(path: str) -> list[BenchCase]:
     """Read a JSON suite file: {"cases": [{"id", "kind", "g1", "g2"}, ...]}."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "cases" not in data:
+        raise ValueError(f"suite file {path} has no key 'cases'")
     cases = []
-    for entry in data["cases"]:
-        cases.append(
-            BenchCase(
-                instance=str(entry["id"]),
-                kind=ProblemKind.from_name(entry["kind"]),
-                g1=_graph_from_spec(entry["g1"], "a"),
-                g2=_graph_from_spec(entry["g2"], "b"),
-            )
-        )
+    for i, entry in enumerate(data["cases"]):
+        try:
+            g1, g2 = _graph_from_spec(entry["g1"], "a"), _graph_from_spec(entry["g2"], "b")
+            cases.append(BenchCase(str(entry["id"]), ProblemKind.from_name(entry["kind"]), g1, g2))
+        except KeyError as exc:
+            case = entry.get("id", f"#{i}")
+            raise ValueError(f"suite file {path}: case {case} has no key {exc}") from None
     return cases
 
 

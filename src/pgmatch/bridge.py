@@ -84,8 +84,8 @@ class SolverConfig:
     models: int | None = None
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget < float("inf"):  # nan and inf cannot time a subprocess
+            raise ValueError("budget must be positive and finite")
 
 
 def default_solver(budget: float = 30.0) -> SolverConfig | None:
@@ -209,12 +209,16 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
         )
     except OSError as exc:
         raise ProcessFailure(f"cannot start solver {cfg.executable!r}: {exc}") from exc
-    try:
-        out, err = proc.communicate(program, timeout=cfg.budget)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        out, err = proc.communicate()
-        timed_out = True
+    with proc:  # on leaving, the pipes are closed and the process reaped
+        try:
+            out, err = proc.communicate(program, timeout=cfg.budget)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, err = proc.communicate()
+            timed_out = True
+        except BaseException:  # e.g. a program that cannot be encoded
+            proc.kill()
+            raise
 
     models, costs, status_word = parse_solver_output(out or "")
     atoms = tuple(models[-1]) if models else ()

@@ -48,6 +48,8 @@ def _cost_model(name: str, expressible: frozenset | None = None) -> CostModel:
         return CostModel.gedc()
     with open(name, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"weights file {name} must hold a JSON object, not {type(data).__name__}")
     extra = sorted(set(data) - expressible) if expressible is not None else []
     if extra:
         raise ValueError(f"weights the solver program cannot express: {', '.join(extra)}")

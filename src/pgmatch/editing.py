@@ -118,8 +118,6 @@ EditOp = Union[
     RelabelEdge,
 ]
 
-EditScript = list  # list[EditOp]; scripts are ordinary lists
-
 PHASE_ORDER = ("delP", "delE", "delV", "updP", "relV", "relE", "insV", "insE", "insP")
 CORE_KINDS = frozenset({"delP", "delE", "delV", "updP", "insV", "insE", "insP"})
 

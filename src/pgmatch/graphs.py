@@ -54,9 +54,6 @@ class PropertyGraph:
         """The key -> value map attached to one node or edge (possibly empty)."""
         return {k: v for (o, k), v in self.props.items() if o == owner}
 
-    def size(self) -> int:
-        return len(self.nodes) + len(self.edges) + len(self.props)
-
 
 def validate(g: PropertyGraph) -> list[str]:
     """Describe every violated graph invariant; an empty list means valid.

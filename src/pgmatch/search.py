@@ -8,12 +8,13 @@ try candidate values lexicographically; edit distance tries the cheapest step
 first, then the candidate closest in out- and in-degree, then by id. Iso and
 sub are first cut by node and edge counts, and edit distance is bounded below
 by them, per label when labels must match.
-Past that cut a search builds one graph-pair index (``_PairIndex``) and keeps
-its path on an explicit stack, so no graph is too deep for it. A step deciding
-g1 node ``v`` visits only ``v``'s neighbours: decision candidates come from
-the images of its assigned neighbours, and the buckets priced or checked are
-those between ``v`` and its decided neighbours and (iso and edit distance) the
-g2 buckets between ``v``'s image and nodes with a preimage.
+Past that cut a search builds one graph-pair index (``_PairIndex``), and one
+depth-first branch and bound (``_BranchAndBound``) runs every search on an
+explicit stack, so no graph is too deep for it. A step deciding g1 node ``v``
+visits only ``v``'s neighbours: decision candidates come from the images of
+its assigned neighbours, and the buckets priced or checked are those between
+``v`` and its decided neighbours and (iso and edit distance) the g2 buckets
+between ``v``'s image and nodes with a preimage.
 
 Before branching, a decision search gives each g1 node a candidate domain:
 the g2 nodes that pass cheap necessary conditions (label, hard properties,
@@ -84,7 +85,7 @@ class SearchOptions:
             raise ValueError(f"unknown property handling {self.properties!r}")
         if self.node_order not in ("degree-desc", "lex"):
             raise ValueError(f"unknown node order {self.node_order!r}")
-        if self.budget <= 0:
+        if not self.budget > 0:  # also refuses nan, which would never expire
             raise ValueError("budget must be positive")
 
 
@@ -455,9 +456,48 @@ def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple, hom: bool = F
     return edge_map
 
 
-class _DecisionSearch:
-    """Backtracking engine shared by the three decision problems; each step
-    visits only the neighbours of the node it assigns."""
+class _BranchAndBound:
+    """Depth-first branch and bound over the g1 nodes (DF-GED, Abu-Aisheh et
+    al., ICPRAM 2015), shared by both engines. A subclass gives ``deadline``;
+    ``_decisions(v, acc)``, a generator that applies each option for ``v`` in
+    turn, yields the settled cost with it applied and undoes it when resumed;
+    and ``_leaf(acc)``, handed every complete decision the bound let through,
+    which returns True to end the search. ``_bound`` is a lower bound on the
+    cost still to settle, ``best_cost`` the incumbent's (none: infinite)."""
+
+    best_cost: float = math.inf
+
+    def _bound(self) -> int:
+        return 0
+
+    def _depth_first(self, order: list[str], what: str) -> None:
+        """Decide the nodes of ``order`` depth first on an explicit stack of
+        decision generators, the deadline checked at every node entered; a
+        node whose settled cost plus bound reaches ``best_cost`` is cut."""
+        frames: list = []  # per decided depth: the generator of its decisions
+        acc = 0
+        while True:
+            # enter the node at depth len(frames), with settled cost acc
+            if self.deadline.check():
+                raise SearchTimeout(f"{what} search exceeded its budget")
+            if acc + self._bound() < self.best_cost:  # else no better than the incumbent
+                if len(frames) < len(order):
+                    frames.append(self._decisions(order[len(frames)], acc))
+                elif self._leaf(acc):
+                    return
+            # take the next decision, backtracking when a depth has none left
+            while frames:
+                acc = next(frames[-1], None)
+                if acc is not None:
+                    break
+                frames.pop()
+            else:
+                return
+
+
+class _DecisionSearch(_BranchAndBound):
+    """The engine of the three decision problems: each step visits only the
+    neighbours of the node it assigns."""
 
     def __init__(self, kind: str, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
         self.kind = kind
@@ -467,55 +507,49 @@ class _DecisionSearch:
         self.props_hard = opts.properties == PROPS_HARD
         self.node_order = opts.node_order
         self.deadline = _Deadline(opts.budget)
+        self.assignment: dict[str, str] = {}
+        self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
+        self.best: dict[str, str] | None = None
         # run() sets ix, price, pricing and domains once the counts fit
 
-    # -- per-bucket edge feasibility ---------------------------------------
-
-    def _bucket_check(self, b1: list[str], b2: list[str]) -> int | None:
-        """Feasibility and soft cost of one parallel-edge bucket pair.
-
-        Returns the minimal extra cost (0 under hard properties) or None when
-        the bucket cannot be matched as the problem kind requires.
-        """
-        if self.kind == "hom":
-            price = self.price
-            total = 0
-            for e in b1:
-                costs = [c for f in b2 if (c := price(e, f)) is not None]
-                if not costs:
-                    return None
-                total += min(costs)
-            return total
-        if len(b1) > len(b2) or self.kind == "iso" and len(b1) != len(b2):
-            return None
-        found = _bucket_cost(b1, b2, *self.pricing)
-        return None if found is None else found[0]
-
-    def _assign_buckets(self, v: str, w: str, assignment: dict, inv: dict) -> int | None:
-        """Check every edge bucket completed by assigning ``v`` to ``w``
-        (already entered in ``assignment``; ``inv`` maps the images of the
-        other assigned nodes back); returns the added soft cost, or None when
-        some bucket is infeasible."""
-        pairs1, pairs2 = self.ix.pairs1, self.ix.pairs2
-        if self.kind == "iso":
+    def _assign_buckets(self, v: str, w: str, closed1: list) -> int | None:
+        """Check every edge bucket completed by assigning ``v`` to ``w``: the
+        g1 buckets ``closed1`` between ``v`` and its assigned neighbours, and
+        for iso the g2 buckets between ``w`` and assigned images. Returns the
+        added soft cost (0 under hard properties), or None when some bucket
+        cannot be matched as the problem kind requires: hom maps each edge to
+        its cheapest image, iso and sub pair each bucket with one of the same
+        size (sub: at least the size)."""
+        pairs1, pairs2, assignment = self.ix.pairs1, self.ix.pairs2, self.assignment
+        kind, price = self.kind, self.price
+        if kind == "iso":
             # cut: a g2 bucket at w needs a g1 bucket between the preimages
             for x, (s, t), _ in self.ix.at2[w]:
-                u = v if x == w else inv.get(x)
+                u = v if x == w else self.inv.get(x)
                 if u is not None and (v if s == w else u, v if t == w else u) not in pairs1:
                     return None
         total = 0
-        for u, (s, t), b1 in self.ix.at1[v]:
-            if u in assignment:
-                cost = self._bucket_check(b1, pairs2.get((assignment[s], assignment[t]), []))
-                if cost is None:
-                    return None
-                total += cost
+        for (s, t), b1 in closed1:
+            b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]), [])
+            if kind == "hom":
+                for e in b1:
+                    costs = [c for f in b2 if (c := price(e, f)) is not None]
+                    if not costs:
+                        return None
+                    total += min(costs)
+                continue
+            if len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2):
+                return None
+            found = _bucket_cost(b1, b2, *self.pricing)
+            if found is None:
+                return None
+            total += found[0]
         return total
 
     # -- candidate generation -----------------------------------------------
 
-    def _candidates(self, v: str, assignment: dict[str, str], inv: dict) -> list[str]:
-        ix = self.ix
+    def _candidates(self, v: str) -> list[str]:
+        ix, assignment, inv = self.ix, self.assignment, self.inv
         # one g2 node set per assigned neighbour: the predecessors (edges out
         # of v) or successors (edges into v) of its image over that edge class
         narrow = [
@@ -547,10 +581,10 @@ class _DecisionSearch:
         self.domains = self._root_domains()
         if self.domains is None:
             return None
-        found = self._search()
-        if found is None:
+        self._depth_first(_ordered_nodes(self.g1, self.node_order), self.kind)
+        if self.best is None:
             return None
-        return Matching(found, _witness_edges(ix, found, self.pricing, self.kind == "hom"))
+        return Matching(self.best, _witness_edges(ix, self.best, self.pricing, self.kind == "hom"))
 
     def _counts_fit(self) -> bool:
         """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
@@ -631,56 +665,31 @@ class _DecisionSearch:
             domains[v] = base
         return domains
 
-    def _search(self) -> dict[str, str] | None:
-        """Depth first in the configured node order on an explicit stack,
-        candidates in lexicographic order, the deadline checked at every node
-        entered. Under hard properties returns the first complete assignment;
-        under soft ones keeps the cheapest (the first found among equals) and
-        returns it."""
-        order, soft = _ordered_nodes(self.g1, self.node_order), not self.props_hard
-        price = self.price
-        best_cost: int | None = None  # soft-mode incumbent
-        best: dict[str, str] | None = None
-        assignment: dict[str, str] = {}
-        inv: dict[str, str] = {}  # image -> preimage, for injective kinds
-        frames: list = []  # per assigned depth: (v, candidates left, cost before v)
-        acc = 0
-        while True:
-            # enter the node at depth len(frames), with settled cost acc
-            if self.deadline.check():
-                raise SearchTimeout(f"{self.kind} search exceeded its budget")
-            if soft and best_cost is not None and acc >= best_cost:
-                pass  # no better than the incumbent
-            elif len(frames) == len(order):
-                if not soft:
-                    return dict(assignment)
-                best_cost, best = acc, dict(assignment)
-            else:
-                v = order[len(frames)]
-                frames.append((v, iter(self._candidates(v, assignment, inv)), acc))
-            # advance to the next feasible candidate, backtracking when none is left
-            while frames:
-                v, cands, base = frames[-1]
-                if v in assignment:
-                    inv.pop(assignment.pop(v), None)
-                for w in cands:
-                    node_cost = price(v, w)
-                    if node_cost is None:
-                        continue
-                    assignment[v] = w
-                    cost = self._assign_buckets(v, w, assignment, inv)
-                    if cost is not None:
-                        if self.injective:
-                            inv[w] = v
-                        acc = base + node_cost + cost
-                        break
-                    del assignment[v]
-                else:
-                    frames.pop()
-                    continue
-                break
-            else:
-                return best
+    def _decisions(self, v: str, acc: int):
+        """Assign ``v`` each candidate in lexicographic order whose node and
+        edge buckets are feasible, yield the settled cost with it assigned,
+        and undo it when resumed."""
+        assignment, inv, price = self.assignment, self.inv, self.price
+        closed1 = [(k, b1) for u, k, b1 in self.ix.at1[v] if u == v or u in assignment]
+        for w in self._candidates(v):
+            node_cost = price(v, w)
+            if node_cost is None:
+                continue
+            cost = self._assign_buckets(v, w, closed1)
+            if cost is None:
+                continue
+            assignment[v] = w
+            if self.injective:
+                inv[w] = v
+            yield acc + node_cost + cost
+            inv.pop(w, None)
+            del assignment[v]
+
+    def _leaf(self, acc: int) -> bool:
+        """Keep the complete assignment, which the bound let through only when
+        cheaper than the incumbent; under hard properties it ends the search."""
+        self.best_cost, self.best = acc, dict(self.assignment)
+        return self.props_hard
 
 
 def _require_valid(g1: PropertyGraph, g2: PropertyGraph) -> None:
@@ -709,8 +718,8 @@ def search_sub(g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions | None 
     return _DecisionSearch("sub", g1, g2, opts or SearchOptions()).run()
 
 
-class _GedSearch:
-    """Branch-and-bound over partial injective node matchings.
+class _GedSearch(_BranchAndBound):
+    """Branch and bound over partial injective node matchings.
 
     Nodes of the first graph are decided in order, matched or deleted, the
     cheapest decision first and, among equal-cost matches, the g2 node closest
@@ -802,7 +811,7 @@ class _GedSearch:
                     edge_left[ix.cls2[f]][1] += d
                 self.ins_open += d * self.ins_bucket2[k]
 
-    def _lower_bound_tail(self) -> int:
+    def _bound(self) -> int:
         """Node and edge deletions and insertions forced by the counts."""
         bound = 0
         for r1, a2 in self.node_left.values():
@@ -813,7 +822,7 @@ class _GedSearch:
 
     def run(self) -> GedResult:
         try:
-            self._search()
+            self._depth_first(self.order1, "edit-distance")
         except SearchTimeout:
             self.timed_out = True
         self.deadline.expires = math.inf  # the incumbent's matching is rebuilt unbudgeted
@@ -827,34 +836,6 @@ class _GedSearch:
                 f"cost bookkeeping diverged: search {self.best_cost}, script {cost}"
             )
         return GedResult(matching, script, cost, optimal=not self.timed_out)
-
-    def _search(self) -> None:
-        """Depth first over ``order1`` on an explicit stack of decision
-        generators, the deadline checked at every node entered. A leaf
-        replaces the incumbent only when strictly cheaper."""
-        order = self.order1
-        frames: list = []  # per decided depth: the generator of its decisions
-        acc = 0
-        while True:
-            # enter the node at depth len(frames), with settled cost acc
-            if self.deadline.check():
-                raise SearchTimeout("edit-distance search exceeded its budget")
-            if acc + self._lower_bound_tail() >= self.best_cost:
-                pass  # no better than the incumbent
-            elif len(frames) == len(order):
-                if acc + self.ins_open < self.best_cost:
-                    self.best_cost = acc + self.ins_open
-                    self.best_assignment = dict(self.assignment)
-            else:
-                frames.append(self._decisions(order[len(frames)], acc))
-            # take the next decision, backtracking when a depth has none left
-            while frames:
-                acc = next(frames[-1], None)
-                if acc is not None:
-                    break
-                frames.pop()
-            else:
-                return
 
     def _decisions(self, v: str, acc: int):
         """Apply each option for ``v`` in turn (unused candidates and deletion,
@@ -887,6 +868,14 @@ class _GedSearch:
             self._shift(v, w, closed1, closed2, 1)
             inv.pop(w, None)
             del assignment[v]
+
+    def _leaf(self, acc: int) -> bool:
+        """Replace the incumbent when this leaf, with its insertions, is
+        strictly cheaper."""
+        if acc + self.ins_open < self.best_cost:
+            self.best_cost = acc + self.ins_open
+            self.best_assignment = dict(self.assignment)
+        return False
 
 
 def min_edit_matching(

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -140,6 +141,17 @@ def test_suite_file_loading(tmp_path):
     assert not set(cases[0].g1.nodes) & set(cases[0].g2.nodes)
     results = run_bench(cases, ("native",), budget=10.0)
     assert {r.status for r in results} <= {"SAT", "UNSAT", "OPTIMUM"}
+
+
+def test_suite_file_errors_name_file_case_and_key(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text("{}", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"suite file {path} has no key 'cases'")):
+        load_suite(str(path))
+    case = {"id": "pair1", "kind": "hom", "g1": {"gen": "chain"}, "g2": {"gen": "cycle", "k": 2}}
+    path.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"suite file {path}: case pair1 has no key 'k'")):
+        load_suite(str(path))
 
 
 def test_presets_shape():

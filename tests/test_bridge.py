@@ -1,4 +1,5 @@
 import re
+import subprocess
 import sys
 
 import pytest
@@ -130,6 +131,27 @@ def test_run_solver_crash_raises_process_failure():
 def test_run_solver_missing_executable():
     with pytest.raises(ProcessFailure):
         run_solver("", SolverConfig("/nonexistent/solver-binary"))
+
+
+def test_solver_config_refuses_budgets_it_cannot_enforce():
+    for budget in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            SolverConfig(sys.executable, budget=budget)
+
+
+def test_run_solver_reaps_the_solver_when_the_program_cannot_be_sent(monkeypatch):
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    with pytest.raises(UnicodeEncodeError):
+        run_solver("%fake: sleep\nn1(\ud800,a).\n", fake_cfg())
+    (proc,) = started
+    assert proc.poll() is not None
 
 
 def test_exit_code_mapping():

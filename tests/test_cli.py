@@ -96,6 +96,16 @@ def test_ged_refuses_weights_that_are_not_integers(tmp_path, capsys):
         assert f"weight {key} must be an integer" in captured.err
 
 
+def test_weights_file_must_hold_a_json_object(graphs, tmp_path, capsys):
+    a, b = graphs
+    weights = tmp_path / "weights.json"
+    weights.write_text("[1, 2]", encoding="utf-8")
+    for argv in (["ged"], ["encode", "--kind", "gedc"]):
+        assert main([*argv, "--weights", str(weights), a, b]) == 3
+        err = capsys.readouterr().err
+        assert f"weights file {weights} must hold a JSON object, not list" in err
+
+
 def test_encode_kinds_to_stdout_and_file(graphs, tmp_path, capsys):
     a, b = graphs
     assert main(["encode", "--kind", "hom", a, b]) == 0

@@ -319,6 +319,12 @@ def test_search_timeout_raises():
         search_hom(g1, g2, SearchOptions(budget=1e-9))
 
 
+def test_search_options_refuse_budgets_that_never_expire():
+    for budget in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            SearchOptions(budget=budget)
+
+
 def test_decision_searches_find_identity_on_long_chain():
     # one search depth per node, far beyond the interpreter's recursion limit
     n = 5000
