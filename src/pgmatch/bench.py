@@ -63,6 +63,8 @@ class BenchResult:
 
 
 def _graph_from_spec(spec: dict, default_prefix: str) -> PropertyGraph:
+    if not isinstance(spec, dict):
+        raise TypeError(f"graph spec {spec!r} is not a JSON object")
     if "file" in spec:
         return load_graph(spec["file"])
     gen = spec.get("gen")
@@ -82,14 +84,20 @@ def load_suite(path: str) -> list[BenchCase]:
         data = json.load(fh)
     if not isinstance(data, dict) or "cases" not in data:
         raise ValueError(f"suite file {path} has no key 'cases'")
+    if not isinstance(data["cases"], list):
+        raise ValueError(f"suite file {path}: 'cases' is not a JSON list")
     cases = []
     for i, entry in enumerate(data["cases"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite file {path}: case #{i} is not a JSON object")
+        case = entry.get("id", f"#{i}")
         try:
             g1, g2 = _graph_from_spec(entry["g1"], "a"), _graph_from_spec(entry["g2"], "b")
             cases.append(BenchCase(str(entry["id"]), ProblemKind.from_name(entry["kind"]), g1, g2))
         except KeyError as exc:
-            case = entry.get("id", f"#{i}")
             raise ValueError(f"suite file {path}: case {case} has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"suite file {path}: case {case}: {exc}") from None
     return cases
 
 

@@ -35,6 +35,19 @@ def unescape_atom(token: str) -> str:
     return unquote(token) if token.startswith('"') else token
 
 
+class _Escaped(dict):
+    """``escape_atom`` of each string looked up, computed once per string."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = atom = escape_atom(text)
+        return atom
+
+
+def _fact_text(pred: str, atoms) -> str:
+    """One fact ``pred(atom,...).`` from its already escaped arguments."""
+    return f"{pred}({','.join(atoms)})." if atoms else f"{pred}."
+
+
 @dataclass(frozen=True)
 class Fact:
     """One ground fact; arguments are stored unescaped."""
@@ -43,9 +56,7 @@ class Fact:
     args: tuple[str, ...]
 
     def render(self) -> str:
-        if not self.args:
-            return f"{self.pred}."
-        return f"{self.pred}({','.join(escape_atom(a) for a in self.args)})."
+        return _fact_text(self.pred, [escape_atom(a) for a in self.args])
 
 
 def parse_atom(text: str) -> Fact:
@@ -104,14 +115,18 @@ class AspProgram:
     constants: dict[str, int] | None = None
 
 
-def encode_graph_facts(g: PropertyGraph, which: int) -> list[Fact]:
-    """Facts describing one graph, suffix 1 or 2, in node/edge/property order
-    and sorted within each block."""
+def _check_graph(g: PropertyGraph, which: int) -> None:
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     issues = validate(g)
     if issues:
         raise ValueError(f"graph {which} is invalid: " + "; ".join(issues))
+
+
+def encode_graph_facts(g: PropertyGraph, which: int) -> list[Fact]:
+    """Facts describing one graph, suffix 1 or 2, in node/edge/property order
+    and sorted within each block."""
+    _check_graph(g, which)
     facts = [Fact(f"n{which}", (v, lab)) for v, lab in g.nodes.items()]
     facts += [Fact(f"e{which}", (e, s, t, lab)) for e, (s, t, lab) in g.edges.items()]
     facts += [Fact(f"p{which}", (x, k, d)) for (x, k), d in g.props.items()]
@@ -136,6 +151,20 @@ def decode_graph_facts(facts: list[Fact], which: int) -> PropertyGraph:
         else:
             props[(fact.args[0], fact.args[1])] = fact.args[2]
     return PropertyGraph(nodes, edges, props)
+
+
+def _graph_fact_lines(g: PropertyGraph, which: int, atom: _Escaped) -> list[str]:
+    """The rendered ``encode_graph_facts(g, which)``, built straight from the
+    graph's dicts with the escaped strings of ``atom``."""
+    _check_graph(g, which)
+    n, e, p = f"n{which}", f"e{which}", f"p{which}"
+    lines = [_fact_text(n, (atom[v], atom[lab])) for v, lab in g.nodes.items()]
+    lines += [
+        _fact_text(e, (atom[x], atom[s], atom[t], atom[lab]))
+        for x, (s, t, lab) in g.edges.items()
+    ]
+    lines += [_fact_text(p, (atom[x], atom[k], atom[d])) for (x, k), d in g.props.items()]
+    return lines
 
 
 _HOM_RULES = """\
@@ -350,8 +379,9 @@ def render_job(
     The two graphs must use disjoint id spaces; otherwise the pairing atoms
     and cost terms become ambiguous.
     """
-    facts1 = [f.render() for f in encode_graph_facts(g1, 1)]
-    facts2 = [f.render() for f in encode_graph_facts(g2, 2)]
+    atom = _Escaped()
+    facts1 = _graph_fact_lines(g1, 1, atom)
+    facts2 = _graph_fact_lines(g2, 2, atom)
     ids1 = set(g1.nodes) | set(g1.edges)
     ids2 = set(g2.nodes) | set(g2.edges)
     shared = ids1 & ids2

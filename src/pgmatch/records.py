@@ -11,6 +11,17 @@ contains whitespace, ``"`` or ``\\`` is quoted, and ``#`` starts a comment
 outside of quotes. A model line of solver output is a run of
 whitespace-separated atoms ``name`` or ``name(arg,...)``, each argument a
 quoted string or a bare run without whitespace, ``"``, ``(``, ``)`` or ``,``.
+
+Most records need neither quotes nor comments, so both record directions
+take ``str`` methods where they can. A line without ``"`` or ``#`` is
+tokenized by ``str.split()``: there every token is bare, a bare token is a
+maximal run of non-whitespace, and ``\\s`` in a ``str`` pattern is exactly
+``str.isspace``, which is what ``split`` breaks at. A token list is written
+as its one ``" "``-joined line when that line holds no ``"``, ``\\`` or
+``#`` and splits back into the same tokens: each token is then non-empty
+and free of whitespace, ``"``, ``\\`` and ``#``, so ``quote_token`` would
+leave it bare too. Other lines and tokens go through the token scanner and
+``quote_token``, the one rule for them.
 """
 
 from __future__ import annotations
@@ -79,6 +90,8 @@ def quote_token(text: str) -> str:
 
 def tokenize_line(line: str, lineno: int | None = None) -> list[str]:
     """Split one line into tokens, honouring quotes, escapes and comments."""
+    if '"' not in line and "#" not in line:
+        return line.split()
     tokens: list[str] = []
     for quoted, end, bare, glued in _RECORD_TOKEN.findall(line):
         if bare:
@@ -96,7 +109,10 @@ def tokenize_line(line: str, lineno: int | None = None) -> list[str]:
 
 
 def format_record(tokens: list[str]) -> str:
-    return " ".join(quote_token(t) for t in tokens)
+    line = " ".join(tokens)
+    if '"' in line or "\\" in line or "#" in line or line.split() != tokens:
+        return " ".join(quote_token(t) for t in tokens)
+    return line
 
 
 def parse_records(text: str) -> list[tuple[int, list[str]]]:

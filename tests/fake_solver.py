@@ -4,10 +4,69 @@
 Reads a program on stdin and reacts to a ``%fake: <directive>`` comment line
 (real solvers ignore ``%`` comments, so test programs stay valid). Used to
 exercise the subprocess bridge without a solver installed.
+
+A ``ged``, ``ged-relabel`` or ``gedc`` job from ``render_job`` without a
+directive is answered by pgmatch's native engine: the graphs are read back
+from the job's ``n1/e1/p1/n2/e2/p2`` facts, ``min_edit_matching`` runs under
+the kind's cost model, and the optimum is printed as a Clingo transcript
+(``h/2`` atoms, ``Optimization:``, ``OPTIMUM FOUND``). This checks the
+render -> solver output -> decode path end to end; it does not test the ASP
+rules, which only a run with a real solver does (criterion 5 in
+``test_acceptance.py``).
 """
 
+import re
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL, CostModel  # noqa: E402
+from pgmatch.encode import (  # noqa: E402
+    Fact,
+    ProblemKind,
+    decode_graph_facts,
+    encode_problem,
+    kind_cost_model,
+)
+from pgmatch.records import scan_atoms  # noqa: E402
+from pgmatch.search import SearchOptions, min_edit_matching  # noqa: E402
+
+_CONST = re.compile(r"^#const c_(\w+)=(\d+)\.$", re.M)
+
+
+def _edit_options(program: str) -> SearchOptions | None:
+    """The native search a ged, ged-relabel or gedc job asks for, or None."""
+    consts = {name: int(value) for name, value in _CONST.findall(program)}
+    if consts:
+        weights = {"insV": consts["node_ins"], "delV": consts["node_del"],
+                   "insE": consts["edge_ins"], "delE": consts["edge_del"]}
+        cm = kind_cost_model(
+            ProblemKind.GEDC_WEIGHTED, CostModel(weights, consts["node_sub"], consts["edge_sub"])
+        )
+        return SearchOptions(mode=MODE_RELABEL, cost_model=cm)
+    for kind, mode in ((ProblemKind.GED, MODE_LABEL_HARD), (ProblemKind.GED_RELABEL, MODE_RELABEL)):
+        if any(program.endswith(encode_problem(kind, neq=neq).text) for neq in ("!=", "<>")):
+            return SearchOptions(mode=mode, cost_model=kind_cost_model(kind))
+    return None
+
+
+def _answer_edit_job(program: str, opts: SearchOptions) -> int:
+    facts: dict[str, list[Fact]] = {"1": [], "2": []}
+    for line in program.splitlines():
+        if line[:1] in ("n", "e", "p") and line[1:3] in ("1(", "2("):
+            facts[line[1]] += [Fact(name, args) for _, name, args in scan_atoms(line)]
+    g1, g2 = decode_graph_facts(facts["1"], 1), decode_graph_facts(facts["2"], 2)
+    result = min_edit_matching(g1, g2, opts)
+    print("Solving...")
+    print("Answer: 1")
+    print(" ".join(Fact("h", pair).render()[:-1] for pair in result.matching.id_map().items()))
+    print(f"Optimization: {result.cost}")
+    if not result.optimal:
+        return 10
+    print("OPTIMUM FOUND")
+    return 30
 
 
 def main() -> int:
@@ -56,6 +115,9 @@ def main() -> int:
         # no Answer marker at all: the permissive parser must still find it
         print(directive[6:])
         return 0
+    opts = _edit_options(program)
+    if opts is not None:
+        return _answer_edit_job(program, opts)
     print("UNKNOWN")
     return 0
 

@@ -19,7 +19,7 @@ from pgmatch.bench import (
     synthetic_matrix,
 )
 from pgmatch.encode import ProblemKind, kind_cost_model, parse_atom
-from pgmatch.generators import gen_chain, gen_cycle
+from pgmatch.generators import gen_chain, gen_cycle, gen_random
 
 
 def small_cases():
@@ -63,8 +63,10 @@ def test_success_rates_count_definitive_answers():
 
 
 def test_timeout_cell_counts_as_failure():
-    cases = [BenchCase("ged-big", ProblemKind.GED, gen_chain(30, "a"), gen_cycle(30, "b"))]
-    results = run_bench(cases, ("native",), budget=0.05)
+    # two random 12-node graphs: the search holds an incumbent within
+    # milliseconds but does not prove the optimum in seconds
+    g1, g2 = gen_random(12, 0.2, seed=24, prefix="a"), gen_random(12, 0.2, seed=25, prefix="b")
+    results = run_bench([BenchCase("ged-big", ProblemKind.GED, g1, g2)], ("native",), budget=0.05)
     (r,) = results
     assert r.status == "TIMEOUT" and r.timed_out
     assert r.cost is not None  # incumbent from the anytime search
@@ -152,6 +154,17 @@ def test_suite_file_errors_name_file_case_and_key(tmp_path):
     path.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"suite file {path}: case pair1 has no key 'k'")):
         load_suite(str(path))
+    good = dict(case, g1={"gen": "chain", "k": 2})
+    for cases, message in [
+        ([good, [1]], f"suite file {path}: case #1 is not a JSON object"),
+        ([dict(good, g1="chain")], f"suite file {path}: case pair1: graph spec 'chain' is not a JSON object"),
+        (5, f"suite file {path}: 'cases' is not a JSON list"),
+        ([dict(good, kind="bogus")], f"suite file {path}: case pair1: unknown problem kind 'bogus'"),
+        ([dict(good, g2={"gen": "cycle", "k": "x"})], f"suite file {path}: case pair1: invalid literal"),
+    ]:
+        path.write_text(json.dumps({"cases": cases}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_suite(str(path))
 
 
 def test_presets_shape():

@@ -19,7 +19,9 @@ from pgmatch import (
     run_solver,
 )
 from pgmatch.bridge import EXIT_CODES, AnswerSet, parse_solver_output, split_atoms
-from pgmatch.encode import Fact
+from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL
+from pgmatch.encode import Fact, ProblemKind, kind_cost_model, render_job
+from pgmatch.search import SearchOptions, min_edit_matching
 
 
 def fake_cfg(budget: float = 10.0) -> SolverConfig:
@@ -152,6 +154,38 @@ def test_run_solver_reaps_the_solver_when_the_program_cannot_be_sent(monkeypatch
         run_solver("%fake: sleep\nn1(\ud800,a).\n", fake_cfg())
     (proc,) = started
     assert proc.poll() is not None
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        (ProblemKind.GED, MODE_LABEL_HARD),
+        (ProblemKind.GED_RELABEL, MODE_RELABEL),
+        (ProblemKind.GEDC_WEIGHTED, MODE_RELABEL),
+    ],
+)
+def test_edit_job_round_trip_through_the_fake_solver(kind, mode):
+    # the fake solver answers with the native optimum: this runs render_job,
+    # the transcript parser and the decoder end to end, not the ASP rules
+    g1 = PropertyGraph(
+        {"v1": "A", "v 2": "b", "not": "A"},
+        {"e1": ("v1", "v 2", "x"), 'e"2': ("not", "v1", "x")},
+        {("v1", "Name"): 'say "hi"', ("e1", "w"): "1\n2", ("not", "k"): "\\"},
+    )
+    g2 = PropertyGraph(
+        {"w1": "A", "W2": "b", "w3": "c"},
+        {"f1": ("w1", "W2", "x"), "f2": ("w3", "w1", "y")},
+        {("w1", "Name"): "say", ("f1", "w"): "1\n2"},
+    )
+    cm = None
+    if kind is ProblemKind.GEDC_WEIGHTED:
+        cm = kind_cost_model(kind, CostModel({"insV": 3, "delV": 5, "insE": 2, "delE": 1}, 2, 1))
+    ans = run_solver(render_job(g1, g2, kind, cm), fake_cfg())
+    assert ans.status is SolverStatus.OPTIMUM
+    native = min_edit_matching(g1, g2, SearchOptions(mode=mode, cost_model=kind_cost_model(kind, cm)))
+    assert native.optimal and ans.costs == (native.cost,)
+    script, cost = decode_edit_script(ans, g1, g2, mode, kind_cost_model(kind, cm))
+    assert (script, cost) == (native.script, native.cost)
 
 
 def test_exit_code_mapping():

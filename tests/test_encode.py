@@ -206,6 +206,41 @@ def test_render_job_is_deterministic():
     assert once.index("n1(") < once.index("n2(") < once.index("{h(X,Y)")
 
 
+def test_render_job_facts_agree_with_encode_graph_facts():
+    # render_job writes fact lines straight from the graphs and escapes each
+    # string once; they must read as the rendered Fact objects do
+    rng = random.Random(13)
+    chars = list('ab1éA"\\# \t\n') + ["\xa0", "\x0b", "\x1c", "\x1f", "\u3000", "\x85"]
+
+    def text() -> str:
+        if rng.random() < 0.5:
+            return rng.choice(WEIRD_ATOMS)
+        return "".join(rng.choice(chars) for _ in range(rng.randrange(4)))
+
+    def graph(prefix: str) -> PropertyGraph:
+        nodes = {f"{prefix}v{text()}": text() for _ in range(rng.randrange(5))}
+        ids = sorted(nodes)
+        edges = {}
+        if ids:
+            edges = {
+                f"{prefix}e{text()}": (rng.choice(ids), rng.choice(ids), text())
+                for _ in range(rng.randrange(5))
+            }
+        owners = ids + sorted(edges)
+        props = {(rng.choice(owners), text()): text() for _ in range(rng.randrange(6)) if owners}
+        return PropertyGraph(nodes, edges, props)
+
+    for _ in range(3000):
+        g1, g2 = graph(rng.choice(["a", "A", "not", '"'])), graph(rng.choice(["b", "B", "\\"]))
+        kind = rng.choice([ProblemKind.HOM, ProblemKind.GED])
+        blocks = [
+            "\n".join(f.render() for f in encode_graph_facts(g, i)) + "\n"
+            for i, g in ((1, g1), (2, g2))
+            if g.nodes
+        ]
+        assert render_job(g1, g2, kind) == "\n".join([*blocks, encode_problem(kind).text])
+
+
 def test_render_job_on_empty_graphs_has_rules_only():
     text = render_job(PropertyGraph(), PropertyGraph(), ProblemKind.HOM)
     assert text == encode_problem(ProblemKind.HOM).text
