@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 from typing import ClassVar, Union
 
 from .graphs import Matching, PropertyGraph, UnknownIdError, matching_violations
@@ -41,14 +42,14 @@ class InvalidMatchingError(ValueError):
     """A matching handed to script derivation is not a partial isomorphism."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertNode:
     kind: ClassVar[str] = "insV"
     node: str
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertEdge:
     kind: ClassVar[str] = "insE"
     edge: str
@@ -57,7 +58,7 @@ class InsertEdge:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertProp:
     kind: ClassVar[str] = "insP"
     owner: str
@@ -65,26 +66,26 @@ class InsertProp:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteNode:
     kind: ClassVar[str] = "delV"
     node: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteEdge:
     kind: ClassVar[str] = "delE"
     edge: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteProp:
     kind: ClassVar[str] = "delP"
     owner: str
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateProp:
     kind: ClassVar[str] = "updP"
     owner: str
@@ -92,14 +93,14 @@ class UpdateProp:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelabelNode:
     kind: ClassVar[str] = "relV"
     node: str
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelabelEdge:
     kind: ClassVar[str] = "relE"
     edge: str
@@ -126,10 +127,16 @@ MODE_RELABEL = "relabel"
 
 _PHASE_INDEX = {kind: i for i, kind in enumerate(PHASE_ORDER)}
 
-# Per operation kind: its class, its fields in text order, and how many of
-# them lead its sort key (the owning id, then the key of a property).
+# Per operation kind: its class, its arity, a getter of its record tokens
+# (the kind, then its fields in text order), and how many fields lead its sort
+# key (the owning id, then the key of a property).
 _OP_KINDS = {
-    cls.kind: (cls, tuple(f.name for f in fields(cls)), 2 if cls.kind.endswith("P") else 1)
+    cls.kind: (
+        cls,
+        len(fields(cls)),
+        attrgetter("kind", *(f.name for f in fields(cls))),
+        2 if cls.kind.endswith("P") else 1,
+    )
     for cls in (
         InsertNode,
         InsertEdge,
@@ -144,10 +151,15 @@ _OP_KINDS = {
 }
 
 
+def _element(op: EditOp) -> tuple:
+    """The node, edge or (owner, key) property an operation acts on."""
+    _, _, tokens, width = _OP_KINDS[op.kind]
+    return tokens(op)[1 : width + 1]
+
+
 def op_sort_key(op: EditOp) -> tuple:
     """Deterministic order: phase, then owning id, then key."""
-    _, names, width = _OP_KINDS[op.kind]
-    return (_PHASE_INDEX[op.kind], *[getattr(op, name) for name in names[:width]])
+    return (_PHASE_INDEX[op.kind], *_element(op))
 
 
 class _Draft:
@@ -318,7 +330,7 @@ class CostModel:
 
 def script_cost(ops: list, cm: CostModel) -> int:
     """Total weight of a script; under the unit model this is its length."""
-    return sum(cm.weight_of(op) for op in ops)
+    return sum(map(cm.weight_of, ops))
 
 
 def is_canonical(ops: list) -> bool:
@@ -379,38 +391,60 @@ def _rewrite_pair(a: EditOp, b: EditOp):
     return _UNMARK
 
 
+# Per kind, the earlier phases in which a prepended operation can meet one on
+# its own element and cancel, be dropped or merge (see ``_rewrite_pair``). It
+# swaps past every other earlier-phase operation and stops at its own phase.
+_MEETS = {"updP": ("delP",), "insV": ("delV",), "insE": ("delE",), "insP": ("delP", "updP")}
+
+
+def _fold(ops: list) -> list:
+    """Fold ``ops`` from the right into canonical form by ``_rewrite_pair``.
+
+    The tail is kept per phase, back to front (a prepend is an append), with
+    None for a removed operation; ``held`` maps each element to its
+    positions in the phases of ``_MEETS``, front-most last. Only those
+    operations are inspected, so the fold is linear in the script length.
+    """
+    tail: dict = {kind: [] for kind in PHASE_ORDER if kind in CORE_KINDS}
+    held: dict = {kind: {} for kinds in _MEETS.values() for kind in kinds}
+    for op in reversed(ops):
+        if op.kind not in tail:
+            raise ValueError(f"rewrite rules cover the core operations only, not {op.kind}")
+        _prepend(op, tail, held)
+    return [op for phase in tail.values() for op in reversed(phase) if op is not None]
+
+
+def _prepend(op: EditOp, tail: dict, held: dict) -> None:
+    """One step of ``_fold``: meet the operations on ``op``'s element, then
+    take the head of its phase unless cancelled or dropped."""
+    for kind in _MEETS.get(op.kind, ()):
+        positions = held[kind].get(_element(op), [])
+        while positions:
+            action = _rewrite_pair(op, tail[kind][positions[-1]])
+            if action == _DROP_MARKED:
+                return
+            tail[kind][positions.pop()] = None
+            if action == _CANCEL:
+                return
+            _, op = action
+    phase = tail[op.kind]
+    if op.kind in held:
+        held[op.kind].setdefault(_element(op), []).append(len(phase))
+    phase.append(op)
+
+
 def prepend_canonical(op: EditOp, suffix: list) -> list:
     """Rewrite ``op`` followed by an already-canonical suffix into canonical
     form.
 
-    The new operation is marked and repeatedly inspected against its
-    successor: it either commutes one step to the right, cancels against an
+    The new operation is marked and, by the rules of ``_rewrite_pair``,
+    commutes right past the earlier-phase operations, cancels against an
     operation that undoes it, merges with a later update of the same
-    property, or loses its mark once in place. Each step shortens the marked
-    tail, so this terminates.
+    property, or loses its mark at the head of its phase. This is one step
+    of the fold ``canonicalize`` runs: the canonical suffix folds back to
+    itself, then ``op`` is prepended.
     """
-    if op.kind not in CORE_KINDS:
-        raise ValueError(f"rewrite rules cover the core operations only, not {op.kind}")
-    ops = [op] + list(suffix)
-    i = 0
-    while True:
-        if i + 1 == len(ops):
-            return ops
-        action = _rewrite_pair(ops[i], ops[i + 1])
-        if action == _SWAP:
-            ops[i], ops[i + 1] = ops[i + 1], ops[i]
-            i += 1
-        elif action == _CANCEL:
-            del ops[i : i + 2]
-            return ops
-        elif action == _DROP_MARKED:
-            del ops[i]
-            return ops
-        elif action == _UNMARK:
-            return ops
-        else:
-            _, merged = action
-            ops[i : i + 2] = [merged]
+    return _fold([op, *suffix])
 
 
 def canonicalize(ops: list, g1: PropertyGraph) -> list:
@@ -418,16 +452,14 @@ def canonicalize(ops: list, g1: PropertyGraph) -> list:
 
     ``ops`` must be a valid script on ``g1``; validity is checked by applying
     it first. The script is folded from the right: each operation is
-    prepended to the already-canonical tail with ``prepend_canonical``.
+    prepended to the already-canonical tail as ``prepend_canonical`` does,
+    in time linear in the length of the script.
     """
     for op in ops:
         if op.kind not in CORE_KINDS:
             raise ValueError(f"canonicalize covers the core operations only, not {op.kind}")
     apply_script(g1, ops)
-    canon: list = []
-    for op in reversed(ops):
-        canon = prepend_canonical(op, canon)
-    return canon
+    return _fold(ops)
 
 
 def _check_partial_isomorphism(
@@ -461,7 +493,9 @@ def script_from_matching(
     on both sides with different values are updated, matched elements with
     different labels are relabeled when ``mode`` is ``relabel``, and
     unmatched g2 structure is inserted (properties last). Within each phase
-    operations are emitted in lexicographic id/key order.
+    operations are emitted in ``op_sort_key`` order: straight from the
+    sorted keys of the graphs and the matching, except property insertions,
+    whose owners mix g1 and g2 ids and are sorted stably on (owner, key).
 
     Matched elements survive under their g1 ids, so inserted edges and
     properties that attach to a matched element refer to it by its g1 id.
@@ -503,19 +537,21 @@ def script_from_matching(
         for f, (s, t, lab) in g2.edges.items()
         if f not in matched_from
     ]
+    inserted = []
     for (y, k), d in g2.props.items():
         x = matched_from.get(y)
         if x is None:
-            script.append(InsertProp(y, k, d))
+            inserted.append((y, k, d))
         elif (x, k) not in g1.props:
-            script.append(InsertProp(x, k, d))
-    script.sort(key=op_sort_key)
+            inserted.append((x, k, d))
+    inserted.sort(key=itemgetter(0, 1))
+    script += [InsertProp(x, k, d) for x, k, d in inserted]
     return script, script_cost(script, cm)
 
 
 def format_op(op: EditOp) -> str:
     """One-line text rendering, e.g. ``delV v3`` or ``insE e9 v1 v2 lbl``."""
-    return format_record([op.kind, *[getattr(op, name) for name in _OP_KINDS[op.kind][1]]])
+    return format_record(list(_OP_KINDS[op.kind][2](op)))
 
 
 def format_script(ops: list) -> str:
@@ -533,8 +569,7 @@ def parse_script(text: str) -> list:
         kind, args = tokens[0], tokens[1:]
         if kind not in _OP_KINDS:
             raise ValueError(f"line {lineno}: unknown operation {kind!r}")
-        cls, names, _ = _OP_KINDS[kind]
-        arity = len(names)
+        cls, arity, _, _ = _OP_KINDS[kind]
         if len(args) != arity:
             raise ValueError(
                 f"line {lineno}: {kind} takes {arity} arguments, got {len(args)}"

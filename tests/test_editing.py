@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 
@@ -6,6 +9,7 @@ import pytest
 from conftest import random_graph, random_valid_script
 from pgmatch import (
     CostModel,
+    Matching,
     PreconditionViolated,
     PropertyGraph,
     apply_op,
@@ -13,11 +17,21 @@ from pgmatch import (
     canonicalize,
     format_script,
     gen_chain,
+    gen_random,
     is_canonical,
     parse_script,
     script_cost,
+    script_from_matching,
 )
 from pgmatch.editing import (
+    _CANCEL,
+    _DROP_MARKED,
+    _MEETS,
+    _OP_KINDS,
+    _PHASE_INDEX,
+    _SWAP,
+    _UNMARK,
+    CORE_KINDS,
     DeleteEdge,
     DeleteNode,
     DeleteProp,
@@ -27,6 +41,7 @@ from pgmatch.editing import (
     RelabelEdge,
     RelabelNode,
     UpdateProp,
+    _rewrite_pair,
     prepend_canonical,
 )
 
@@ -426,6 +441,140 @@ def test_prepend_preserves_effect_and_canonical_form():
         assert is_canonical(combined)
         assert len(combined) <= 1 + len(canon_tail)
         assert apply_script(g, combined) == apply_script(mid, canon_tail)
+
+
+def _sample_op(kind: str, x: str, k: str, d: str):
+    """An operation of ``kind`` whose node, edge or owner is ``x`` (also
+    both endpoints of an edge), whose key is ``k`` and whose label or value
+    is ``d``."""
+    cls = _OP_KINDS[kind][0]
+    by_field = {"key": k, "label": d, "value": d}
+    return cls(*[by_field.get(f.name, x) for f in dataclasses.fields(cls)])
+
+
+# The same-element outcomes the fold in canonicalize relies on; every other
+# earlier-phase pair swaps.
+SAME_ELEMENT_OUTCOMES = {
+    ("updP", "delP"): _DROP_MARKED,
+    ("insV", "delV"): _CANCEL,
+    ("insE", "delE"): _CANCEL,
+    ("insP", "delP"): _CANCEL,
+    ("insP", "updP"): "merge",
+}
+
+
+def test_rewrite_rules_unmark_at_own_phase_and_swap_past_other_elements():
+    for ka in CORE_KINDS:
+        for kb in CORE_KINDS:
+            a = _sample_op(ka, "x", "k", "d1")
+            same = _sample_op(kb, "x", "k", "d2")
+            other = _sample_op(kb, "y", "j", "d2")
+            if _PHASE_INDEX[kb] >= _PHASE_INDEX[ka]:
+                assert _rewrite_pair(a, same) == _UNMARK, (ka, kb)
+                assert _rewrite_pair(a, other) == _UNMARK, (ka, kb)
+                continue
+            assert _rewrite_pair(a, other) == _SWAP, (ka, kb)
+            action = _rewrite_pair(a, same)
+            expected = SAME_ELEMENT_OUTCOMES.get((ka, kb), _SWAP)
+            if expected == "merge":
+                assert action == ("merge", InsertProp("x", "k", "d2"))
+            else:
+                assert action == expected, (ka, kb)
+    met = {(ka, kb) for ka, kinds in _MEETS.items() for kb in kinds}
+    assert met == set(SAME_ELEMENT_OUTCOMES)
+
+
+def _walk_prepend(op, suffix: list, fired: dict) -> list:
+    """The bubbling walk canonicalize used before its fold: the marked op is
+    inspected against its successor one step at a time, on a copy of the
+    tail. An independent oracle for the fold."""
+    ops = [op] + list(suffix)
+    i = 0
+    while i + 1 < len(ops):
+        action = _rewrite_pair(ops[i], ops[i + 1])
+        if action == _SWAP:
+            ops[i], ops[i + 1] = ops[i + 1], ops[i]
+            i += 1
+        elif action == _CANCEL:
+            fired["cancel"] += 1
+            del ops[i : i + 2]
+            break
+        elif action == _DROP_MARKED:
+            fired["drop"] += 1
+            del ops[i]
+            break
+        elif action == _UNMARK:
+            break
+        else:
+            fired["merge"] += 1
+            ops[i : i + 2] = [action[1]]
+    return ops
+
+
+def test_canonicalize_agrees_with_the_bubbling_walk():
+    rng = random.Random(53)
+    fired = {"cancel": 0, "drop": 0, "merge": 0}
+    shortened = 0
+    for _ in range(2000):
+        g = random_graph(rng, prefix="g", max_nodes=4, self_loops=True)
+        ops = random_valid_script(rng, g, max_len=14)
+        expected: list = []
+        for op in reversed(ops):
+            expected = _walk_prepend(op, expected, fired)
+        assert canonicalize(ops, g) == expected
+        shortened += len(expected) < len(ops)
+    assert min(fired.values()) >= 100, fired
+    assert shortened >= 1000
+
+
+def test_prepend_canonical_agrees_with_the_bubbling_walk():
+    rng = random.Random(59)
+    fired = {"cancel": 0, "drop": 0, "merge": 0}
+    for _ in range(500):
+        g = random_graph(rng, prefix="g", max_nodes=3, self_loops=True)
+        ops = random_valid_script(rng, g, max_len=10)
+        if not ops:
+            continue
+        tail = canonicalize(ops[1:], apply_op(g, ops[0]))
+        assert prepend_canonical(ops[0], tail) == _walk_prepend(ops[0], tail, fired)
+    assert min(fired.values()) > 0, fired
+
+
+def test_prepend_canonical_rejects_relabels_in_the_suffix():
+    with pytest.raises(ValueError, match="core"):
+        prepend_canonical(InsertNode("v", "a"), [RelabelNode("w", "b")])
+
+
+def test_canonicalize_of_twenty_thousand_ops_is_linear():
+    # Every insertion precedes every deletion, so under the bubbling walk each
+    # inserted op would step past all deletions: quadratic, seconds of work.
+    n = 2000
+    g1 = gen_random(n, 4 / n, 2 * n)
+    g2 = gen_random(n, 4 / n, 2 * n + 1, prefix="b")
+    script, _ = script_from_matching(Matching(), g1, g2)
+    deletes = sum(op.kind.startswith("del") for op in script)
+    ops = script[deletes:] + script[:deletes]
+    assert len(ops) >= 20_000
+    start = time.perf_counter()
+    canon = canonicalize(ops, g1)
+    elapsed = time.perf_counter() - start
+    assert canon == script
+    assert elapsed < 1.0, f"canonicalize of {len(ops)} ops took {elapsed:.2f} s"
+
+
+# -- operation records ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(_OP_KINDS))
+def test_op_records_are_frozen_slotted_and_copy_equal(kind):
+    op = _sample_op(kind, "x", "k", "d")
+    assert not hasattr(op, "__dict__")
+    name = dataclasses.fields(op)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(op, name, "y")
+    for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op), copy.copy(op)):
+        assert twin == op and type(twin) is type(op)
+        assert hash(twin) == hash(op)
 
 
 # -- script text format --------------------------------------------------------------

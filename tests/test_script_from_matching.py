@@ -14,7 +14,7 @@ from pgmatch import (
     script_cost,
     script_from_matching,
 )
-from pgmatch.editing import DeleteNode, InsertNode, RelabelNode
+from pgmatch.editing import DeleteNode, InsertNode, InsertProp, RelabelNode, op_sort_key
 
 
 def test_full_isomorphism_gives_empty_script():
@@ -116,3 +116,26 @@ def test_identity_matching_on_shared_ids_yields_literal_equality():
         script, cost = script_from_matching(h, g, g)
         assert script == [] and cost == 0
         assert apply_script(g, script) == g
+
+
+def test_phases_come_out_in_sort_key_order_with_colliding_ids():
+    # Both graphs draw ids from one space, so an unmatched g2 id can equal a
+    # matched g1 id and the insP phase mixes the two.
+    rng = random.Random(47)
+    for trial in range(400):
+        g1 = random_graph(rng, max_nodes=5, self_loops=True)
+        g2 = random_graph(rng, max_nodes=5, self_loops=True)
+        mode = "relabel" if trial % 2 else "label-hard"
+        script, _ = script_from_matching(random_partial_iso(rng, g1, g2, mode), g1, g2, mode)
+        assert script == sorted(script, key=op_sort_key)
+        assert is_canonical(script)
+
+
+def test_insert_prop_tie_keeps_g2_order():
+    # g2's unmatched "p" and g2's "q", matched to g1's "p", both insert key k
+    # on owner "p": the tie on (owner, key) keeps g2's order, not value order.
+    g1 = PropertyGraph({"p": "a"})
+    g2 = PropertyGraph({"p": "a", "q": "a"}, {}, {("p", "k"): "2", ("q", "k"): "1"})
+    script, _ = script_from_matching(Matching({"p": "q"}), g1, g2)
+    assert script == [InsertNode("p", "a"), InsertProp("p", "k", "2"), InsertProp("p", "k", "1")]
+    assert script == sorted(script, key=op_sort_key)
