@@ -142,11 +142,11 @@ def synthetic_matrix() -> list[BenchCase]:
     return cases
 
 
-def native_matrix(ged_max_k: int = 8) -> list[BenchCase]:
+def native_matrix() -> list[BenchCase]:
     """The decision matrix plus edit distance on chain-versus-cycle pairs
-    small enough for the exact native search."""
+    of 1 to 8 nodes, small enough for the exact native search."""
     cases = [case for kind in _DECISION_KINDS for case in _shape_pairs(kind)]
-    for k in range(1, ged_max_k + 1):
+    for k in range(1, 9):
         cases.append(
             BenchCase(
                 f"ged-chain{k}-cycle{k}",
@@ -186,7 +186,7 @@ def _run_native(case: BenchCase, budget: float) -> tuple[str, int | None, bool]:
 def _run_asp(case: BenchCase, budget: float, solver: SolverConfig) -> tuple[str, int | None, bool]:
     cm = kind_cost_model(case.kind) if case.kind is ProblemKind.GEDC_WEIGHTED else None
     program = render_job(case.g1, case.g2, case.kind, cm)
-    cfg = SolverConfig(solver.executable, solver.args, budget, solver.models)
+    cfg = SolverConfig(solver.executable, solver.args, budget)
     ans = run_solver(program, cfg)
     cost = sum(ans.costs) if ans.costs is not None else None
     return ans.status.value, cost, ans.status is SolverStatus.TIMEOUT

@@ -4,14 +4,13 @@ its models into matchings, edit scripts and costs.
 The bridge writes one program to the solver's stdin, enforces a wall-clock
 budget by terminating the process, and parses the line-oriented witness
 format (``Answer: N`` followed by one line of atoms, ``Optimization: c``,
-then a status line). The solver executable defaults to the ``PGMATCH_SOLVER``
-environment variable.
+then a status line). The command line takes the solver executable from
+``--solver`` or from the ``PGMATCH_SOLVER`` environment variable.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import re
 import subprocess
 from dataclasses import dataclass
@@ -72,26 +71,19 @@ EXIT_CODES = {
 class SolverConfig:
     """How to invoke the external solver.
 
-    ``budget`` is wall-clock seconds enforced by this process. ``models``
-    maps to the solver's model-count option when set; by default the solver's
-    own behaviour is kept (stop at the first model, or prove optimality when
-    the program minimizes).
+    ``budget`` is wall-clock seconds enforced by this process. ``args`` go to
+    the solver as given, before the ``-`` that makes it read stdin; without
+    them the solver's own behaviour is kept (stop at the first model, or prove
+    optimality when the program minimizes).
     """
 
     executable: str
     args: tuple[str, ...] = ()
     budget: float = 30.0
-    models: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.budget < float("inf"):  # nan and inf cannot time a subprocess
             raise ValueError("budget must be positive and finite")
-
-
-def default_solver(budget: float = 30.0) -> SolverConfig | None:
-    """Configuration from the environment, or None when unset."""
-    path = os.environ.get(SOLVER_ENV_VAR)
-    return SolverConfig(path, budget=budget) if path else None
 
 
 @dataclass(frozen=True)
@@ -194,10 +186,7 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     far is returned with status TIMEOUT. Unexpected process failures raise
     ``ProcessFailure``; unrecognizable output raises ``ParseFailure``.
     """
-    cmd = [cfg.executable, *cfg.args]
-    if cfg.models is not None:
-        cmd.append(f"--models={cfg.models}")
-    cmd.append("-")
+    cmd = [cfg.executable, *cfg.args, "-"]
     timed_out = False
     try:
         proc = subprocess.Popen(
@@ -220,7 +209,10 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
             proc.kill()
             raise
 
-    models, costs, status_word = parse_solver_output(out or "")
+    try:
+        models, costs, status_word = parse_solver_output(out or "")
+    except ValueError as exc:  # a malformed model line or optimization vector
+        raise ParseFailure(f"cannot read solver output: {exc}") from exc
     atoms = tuple(models[-1]) if models else ()
     cost_vec = tuple(costs) if costs is not None else None
     if timed_out:

@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import PRESETS, load_suite, render_csv, render_summary, run_bench
 from .bridge import (
     EXIT_CODES,
+    SOLVER_ENV_VAR,
     SolverConfig,
     SolverStatus,
     decode_edit_script,
     decode_matching,
-    default_solver,
     run_solver,
 )
 from .editing import (
@@ -81,7 +82,6 @@ def _cmd_check(args) -> int:
         mode=MODE_RELABEL if args.relabel else MODE_LABEL_HARD,
         properties="soft" if args.soft_props else "hard",
         budget=args.timeout,
-        node_order=args.order,
     )
     searcher = {"hom": search_hom, "iso": search_iso, "sub": search_sub}[args.mode]
     try:
@@ -103,7 +103,6 @@ def _cmd_ged(args) -> int:
         mode=MODE_RELABEL if args.relabel else MODE_LABEL_HARD,
         cost_model=_cost_model(args.weights),
         budget=args.timeout,
-        node_order=args.order,
     )
     result = min_edit_matching(g1, g2, opts)
     print(f"status: {'OPTIMUM' if result.optimal else 'TIMEOUT'}")
@@ -127,7 +126,7 @@ def _cmd_encode(args) -> int:
     g1, g2 = load_graph(args.g1), load_graph(args.g2)
     kind = ProblemKind.from_name(args.kind)
     cm = _job_cost_model(args, kind)
-    _write_out(render_job(g1, g2, kind, cm, neq=args.neq), args.output)
+    _write_out(render_job(g1, g2, kind, cm), args.output)
     return 0
 
 
@@ -139,7 +138,7 @@ def _cmd_solve(args) -> int:
     if cfg is None:
         print("no solver configured (use --solver or PGMATCH_SOLVER)", file=sys.stderr)
         return EXIT_CODES[SolverStatus.ERROR]
-    program = render_job(g1, g2, kind, cm, neq=args.neq)
+    program = render_job(g1, g2, kind, cm)
     ans = run_solver(program, cfg)
     print(f"status: {ans.status.value}")
     if ans.status in (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT):
@@ -154,14 +153,10 @@ def _cmd_solve(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig | None:
-    if args.solver:
-        return SolverConfig(
-            args.solver, tuple(args.solver_arg or ()), args.timeout, args.models
-        )
-    cfg = default_solver(args.timeout)
-    if cfg is not None and args.models is not None:
-        cfg = SolverConfig(cfg.executable, cfg.args, args.timeout, args.models)
-    return cfg
+    """``--solver`` or ``$PGMATCH_SOLVER`` with every ``--solver-arg``; None
+    when neither names an executable."""
+    executable = args.solver or os.environ.get(SOLVER_ENV_VAR)
+    return SolverConfig(executable, tuple(args.solver_arg or ()), args.timeout) if executable else None
 
 
 def _cmd_gen(args) -> int:
@@ -200,14 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=30.0, help="time budget in seconds")
         if solver_flags:
             p.add_argument("--solver", help="solver executable (default: $PGMATCH_SOLVER)")
-            p.add_argument("--solver-arg", action="append", help="extra solver argument")
-            p.add_argument("--models", type=int, default=None, help="model count limit")
+            p.add_argument("--solver-arg", action="append", help="solver option, repeatable")
 
     p = sub.add_parser("check", help="decide hom/iso/sub with the native search")
     p.add_argument("--mode", choices=["hom", "iso", "sub"], required=True)
     p.add_argument("--relabel", action="store_true", help="ignore label equality")
     p.add_argument("--soft-props", action="store_true", help="minimize property mismatches")
-    p.add_argument("--order", choices=["degree-desc", "lex"], default="degree-desc")
     add_common(p)
     p.add_argument("g1")
     p.add_argument("g2")
@@ -216,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ged", help="minimum edit cost and canonical script")
     p.add_argument("--relabel", action="store_true", help="allow in-place relabeling")
     p.add_argument("--weights", default="unit", help="unit, gedc, or a JSON weights file")
-    p.add_argument("--order", choices=["degree-desc", "lex"], default="degree-desc")
     add_common(p)
     p.add_argument("g1")
     p.add_argument("g2")
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="print the solver job for a problem")
     p.add_argument("--kind", required=True, help="hom|iso|sub|ged|ged-relabel|gedc|approx-sub-old|approx-sub-new")
     p.add_argument("--weights", default="gedc", help="weights for the gedc kind")
-    p.add_argument("--neq", choices=["!=", "<>"], default="!=", help="inequality rendering")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("g1")
     p.add_argument("g2")
@@ -234,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the external solver and decode its model")
     p.add_argument("--kind", required=True)
     p.add_argument("--weights", default="gedc", help="weights for the gedc kind")
-    p.add_argument("--neq", choices=["!=", "<>"], default="!=")
     add_common(p, solver_flags=True)
     p.add_argument("g1")
     p.add_argument("g2")

@@ -207,12 +207,12 @@ insert_edge(Y,S,T,L) :- e2(Y,S,T,L), not h(_,Y).
 """
 
 _GED_RELABEL_DIFF = """\
-relabel_node(X,L2) :- n1(X,L1), h(X,Y), n2(Y,L2), L1 {neq} L2.
-relabel_edge(X,L2) :- e1(X,_,_,L1), h(X,Y), e2(Y,_,_,L2), L1 {neq} L2.
+relabel_node(X,L2) :- n1(X,L1), h(X,Y), n2(Y,L2), L1 != L2.
+relabel_edge(X,L2) :- e1(X,_,_,L1), h(X,Y), e2(Y,_,_,L2), L1 != L2.
 """
 
 _GED_PROPS = """\
-update_prop(X,K,V1,V2) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 {neq} V2.
+update_prop(X,K,V1,V2) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 != V2.
 delete_prop(X,K) :- p1(X,K,_), h(X,Y), not p2(Y,K,_).
 delete_prop(X,K) :- p1(X,K,_), delete_node(X).
 delete_prop(X,K) :- p1(X,K,_), delete_edge(X).
@@ -264,11 +264,11 @@ _GEDC_TEMPLATE = """\
 {h(X,Y) : e2(Y,S2,T2,_), h(S1,S2), h(T1,T2)} <= 1 :- e1(X,S1,T1,_).
 {h(X,Y) : e1(X,S1,T1,_), h(S1,S2), h(T1,T2)} <= 1 :- e2(Y,S2,T2,_).
 
-node_cost(X,c_node_sub) :- n1(X,L1), h(X,Y), n2(Y,L2), L1 {neq} L2.
+node_cost(X,c_node_sub) :- n1(X,L1), h(X,Y), n2(Y,L2), L1 != L2.
 node_cost(Y,c_node_ins) :- n2(Y,L), not h(_,Y).
 node_cost(X,c_node_del) :- n1(X,_), not h(X,_).
 
-edge_cost(X,c_edge_sub) :- e1(X,_,_,L1), h(X,Y), e2(Y,_,_,L2), L1 {neq} L2.
+edge_cost(X,c_edge_sub) :- e1(X,_,_,L1), h(X,Y), e2(Y,_,_,L2), L1 != L2.
 edge_cost(Y,c_edge_ins) :- e2(Y,_,_,_), not h(_,Y).
 edge_cost(X,c_edge_del) :- e1(X,_,_,_), not h(X,_).
 
@@ -279,8 +279,8 @@ edge_cost(X,c_edge_del) :- e1(X,_,_,_), not h(X,_).
 _APPROX_SUB_OLD = """\
 {h(X,Y) : n2(Y,_)} = 1 :- n1(X,_).
 {h(X,Y) : e2(Y,_,_,_)} = 1 :- e1(X,_,_,_).
-:- X {neq} Y, h(X,Z), h(Y,Z).
-:- X {neq} Y, h(Z,Y), h(Z,X).
+:- X != Y, h(X,Z), h(Y,Z).
+:- X != Y, h(Z,Y), h(Z,X).
 :- n1(X,L), h(X,Y), not n2(Y,L).
 :- e1(E1,_,_,L), h(E1,E2), not e2(E2,_,_,L).
 :- e1(E1,X1,_,_), h(E1,E2), e2(E2,Y1,_,_), not h(X1,Y1).
@@ -288,7 +288,7 @@ _APPROX_SUB_OLD = """\
 
 #minimize { LC,X,K : prop_cost(X,K,LC) }.
 prop_cost(X,K,0) :- p1(X,K,V), h(X,Y), p2(Y,K,V).
-prop_cost(X,K,1) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 {neq} V2.
+prop_cost(X,K,1) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 != V2.
 prop_cost(X,K,1) :- p1(X,K,V), h(X,Y), not p2(Y,K,_).
 """
 
@@ -299,23 +299,18 @@ _APPROX_SUB_NEW = """\
 {h(X,Y) : e1(X,S1,T1,L), h(S1,S2), h(T1,T2)} <= 1 :- e2(Y,S2,T2,L).
 
 prop_cost(X,K,0) :- p1(X,K,V), h(X,Y), p2(Y,K,V).
-prop_cost(X,K,1) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 {neq} V2.
+prop_cost(X,K,1) :- p1(X,K,V1), h(X,Y), p2(Y,K,V2), V1 != V2.
 prop_cost(X,K,1) :- p1(X,K,V), h(X,Y), not p2(Y,K,_).
 #minimize { LC,X,K : prop_cost(X,K,LC) }.
 """
 
 
-def encode_problem(
-    kind: ProblemKind, cm: CostModel | None = None, neq: str = "!="
-) -> AspProgram:
+def encode_problem(kind: ProblemKind, cm: CostModel | None = None) -> AspProgram:
     """The rule text for one problem kind.
 
     ``cm`` is required for (and only for) the weighted-constants kind, whose
-    six ``#const`` weights it supplies. ``neq`` selects the inequality
-    rendering; some solver dialects prefer ``<>``.
+    six ``#const`` weights it supplies.
     """
-    if neq not in ("!=", "<>"):
-        raise ValueError(f"unsupported inequality rendering {neq!r}")
     if kind is ProblemKind.GEDC_WEIGHTED:
         if cm is None:
             raise ValueError("the weighted-constants kind needs a cost model")
@@ -356,22 +351,18 @@ def encode_problem(
         text = _GEDC_TEMPLATE
         for name, value in constants.items():
             text = text.replace("{" + name + "}", str(value))
-        return AspProgram(kind, text.replace("{neq}", neq), constants)
+        return AspProgram(kind, text, constants)
     elif kind is ProblemKind.APPROX_SUB_OLD:
         text = _APPROX_SUB_OLD
     elif kind is ProblemKind.APPROX_SUB_NEW:
         text = _APPROX_SUB_NEW
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
-    return AspProgram(kind, text.replace("{neq}", neq))
+    return AspProgram(kind, text)
 
 
 def render_job(
-    g1: PropertyGraph,
-    g2: PropertyGraph,
-    kind: ProblemKind,
-    cm: CostModel | None = None,
-    neq: str = "!=",
+    g1: PropertyGraph, g2: PropertyGraph, kind: ProblemKind, cm: CostModel | None = None
 ) -> str:
     """A complete solver job: both graphs' facts followed by the problem
     rules. Byte-for-byte deterministic for fixed inputs.
@@ -395,5 +386,5 @@ def render_job(
         blocks.append("\n".join(facts1) + "\n")
     if facts2:
         blocks.append("\n".join(facts2) + "\n")
-    blocks.append(encode_problem(kind, cm, neq).text)
+    blocks.append(encode_problem(kind, cm).text)
     return "\n".join(blocks)

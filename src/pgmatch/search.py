@@ -2,12 +2,12 @@
 decision with witness, and minimum-cost partial-isomorphism search for
 (weighted) edit distance, plus an exhaustive oracle for small graphs.
 
-All searches are deterministic: node variables follow the configured order,
-and incumbents are replaced only by strictly better ones. Decision searches
-try candidate values lexicographically; edit distance tries the cheapest step
-first, then the candidate closest in out- and in-degree, then by id. Iso and
-sub are first cut by node and edge counts, and edit distance is bounded below
-by them, per label when labels must match.
+All searches are deterministic: node variables follow one static order
+(descending degree, then id), and incumbents are replaced only by strictly
+better ones. Decision searches try candidate values lexicographically; edit
+distance tries the cheapest step first, then the candidate closest in out-
+and in-degree, then by id. Iso and sub are first cut by node and edge counts,
+and edit distance is bounded below by them, per label when labels must match.
 Past that cut a search builds one graph-pair index (``_PairIndex``), and one
 depth-first branch and bound (``_BranchAndBound``) runs every search on an
 explicit stack, so no graph is too deep for it. A step deciding g1 node ``v``
@@ -62,7 +62,8 @@ class SizeGuardError(ValueError):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs shared by the native searches.
+    """The settings every native search takes; none of them changes the node
+    order. ``budget`` is wall-clock seconds.
 
     ``mode`` controls labels: ``label-hard`` requires equal labels on matched
     elements, ``relabel`` lets them differ (charged for edit distance, free
@@ -76,15 +77,12 @@ class SearchOptions:
     properties: str = PROPS_HARD
     cost_model: CostModel = field(default_factory=CostModel.unit)
     budget: float = 30.0
-    node_order: str = "degree-desc"
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_LABEL_HARD, MODE_RELABEL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.properties not in (PROPS_HARD, PROPS_SOFT):
             raise ValueError(f"unknown property handling {self.properties!r}")
-        if self.node_order not in ("degree-desc", "lex"):
-            raise ValueError(f"unknown node order {self.node_order!r}")
         if not self.budget > 0:  # also refuses nan, which would never expire
             raise ValueError("budget must be positive")
 
@@ -307,9 +305,7 @@ def _in_out_degrees(g: PropertyGraph) -> dict[str, tuple[int, int]]:
     return {v: (out[v], into[v]) for v in g.nodes}
 
 
-def _ordered_nodes(g: PropertyGraph, order: str) -> list[str]:
-    if order == "lex":
-        return sorted(g.nodes)
+def _ordered_nodes(g: PropertyGraph) -> list[str]:
     degree = {v: o + i for v, (o, i) in _in_out_degrees(g).items()}
     return sorted(g.nodes, key=lambda v: (-degree[v], v))
 
@@ -505,7 +501,6 @@ class _DecisionSearch(_BranchAndBound):
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.props_hard = opts.properties == PROPS_HARD
-        self.node_order = opts.node_order
         self.deadline = _Deadline(opts.budget)
         self.assignment: dict[str, str] = {}
         self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
@@ -581,7 +576,7 @@ class _DecisionSearch(_BranchAndBound):
         self.domains = self._root_domains()
         if self.domains is None:
             return None
-        self._depth_first(_ordered_nodes(self.g1, self.node_order), self.kind)
+        self._depth_first(_ordered_nodes(self.g1), self.kind)
         if self.best is None:
             return None
         return Matching(self.best, _witness_edges(ix, self.best, self.pricing, self.kind == "hom"))
@@ -738,7 +733,7 @@ class _GedSearch(_BranchAndBound):
         self.opts = opts
         self.cm = opts.cost_model
         self.label_hard = opts.mode == MODE_LABEL_HARD
-        self.order1 = _ordered_nodes(g1, opts.node_order)
+        self.order1 = _ordered_nodes(g1)
         self.degrees1, self.degrees2 = _in_out_degrees(g1), _in_out_degrees(g2)
         self.ix = ix = _PairIndex(g1, g2, self.label_hard)
         w = self.cm.weights

@@ -47,7 +47,7 @@ def _edit_options(program: str) -> SearchOptions | None:
         )
         return SearchOptions(mode=MODE_RELABEL, cost_model=cm)
     for kind, mode in ((ProblemKind.GED, MODE_LABEL_HARD), (ProblemKind.GED_RELABEL, MODE_RELABEL)):
-        if any(program.endswith(encode_problem(kind, neq=neq).text) for neq in ("!=", "<>")):
+        if program.endswith(encode_problem(kind).text):
             return SearchOptions(mode=mode, cost_model=kind_cost_model(kind))
     return None
 

@@ -125,6 +125,16 @@ def test_run_solver_garbage_raises_parse_failure():
         run_solver("%fake: garbage\n", fake_cfg())
 
 
+def test_run_solver_malformed_model_line_raises_parse_failure():
+    with pytest.raises(ParseFailure, match=re.escape("malformed atom: 'h(a,'")):
+        run_solver("%fake: sat h(a,\n", fake_cfg())
+
+
+def test_run_solver_non_integer_optimization_raises_parse_failure():
+    with pytest.raises(ParseFailure, match="cannot read solver output: .*'1.5'"):
+        run_solver("%fake: opt 1.5 h(v1,w1)\n", fake_cfg())
+
+
 def test_run_solver_crash_raises_process_failure():
     with pytest.raises(ProcessFailure):
         run_solver("%fake: crash\n", fake_cfg())

@@ -114,8 +114,6 @@ def test_encode_kinds_to_stdout_and_file(graphs, tmp_path, capsys):
     target = tmp_path / "job.lp"
     assert main(["encode", "--kind", "gedc", "-o", str(target), a, b]) == 0
     assert target.read_text(encoding="utf-8").find("#const c_node_sub=2.") >= 0
-    assert main(["encode", "--kind", "ged", "--neq", "<>", a, b]) == 0
-    assert "V1 <> V2" in capsys.readouterr().out
 
 
 def test_solver_jobs_refuse_weights_their_program_cannot_express(graphs, tmp_path, capsys):
@@ -160,6 +158,14 @@ def test_solver_env_var_is_used(graphs, capsys, monkeypatch):
     a, b = graphs
     monkeypatch.setenv("PGMATCH_SOLVER", "/nonexistent/solver-binary")
     assert main(["solve", "--kind", "hom", a, b]) == 3
+
+
+def test_solver_env_var_takes_solver_args(graphs, capsys, monkeypatch):
+    a, b = graphs
+    monkeypatch.setenv("PGMATCH_SOLVER", sys.executable)
+    assert main(["solve", "--kind", "ged", f"--solver-arg={FAKE_SOLVER}", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "status: OPTIMUM" in out and "cost: 0" in out
 
 
 def test_bench_preset_and_csv(tmp_path, capsys):

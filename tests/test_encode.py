@@ -189,13 +189,6 @@ def test_cost_model_only_for_weighted_kind():
         encode_problem(ProblemKind.HOM, CostModel.unit())
 
 
-def test_alternate_inequality_rendering():
-    text = encode_problem(ProblemKind.GED, neq="<>").text
-    assert "V1 <> V2" in text and "!=" not in text
-    with pytest.raises(ValueError):
-        encode_problem(ProblemKind.GED, neq="==")
-
-
 def test_render_job_is_deterministic():
     g1 = PropertyGraph({"v1": "a"}, {}, {("v1", "k"): "d"})
     g2 = PropertyGraph({"w1": "a", "w2": "b"}, {"f1": ("w1", "w2", "x")})

@@ -261,12 +261,6 @@ def test_search_determinism():
             assert op(g1, g2) == op(g1, g2)
 
 
-def test_lex_node_order_option():
-    chain, cycle = gen_chain(2, "a"), gen_cycle(2, "b")
-    w = search_hom(chain, cycle, SearchOptions(node_order="lex"))
-    assert w is not None and check_homomorphism(w, chain, cycle)
-
-
 def test_relabel_mode_ignores_labels():
     g1 = PropertyGraph({"v": "a"})
     g2 = PropertyGraph({"w": "b"})
