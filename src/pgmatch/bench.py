@@ -18,8 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .bridge import SolverConfig, SolverStatus, run_solver
-from .editing import MODE_LABEL_HARD, MODE_RELABEL
-from .encode import ProblemKind, kind_cost_model, render_job
+from .encode import EDIT_KIND_MODES, ProblemKind, kind_cost_model, render_job
 from .generators import gen_chain, gen_cycle, gen_random
 from .graphs import PropertyGraph, load_graph
 from .search import (
@@ -173,10 +172,10 @@ def _run_native(case: BenchCase, budget: float) -> tuple[str, int | None, bool]:
         except SearchTimeout:
             return "TIMEOUT", None, True
         return ("SAT", None, False) if witness is not None else ("UNSAT", None, False)
-    if case.kind not in (ProblemKind.GED, ProblemKind.GED_RELABEL, ProblemKind.GEDC_WEIGHTED):
+    if case.kind not in EDIT_KIND_MODES:
         raise ValueError(f"the native backend cannot run {case.kind.value}")
-    mode = MODE_LABEL_HARD if case.kind is ProblemKind.GED else MODE_RELABEL
-    opts = SearchOptions(mode=mode, cost_model=kind_cost_model(case.kind), budget=budget)
+    cm = kind_cost_model(case.kind)
+    opts = SearchOptions(mode=EDIT_KIND_MODES[case.kind], cost_model=cm, budget=budget)
     result: GedResult = min_edit_matching(case.g1, case.g2, opts)
     if result.optimal:
         return "OPTIMUM", result.cost, False

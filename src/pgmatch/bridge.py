@@ -2,16 +2,19 @@
 its models into matchings, edit scripts and costs.
 
 The bridge writes one program to the solver's stdin, enforces a wall-clock
-budget by terminating the process, and parses the line-oriented witness
-format (``Answer: N`` followed by one line of atoms, ``Optimization: c``,
-then a status line). The command line takes the solver executable from
-``--solver`` or from the ``PGMATCH_SOLVER`` environment variable.
+budget by terminating the process, and parses Clingo's default text output:
+``Answer: N`` followed by one line of atoms, ``Optimization: c``, then a
+status line. A model is read only from the line after an ``Answer:`` line.
+Output with neither a model nor a status word is a ``ParseFailure`` (exit
+code 3 on the command line): ``cat`` as the solver echoes the program back,
+and its fact lines are not taken for a model. The command line takes the
+solver executable from ``--solver`` or from the ``PGMATCH_SOLVER``
+environment variable.
 """
 
 from __future__ import annotations
 
 import enum
-import re
 import subprocess
 from dataclasses import dataclass
 
@@ -103,49 +106,20 @@ class AnswerSet:
         return [a for a in self.atoms if a.pred == pred]
 
 
-_ATOM_LINE = re.compile(r"[a-z_][A-Za-z0-9_]*(\(|$| )")
-_BANNER_WORDS = (
-    "clingo",
-    "clasp",
-    "reading",
-    "solving",
-    "models",
-    "calls",
-    "time",
-    "cpu",
-    "threads",
-    "optimization",
-    "optimum",
-    "answer",
-    "bound",
-)
-
-
-def split_atoms(line: str) -> list[str]:
-    """Split one model line into atom strings; spaces inside quoted constants
-    do not separate atoms, and a malformed atom raises ValueError."""
-    return [text for text, _, _ in scan_atoms(line)]
-
-
 def _model(line: str) -> list[Fact]:
     return [Fact(pred, args) for _, pred, args in scan_atoms(line)]
 
 
 def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, str | None]:
     """Extract the models, the last optimization vector, and the final status
-    word from solver stdout.
-
-    Strict pass: ``Answer: N`` markers announce the next line as a model.
-    Permissive fallback (no markers found): any line that looks like a run of
-    atoms is taken as a model.
+    word from solver stdout. Each ``Answer: N`` line announces the next line
+    as a model; no other line is read as one.
     """
     models: list[list[Fact]] = []
     costs: list[int] | None = None
     status: str | None = None
-    lines = text.splitlines()
     expect_model = False
-    saw_marker = False
-    for line in lines:
+    for line in text.splitlines():
         stripped = line.strip()
         if expect_model:
             # the model line may be empty: a model with no shown atoms
@@ -155,27 +129,14 @@ def parse_solver_output(text: str) -> tuple[list[list[Fact]], list[int] | None, 
         if not stripped:
             continue
         if stripped.startswith("Answer:"):
-            saw_marker = True
             expect_model = True
             continue
         if stripped.startswith("Optimization:"):
             costs = [int(tok) for tok in stripped.split(":", 1)[1].split()]
             continue
         upper = stripped.upper()
-        if upper in ("SATISFIABLE", "UNSATISFIABLE", "UNKNOWN") or upper == "OPTIMUM FOUND":
+        if upper in ("SATISFIABLE", "UNSATISFIABLE", "UNKNOWN", "OPTIMUM FOUND"):
             status = upper
-            continue
-    if not saw_marker and not models:
-        for line in lines:
-            stripped = line.strip()
-            if not stripped or any(stripped.lower().startswith(w) for w in _BANNER_WORDS):
-                continue
-            if not _ATOM_LINE.match(stripped):
-                continue
-            try:
-                models.append(_model(stripped))
-            except ValueError:
-                continue
     return models, costs, status
 
 
@@ -236,13 +197,20 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
 
 def decode_matching(ans: AnswerSet, g1: PropertyGraph, g2: PropertyGraph) -> Matching:
     """Turn the ``h/2`` atoms of a model into a matching, classifying each
-    pair as node or edge by where its first id lives."""
+    pair as node or edge by where its first id lives. Every program gives a
+    first-graph id at most one partner, so a second one is a mismatch."""
     node_map: dict[str, str] = {}
     edge_map: dict[str, str] = {}
+    pairs: dict[str, Fact] = {}
     for fact in ans.atoms_named("h"):
         if len(fact.args) != 2:
             raise DecodeMismatchError(f"unexpected pairing atom {fact.render()}")
         x, y = fact.args
+        if x in pairs:
+            raise DecodeMismatchError(
+                f"{x!r} is paired twice: {pairs[x].render()} and {fact.render()}"
+            )
+        pairs[x] = fact
         if x in g1.nodes:
             if y not in g2.nodes:
                 raise UnknownIdError(f"pairing atom maps node {x!r} to unknown {y!r}")

@@ -27,7 +27,7 @@ from .editing import (
     CostModel,
     format_script,
 )
-from .encode import GEDC_WEIGHTS, ProblemKind, kind_cost_model, render_job
+from .encode import EDIT_KIND_MODES, GEDC_WEIGHTS, ProblemKind, kind_cost_model, render_job
 from .generators import gen_chain, gen_cycle, gen_random
 from .graphs import format_graph, load_graph
 from .search import (
@@ -142,9 +142,9 @@ def _cmd_solve(args) -> int:
     ans = run_solver(program, cfg)
     print(f"status: {ans.status.value}")
     if ans.status in (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT):
-        if kind in (ProblemKind.GED, ProblemKind.GED_RELABEL, ProblemKind.GEDC_WEIGHTED):
-            mode = MODE_LABEL_HARD if kind is ProblemKind.GED else MODE_RELABEL
-            script, cost = decode_edit_script(ans, g1, g2, mode, kind_cost_model(kind, cm))
+        if kind in EDIT_KIND_MODES:
+            cm = kind_cost_model(kind, cm)
+            script, cost = decode_edit_script(ans, g1, g2, EDIT_KIND_MODES[kind], cm)
             print(f"cost: {cost}")
             sys.stdout.write(format_script(script))
         elif ans.atoms:

@@ -14,9 +14,9 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .editing import CostModel
+from .editing import MODE_LABEL_HARD, MODE_RELABEL, CostModel
 from .graphs import PropertyGraph, validate
-from .records import quote, scan_atoms, unquote
+from .records import quote
 
 _BARE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _RESERVED = frozenset({"not"})
@@ -28,11 +28,6 @@ def escape_atom(text: str) -> str:
     if _BARE.match(text) and text not in _RESERVED:
         return text
     return quote(text)
-
-
-def unescape_atom(token: str) -> str:
-    """Invert ``escape_atom`` on one rendered constant."""
-    return unquote(token) if token.startswith('"') else token
 
 
 class _Escaped(dict):
@@ -59,15 +54,6 @@ class Fact:
         return _fact_text(self.pred, [escape_atom(a) for a in self.args])
 
 
-def parse_atom(text: str) -> Fact:
-    """Parse one rendered atom like ``h(v1,"V 2")`` back into a Fact."""
-    atoms = scan_atoms(text)
-    if len(atoms) != 1:
-        raise ValueError(f"malformed atom: {text!r}")
-    _, pred, args = atoms[0]
-    return Fact(pred, args)
-
-
 class ProblemKind(enum.Enum):
     """The matching problems this package can render as programs."""
 
@@ -88,9 +74,26 @@ class ProblemKind(enum.Enum):
         raise ValueError(f"unknown problem kind {name!r}")
 
 
-# The weights the gedc program takes as ``#const`` values; it has no
-# property rule, so property edits cost nothing in it.
-GEDC_WEIGHTS = frozenset({"node_sub", "insV", "delV", "edge_sub", "insE", "delE"})
+# The gedc program's ``#const c_<name>`` values, each named by the cost-model
+# weight it takes; the program has no property rule, so property edits cost
+# nothing in it.
+_GEDC_CONSTS = {
+    "node_sub": "node_sub",
+    "node_ins": "insV",
+    "node_del": "delV",
+    "edge_sub": "edge_sub",
+    "edge_ins": "insE",
+    "edge_del": "delE",
+}
+GEDC_WEIGHTS = frozenset(_GEDC_CONSTS.values())
+
+# The matching mode of each edit-distance kind's program: ged keeps labels
+# hard, ged-relabel and gedc price a label change as a substitution.
+EDIT_KIND_MODES = {
+    ProblemKind.GED: MODE_LABEL_HARD,
+    ProblemKind.GED_RELABEL: MODE_RELABEL,
+    ProblemKind.GEDC_WEIGHTED: MODE_RELABEL,
+}
 
 
 def kind_cost_model(kind: ProblemKind, cm: CostModel | None = None) -> CostModel:
@@ -101,7 +104,7 @@ def kind_cost_model(kind: ProblemKind, cm: CostModel | None = None) -> CostModel
         cm = cm or CostModel.gedc()
         weights = {k: (w if k in GEDC_WEIGHTS else 0) for k, w in cm.weights.items()}
         return CostModel(weights, cm.node_sub, cm.edge_sub)
-    if kind not in (ProblemKind.GED, ProblemKind.GED_RELABEL):
+    if kind not in EDIT_KIND_MODES:
         raise ValueError(f"{kind.value} is not an edit-distance kind")
     if cm is not None:
         raise ValueError(f"{kind.value} does not take a cost model")
@@ -251,19 +254,7 @@ _GED_MINIMIZE = """\
             LC,X,K : prop_cost(X,K,LC) }.
 """
 
-_GEDC_TEMPLATE = """\
-#const c_node_sub={node_sub}.
-#const c_node_ins={node_ins}.
-#const c_node_del={node_del}.
-#const c_edge_sub={edge_sub}.
-#const c_edge_ins={edge_ins}.
-#const c_edge_del={edge_del}.
-
-{h(X,Y) : n2(Y,_)} <= 1 :- n1(X,_).
-{h(X,Y) : n1(X,_)} <= 1 :- n2(Y,_).
-{h(X,Y) : e2(Y,S2,T2,_), h(S1,S2), h(T1,T2)} <= 1 :- e1(X,S1,T1,_).
-{h(X,Y) : e1(X,S1,T1,_), h(S1,S2), h(T1,T2)} <= 1 :- e2(Y,S2,T2,_).
-
+_GEDC_COSTS = """\
 node_cost(X,c_node_sub) :- n1(X,L1), h(X,Y), n2(Y,L2), L1 != L2.
 node_cost(Y,c_node_ins) :- n2(Y,L), not h(_,Y).
 node_cost(X,c_node_del) :- n1(X,_), not h(X,_).
@@ -305,6 +296,29 @@ prop_cost(X,K,1) :- p1(X,K,V), h(X,Y), not p2(Y,K,_).
 """
 
 
+_PROGRAMS = {
+    ProblemKind.HOM: _HOM_RULES,
+    ProblemKind.ISO: _HOM_RULES + _ISO_EXTRA,
+    ProblemKind.SUB: _HOM_RULES + _SUB_EXTRA,
+    ProblemKind.GED: "\n".join(
+        [_GED_MATCH_LABELED, _GED_DIFF, _GED_PROPS, _GED_COSTS, _GED_PROP_COSTS, _GED_MINIMIZE]
+    ),
+    ProblemKind.GED_RELABEL: "\n".join(
+        [
+            _GED_MATCH_UNLABELED,
+            _GED_DIFF,
+            _GED_RELABEL_DIFF,
+            _GED_PROPS,
+            _GED_RELABEL_COSTS,
+            _GED_PROP_COSTS,
+            _GED_MINIMIZE,
+        ]
+    ),
+    ProblemKind.APPROX_SUB_OLD: _APPROX_SUB_OLD,
+    ProblemKind.APPROX_SUB_NEW: _APPROX_SUB_NEW,
+}
+
+
 def encode_problem(kind: ProblemKind, cm: CostModel | None = None) -> AspProgram:
     """The rule text for one problem kind.
 
@@ -314,51 +328,15 @@ def encode_problem(kind: ProblemKind, cm: CostModel | None = None) -> AspProgram
     if kind is ProblemKind.GEDC_WEIGHTED:
         if cm is None:
             raise ValueError("the weighted-constants kind needs a cost model")
-    elif cm is not None:
+        weights = {**cm.weights, "node_sub": cm.node_sub, "edge_sub": cm.edge_sub}
+        constants = {name: weights[w] for name, w in _GEDC_CONSTS.items()}
+        header = "".join(f"#const c_{name}={value}.\n" for name, value in constants.items())
+        return AspProgram(kind, "\n".join([header, _GED_MATCH_UNLABELED, _GEDC_COSTS]), constants)
+    if cm is not None:
         raise ValueError(f"{kind.value} does not take a cost model")
-
-    if kind is ProblemKind.HOM:
-        text = _HOM_RULES
-    elif kind is ProblemKind.ISO:
-        text = _HOM_RULES + _ISO_EXTRA
-    elif kind is ProblemKind.SUB:
-        text = _HOM_RULES + _SUB_EXTRA
-    elif kind is ProblemKind.GED:
-        text = "\n".join(
-            [_GED_MATCH_LABELED, _GED_DIFF, _GED_PROPS, _GED_COSTS, _GED_PROP_COSTS, _GED_MINIMIZE]
-        )
-    elif kind is ProblemKind.GED_RELABEL:
-        text = "\n".join(
-            [
-                _GED_MATCH_UNLABELED,
-                _GED_DIFF,
-                _GED_RELABEL_DIFF,
-                _GED_PROPS,
-                _GED_RELABEL_COSTS,
-                _GED_PROP_COSTS,
-                _GED_MINIMIZE,
-            ]
-        )
-    elif kind is ProblemKind.GEDC_WEIGHTED:
-        constants = {
-            "node_sub": cm.node_sub,
-            "node_ins": cm.weights["insV"],
-            "node_del": cm.weights["delV"],
-            "edge_sub": cm.edge_sub,
-            "edge_ins": cm.weights["insE"],
-            "edge_del": cm.weights["delE"],
-        }
-        text = _GEDC_TEMPLATE
-        for name, value in constants.items():
-            text = text.replace("{" + name + "}", str(value))
-        return AspProgram(kind, text, constants)
-    elif kind is ProblemKind.APPROX_SUB_OLD:
-        text = _APPROX_SUB_OLD
-    elif kind is ProblemKind.APPROX_SUB_NEW:
-        text = _APPROX_SUB_NEW
-    else:
+    if kind not in _PROGRAMS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    return AspProgram(kind, text)
+    return AspProgram(kind, _PROGRAMS[kind])
 
 
 def render_job(

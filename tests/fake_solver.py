@@ -22,8 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL, CostModel  # noqa: E402
+from pgmatch.editing import CostModel  # noqa: E402
 from pgmatch.encode import (  # noqa: E402
+    EDIT_KIND_MODES,
     Fact,
     ProblemKind,
     decode_graph_facts,
@@ -42,13 +43,12 @@ def _edit_options(program: str) -> SearchOptions | None:
     if consts:
         weights = {"insV": consts["node_ins"], "delV": consts["node_del"],
                    "insE": consts["edge_ins"], "delE": consts["edge_del"]}
-        cm = kind_cost_model(
-            ProblemKind.GEDC_WEIGHTED, CostModel(weights, consts["node_sub"], consts["edge_sub"])
-        )
-        return SearchOptions(mode=MODE_RELABEL, cost_model=cm)
-    for kind, mode in ((ProblemKind.GED, MODE_LABEL_HARD), (ProblemKind.GED_RELABEL, MODE_RELABEL)):
+        kind = ProblemKind.GEDC_WEIGHTED
+        cm = kind_cost_model(kind, CostModel(weights, consts["node_sub"], consts["edge_sub"]))
+        return SearchOptions(mode=EDIT_KIND_MODES[kind], cost_model=cm)
+    for kind in (ProblemKind.GED, ProblemKind.GED_RELABEL):
         if program.endswith(encode_problem(kind).text):
-            return SearchOptions(mode=mode, cost_model=kind_cost_model(kind))
+            return SearchOptions(mode=EDIT_KIND_MODES[kind], cost_model=kind_cost_model(kind))
     return None
 
 
@@ -112,7 +112,7 @@ def main() -> int:
         print("OPTIMUM FOUND")
         return 30
     if directive.startswith("plain "):
-        # no Answer marker at all: the permissive parser must still find it
+        # atoms with no Answer marker: not a model, so a ParseFailure
         print(directive[6:])
         return 0
     opts = _edit_options(program)

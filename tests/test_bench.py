@@ -18,7 +18,7 @@ from pgmatch.bench import (
     success_rates,
     synthetic_matrix,
 )
-from pgmatch.encode import ProblemKind, kind_cost_model, parse_atom
+from pgmatch.encode import Fact, ProblemKind, kind_cost_model
 from pgmatch.generators import gen_chain, gen_cycle, gen_random
 
 
@@ -96,6 +96,15 @@ def test_error_cells_keep_their_cause(tmp_path):
     assert r.error not in render_csv(results)
     ok = run_bench(cases, ("native",), budget=5.0)
     assert ok[0].error is None and "ERROR" not in render_summary(ok)
+
+
+def test_asp_cell_without_a_model_is_a_parse_failure():
+    # `cat` echoes the program: its fact lines carry no Answer: marker, so
+    # they are not a model, and the cell is an error rather than solved
+    cases = [BenchCase("iso", ProblemKind.ISO, gen_chain(3, "a"), gen_cycle(3, "b"))]
+    (r,) = run_bench(cases, ("asp",), budget=10.0, solver=SolverConfig("cat"))
+    assert r.status == "ERROR"
+    assert r.error.startswith("ParseFailure: no model or status found")
 
 
 def test_asp_backend_through_fake_solver():
@@ -184,7 +193,7 @@ def test_gedc_kind_prices_properties_as_its_program_does():
     g2 = PropertyGraph({"w1": "a"}, props={("w1", "k"): "2"})
     [result] = run_bench([BenchCase("gedc-upd", ProblemKind.GEDC_WEIGHTED, g1, g2)], budget=10.0)
     assert (result.status, result.cost) == ("OPTIMUM", 0)
-    model = AnswerSet((parse_atom("h(v1,w1)"),), (0,), True, SolverStatus.OPTIMUM)
+    model = AnswerSet((Fact("h", ("v1", "w1")),), (0,), True, SolverStatus.OPTIMUM)
     cm = kind_cost_model(ProblemKind.GEDC_WEIGHTED)
     script, cost = decode_edit_script(model, g1, g2, "relabel", cm)
     assert cost == 0 and [op.kind for op in script] == ["updP"]

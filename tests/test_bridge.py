@@ -18,9 +18,10 @@ from pgmatch import (
     decode_matching,
     run_solver,
 )
-from pgmatch.bridge import EXIT_CODES, AnswerSet, parse_solver_output, split_atoms
+from pgmatch.bridge import EXIT_CODES, AnswerSet, parse_solver_output
 from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL
 from pgmatch.encode import Fact, ProblemKind, kind_cost_model, render_job
+from pgmatch.records import scan_atoms
 from pgmatch.search import SearchOptions, min_edit_matching
 
 
@@ -37,7 +38,11 @@ def answer(atom_facts, costs=None, optimal=False, status=SolverStatus.SAT) -> An
 
 def test_split_atoms_handles_quoted_spaces():
     line = 'h(v1,w1) h("V 2",w2) delete_node("a b")'
-    assert split_atoms(line) == ['h(v1,w1)', 'h("V 2",w2)', 'delete_node("a b")']
+    assert scan_atoms(line) == [
+        ("h(v1,w1)", "h", ("v1", "w1")),
+        ('h("V 2",w2)', "h", ("V 2", "w2")),
+        ('delete_node("a b")', "delete_node", ("a b",)),
+    ]
 
 
 def test_parse_solver_output_strict():
@@ -70,12 +75,6 @@ def test_parse_solver_output_empty_model_line():
     assert models == [[]]
     assert costs == [7]
     assert status == "OPTIMUM FOUND"
-
-
-def test_parse_solver_output_permissive_fallback():
-    models, costs, status = parse_solver_output("h(v1,w1) h(e1,f1)\n")
-    assert models == [[Fact("h", ("v1", "w1")), Fact("h", ("e1", "f1"))]]
-    assert status is None
 
 
 # -- run_solver against the scripted solver ------------------------------------------
@@ -114,10 +113,10 @@ def test_run_solver_timeout_without_model():
     assert ans.atoms == ()
 
 
-def test_run_solver_permissive_model_line():
-    ans = run_solver("%fake: plain h(v1,w1)\n", fake_cfg())
-    assert ans.status is SolverStatus.SAT
-    assert ans.atoms == (Fact("h", ("v1", "w1")),)
+def test_run_solver_unmarked_model_line_raises_parse_failure():
+    # a model is read only after an Answer: line; a bare run of atoms is not one
+    with pytest.raises(ParseFailure, match="no model or status found"):
+        run_solver("%fake: plain h(v1,w1)\n", fake_cfg())
 
 
 def test_run_solver_garbage_raises_parse_failure():
@@ -237,6 +236,16 @@ def test_decode_matching_unknown_id():
         decode_matching(answer([Fact("h", ("ghost", "w1"))]), g1, g2)
     with pytest.raises(UnknownIdError):
         decode_matching(answer([Fact("h", ("v1", "ghost"))]), g1, g2)
+
+
+def test_decode_matching_refuses_two_partners():
+    g1, g2 = g_pair()
+    for first, second in (("w1", "w2"), ("w1", "w1")):
+        ans = answer([Fact("h", ("v1", first)), Fact("h", ("v1", second))])
+        with pytest.raises(DecodeMismatchError, match=re.escape(f"h(v1,{first}). and h(v1,{second}).")):
+            decode_matching(ans, g1, g2)
+    with pytest.raises(DecodeMismatchError, match="'e1' is paired twice"):
+        decode_matching(answer([Fact("h", ("e1", "f1")), Fact("h", ("e1", "f1"))]), g1, g2)
 
 
 # -- decoding edit scripts ----------------------------------------------------------------

@@ -147,6 +147,17 @@ def test_solve_with_fake_solver(graphs, capsys):
     assert "status: ERROR" in capsys.readouterr().out
 
 
+def test_solve_refuses_output_without_a_model(tmp_path, capsys):
+    # `cat` echoes the program back: no Answer: marker and no status word
+    a, b = tmp_path / "a.pg", tmp_path / "b.pg"
+    assert main(["gen", "chain", "--k", "3", "--prefix", "a", "-o", str(a)]) == 0
+    assert main(["gen", "cycle", "--k", "3", "--prefix", "b", "-o", str(b)]) == 0
+    assert main(["solve", "--kind", "iso", "--solver", "cat", str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert "status: SAT" not in captured.out
+    assert "no model or status found in solver output" in captured.err
+
+
 def test_solve_without_solver_configured(graphs, capsys, monkeypatch):
     monkeypatch.delenv("PGMATCH_SOLVER", raising=False)
     a, b = graphs

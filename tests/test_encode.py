@@ -12,10 +12,9 @@ from pgmatch.encode import (
     encode_graph_facts,
     encode_problem,
     escape_atom,
-    parse_atom,
     render_job,
-    unescape_atom,
 )
+from pgmatch.records import scan_atoms, unquote
 
 
 def test_escape_bare_when_safe():
@@ -34,7 +33,7 @@ def test_escape_round_trip_and_injectivity():
     rendered = [escape_atom(a) for a in WEIRD_ATOMS]
     assert len(set(rendered)) == len(WEIRD_ATOMS)
     for atom, token in zip(WEIRD_ATOMS, rendered):
-        assert unescape_atom(token) == atom
+        assert (unquote(token) if token.startswith('"') else token) == atom
     line = " ".join(f"h({token},{token})" for token in rendered) + f" t({','.join(rendered)})"
     models, _, _ = parse_solver_output(f"Answer: 1\n{line}\nSATISFIABLE\n")
     assert models == [[Fact("h", (a, a)) for a in WEIRD_ATOMS] + [Fact("t", tuple(WEIRD_ATOMS))]]
@@ -49,12 +48,16 @@ def test_fact_rendering():
 
 
 def test_parse_atom_round_trip():
+    def parse(text):
+        [(_, pred, args)] = scan_atoms(text)
+        return Fact(pred, args)
+
     fact = Fact("h", ("V 2", "w"))
-    assert parse_atom(fact.render()) == fact
-    assert parse_atom("h(v1,w1)") == Fact("h", ("v1", "w1"))
-    assert parse_atom("empty_pred") == Fact("empty_pred", ())
+    assert parse(fact.render()) == fact
+    assert parse("h(v1,w1)") == Fact("h", ("v1", "w1"))
+    assert parse("empty_pred") == Fact("empty_pred", ())
     with pytest.raises(ValueError):
-        parse_atom("broken(")
+        scan_atoms("broken(")
 
 
 def test_encode_graph_facts_order_and_prefix():
