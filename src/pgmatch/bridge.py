@@ -144,8 +144,9 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     """Run one solver job and return its final (best) model.
 
     On budget expiry the process is killed and whatever model it printed so
-    far is returned with status TIMEOUT. Unexpected process failures raise
-    ``ProcessFailure``; unrecognizable output raises ``ParseFailure``.
+    far is returned with status TIMEOUT. Unexpected process failures and an
+    ``UNKNOWN`` answer raise ``ProcessFailure`` with the start of the
+    solver's stderr; unrecognizable output raises ``ParseFailure``.
     """
     cmd = [cfg.executable, *cfg.args, "-"]
     timed_out = False
@@ -185,7 +186,7 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     if status_word == "UNSATISFIABLE":
         return AnswerSet((), None, optimal=False, status=SolverStatus.UNSAT)
     if status_word == "UNKNOWN":
-        return AnswerSet(atoms, cost_vec, optimal=False, status=SolverStatus.ERROR)
+        raise ProcessFailure(f"solver answered UNKNOWN; stderr: {(err or '').strip()[:200]!r}")
     if models:
         return AnswerSet(atoms, cost_vec, optimal=False, status=SolverStatus.SAT)
     if proc.returncode not in (0, 10, 20, 30):
@@ -258,13 +259,11 @@ def decode_edit_script(
     script, cost = script_from_matching(h, g1, g2, mode, cm)
 
     atom_ops = []
-    saw_script_atoms = False
     matched_from = {y: x for x, y in h.id_map().items()}
     for fact in ans.atoms:
         spec = _SCRIPT_PREDS.get(fact.pred)
         if spec is None:
             continue
-        saw_script_atoms = True
         cls, arity = spec
         args = fact.args
         if len(args) != arity:
@@ -282,7 +281,7 @@ def decode_edit_script(
             atom_ops.append(UpdateProp(x, k, v2))
         else:
             atom_ops.append(cls(*args))
-    if saw_script_atoms:
+    if atom_ops:
         atom_ops.sort(key=op_sort_key)
         if atom_ops != script:
             raise DecodeMismatchError(

@@ -16,12 +16,15 @@ its assigned neighbours, and the buckets priced or checked are those between
 ``v`` and its decided neighbours and (iso and edit distance) the g2 buckets
 between ``v``'s image and nodes with a preimage.
 
-Before branching, a decision search gives each g1 node a candidate domain:
-the g2 nodes that pass cheap necessary conditions (label, hard properties,
-a directed cycle through the image of a node on one, and for iso and sub
-the edge ends per direction and edge label). An empty domain decides None
-at once, so a cycle is refused a chain without a search; otherwise every
-candidate list is drawn from the domain.
+A decision search holds every set of g2 nodes as one ``int`` bitset over the
+sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
+images. Before branching it gives each g1 node a candidate domain: the g2
+nodes that pass cheap necessary conditions (label, hard properties, the walk
+core of g2 for a node in g1's, that is an endless walk in and out for a node
+with one, and for iso and sub the edge ends per direction and edge label).
+An empty domain decides None at once, so a cycle is refused a chain without
+a search; otherwise a step's candidates are its domain ANDed with its
+assigned neighbours' images' neighbour sets, lowest bit first.
 
 Both engines price a node or edge pair with one function (``_pair_pricer``):
 a label substitution plus property updates, deletions and insertions. Edit
@@ -140,9 +143,6 @@ def _class_tallies(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tu
     return nodes, edges
 
 
-_EMPTY: frozenset = frozenset()
-
-
 class _PairIndex:
     """Tables for one (g1, g2) pair, built once per search call.
 
@@ -155,8 +155,10 @@ class _PairIndex:
     - ``at1`` / ``at2``: the buckets incident to each node (``_buckets_at``).
     - ``out1[v]`` / ``in1[v]``: the distinct ``(neighbour, edge class)``
       pairs of ``v``'s edges to and from other nodes.
-    - ``succ2[w][c]`` / ``pred2[w][c]``: g2 successors and predecessors of
-      ``w`` over edges of class ``c``.
+    - ``ids2``: the g2 node ids in sorted order. A set of g2 nodes is an
+      ``int`` whose bit *i* stands for ``ids2[i]``; ``bit2[w]`` is ``w``'s.
+    - ``succ2[w][c]`` / ``pred2[w][c]``: the g2 successors and predecessors
+      of ``w`` over edges of class ``c``, as such a bitset.
     - ``nodes2_by_cls``: g2 node ids per class, in sorted order.
     """
 
@@ -182,13 +184,16 @@ class _PairIndex:
                 for e in b1:
                     self.out1[s].add((t, cls1[e]))
                     self.in1[t].add((s, cls1[e]))
+        self.ids2 = sorted(g2.nodes)
+        self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         self.succ2: dict[str, dict] = {w: {} for w in g2.nodes}
         self.pred2: dict[str, dict] = {w: {} for w in g2.nodes}
         for f, (s, t, _) in g2.edges.items():
-            self.succ2[s].setdefault(cls2[f], set()).add(t)
-            self.pred2[t].setdefault(cls2[f], set()).add(s)
+            c = cls2[f]
+            self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
+            self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
         self.nodes2_by_cls: dict = {}
-        for w in sorted(g2.nodes):
+        for w in self.ids2:
             self.nodes2_by_cls.setdefault(cls2[w], []).append(w)
 
 
@@ -228,49 +233,31 @@ def _pair_pricer(ix: _PairIndex, sub: int | None, upd: int, dele: int, ins: int,
     return price
 
 
-def _cyclic_nodes(g: PropertyGraph, pairs: dict) -> set[str]:
-    """The nodes of ``g`` (edge buckets ``pairs``) on a directed cycle:
-    those with a self-loop or in a strongly connected component of two or
-    more nodes (Tarjan's algorithm on an explicit stack)."""
+def _walk_core(g: PropertyGraph, pairs: dict) -> set[str]:
+    """The nodes of ``g`` (edge buckets ``pairs``) with an endless walk both
+    into and out of them: what is left after removing, again and again, the
+    nodes with no edge in or no edge out. A homomorphism maps an endless walk
+    onto one, so it maps this core into the other graph's."""
     succ: dict[str, set[str]] = {v: set() for v in g.nodes}
+    pred: dict[str, set[str]] = {v: set() for v in g.nodes}
     for s, t in pairs:
         succ[s].add(t)
-    out = {v for v, ws in succ.items() if v in ws}
-    done = len(succ)  # the index of a node whose component is complete
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                i = index.get(w)
-                if i is None:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if i < low[v]:
-                    low[v] = i
-            else:
-                work.pop()
-                lv = low[v]
-                if work and lv < low[work[-1][0]]:
-                    low[work[-1][0]] = lv
-                if lv == index[v]:
-                    w = stack.pop()
-                    index[w] = done
-                    while w != v:
-                        out.add(w)
-                        w = stack.pop()
-                        index[w] = done
-                        out.add(w)
-    return out
+        pred[t].add(s)
+    core = set(g.nodes)
+    drop = [v for v in core if not succ[v] or not pred[v]]
+    while drop:
+        v = drop.pop()
+        if v in core:  # else dropped already; a node on a self-loop never is
+            core.remove(v)
+            for t in succ[v]:
+                pred[t].discard(v)
+                if not pred[t]:
+                    drop.append(t)
+            for s in pred[v]:
+                succ[s].discard(v)
+                if not succ[s]:
+                    drop.append(s)
+    return core
 
 
 def _degree_signatures(g: PropertyGraph, cls: dict) -> dict[str, tuple]:
@@ -504,6 +491,7 @@ class _DecisionSearch(_BranchAndBound):
         self.deadline = _Deadline(opts.budget)
         self.assignment: dict[str, str] = {}
         self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
+        self.used = 0  # the bitset of images, for injective kinds
         self.best: dict[str, str] | None = None
         # run() sets ix, price, pricing and domains once the counts fit
 
@@ -543,24 +531,24 @@ class _DecisionSearch(_BranchAndBound):
 
     # -- candidate generation -----------------------------------------------
 
-    def _candidates(self, v: str) -> list[str]:
-        ix, assignment, inv = self.ix, self.assignment, self.inv
-        # one g2 node set per assigned neighbour: the predecessors (edges out
-        # of v) or successors (edges into v) of its image over that edge class
-        narrow = [
-            ix.pred2[assignment[t]].get(c, _EMPTY) for t, c in ix.out1[v] if t in assignment
-        ] + [
-            ix.succ2[assignment[s]].get(c, _EMPTY) for s, c in ix.in1[v] if s in assignment
-        ]
-        base, domain = self.domains[v]
-        if not narrow:
-            return [w for w in base if w not in inv] if self.injective else base
-        narrow.sort(key=len)
-        return sorted(
-            w
-            for w in narrow[0].intersection(*narrow[1:])
-            if w in domain and (not self.injective or w not in inv)
-        )
+    def _candidates(self, v: str):
+        """The candidates for ``v`` in id order: its root domain, less the
+        used g2 nodes (iso and sub), ANDed per assigned neighbour with the
+        predecessors (edges out of ``v``) or successors (edges into ``v``)
+        of its image over that edge class."""
+        ix, assignment = self.ix, self.assignment
+        mask = self.domains[v] & ~self.used
+        for t, c in ix.out1[v]:
+            if t in assignment:
+                mask &= ix.pred2[assignment[t]].get(c, 0)
+        for s, c in ix.in1[v]:
+            if s in assignment:
+                mask &= ix.succ2[assignment[s]].get(c, 0)
+        ids2 = ix.ids2
+        while mask:  # the set bits, lowest first
+            low = mask & -mask
+            yield ids2[low.bit_length() - 1]
+            mask ^= low
 
     # -- main search ----------------------------------------------------------
 
@@ -591,80 +579,61 @@ class _DecisionSearch(_BranchAndBound):
             return all(n1 == n2 for n1, n2 in counts)
         return all(n1 <= n2 for n1, n2 in counts)
 
-    def _root_domains(self) -> dict[str, tuple[list[str], set[str]]] | None:
-        """Each g1 node's candidate domain, as a sorted list and a set, or
+    def _root_domains(self) -> dict[str, int] | None:
+        """Each g1 node's candidate domain, as a bitset over ``ix.ids2``, or
         None when a domain is empty. A g2 node ``w`` is in ``v``'s domain
         when it has ``v``'s label (``label-hard``) and ``v``'s properties
-        (hard properties), lies on a directed cycle if ``v`` does (a hom maps
-        a cycle onto a closed walk), and for sub (iso) has at least (exactly)
-        as many edges out of, into and looping at it as ``v``, per edge label
+        (hard properties), lies in the walk core of g2 if ``v`` lies in
+        g1's (``_walk_core``), and for sub (iso) has at least (exactly) as
+        many edges out of, into and looping at it as ``v``, per edge label
         (in total under ``relabel``). Each filter drops only candidates that
         belong to no complete witness."""
         g1, g2, ix, kind = self.g1, self.g2, self.ix, self.kind
-        cyclic1 = _cyclic_nodes(g1, ix.pairs1)
-        cyclic2 = _cyclic_nodes(g2, ix.pairs2) if cyclic1 else set()
-        if cyclic1 and not cyclic2:
-            return None  # a cycle has no image in an acyclic graph
+        core1 = _walk_core(g1, ix.pairs1)
+        core2 = _walk_core(g2, ix.pairs2) if core1 else set()
+        if core1 and not core2:
+            return None  # an endless walk has no image in a graph without one
         sigs1: dict[str, tuple] = {}
         sigs2: dict[str, tuple] = {}
         if self.injective:
             sigs1, sigs2 = _degree_signatures(g1, ix.cls1), _degree_signatures(g2, ix.cls2)
-        # g2 nodes in groups of equal (label class, cyclic, signature); the
-        # groups that fit a g1 node are found by ANDing bitsets over them
-        groups: dict[tuple, list[str]] = {}
-        for w in sorted(g2.nodes):
-            key = (ix.cls2[w], w in cyclic2, sigs2.get(w, ()))
-            groups.setdefault(key, []).append(w)
-        # per label class, on a cycle, and per signature (iso) or per numbered
-        # edge end (sub: at least that many such ends)
+        # the g2 nodes per label class, in the core, per signature (iso) or
+        # per numbered edge end (sub: at least that many such ends), and per
+        # (key, value) property
         with_label: dict = {}
         with_sig: dict = {}
-        on_cycle = 0
-        for j, (lab, cyclic, sig) in enumerate(groups):
-            bit = 1 << j
-            with_label[lab] = with_label.get(lab, 0) | bit
-            on_cycle |= bit if cyclic else 0
+        with_prop: dict = {}
+        in_core = 0
+        for w, bit in ix.bit2.items():
+            with_label[ix.cls2[w]] = with_label.get(ix.cls2[w], 0) | bit
+            in_core |= bit if w in core2 else 0
+            sig = sigs2.get(w, ())
             for item in (sig,) if kind == "iso" else _numbered(sig):
                 with_sig[item] = with_sig.get(item, 0) | bit
-        members = list(groups.values())
-        by_prop: dict[tuple[str, str], set[str]] = {}
         if self.props_hard:
             for (x, k), d in g2.props.items():
                 if x in g2.nodes:
-                    by_prop.setdefault((k, d), set()).add(x)
-        bases: dict = {}  # shared by the g1 nodes of one group
+                    with_prop[(k, d)] = with_prop.get((k, d), 0) | ix.bit2[x]
         domains = {}
         for v in g1.nodes:
-            key = (ix.cls1[v], v in cyclic1, sigs1.get(v, ()))
-            base = bases.get(key)
-            if base is None:
-                lab, cyclic, sig = key
-                mask = with_label.get(lab, 0) & (on_cycle if cyclic else -1)
-                if kind != "hom":
-                    for item in (sig,) if kind == "iso" else _numbered(sig):
-                        mask &= with_sig.get(item, 0)
-                ws = []
-                while mask > 0:  # the set bits, lowest first
-                    low = mask & -mask
-                    ws += members[low.bit_length() - 1]
-                    mask ^= low
-                ws.sort()
-                base = bases[key] = (ws, set(ws))
-            props = ix.props1[v] if self.props_hard else None
-            if props:
-                have = [by_prop.get(item, _EMPTY) for item in props.items()]
-                ws = sorted(base[1].intersection(*have))
-                base = (ws, set(ws))
-            if not base[0]:
+            mask = with_label.get(ix.cls1[v], 0) & (in_core if v in core1 else -1)
+            if kind != "hom":
+                sig = sigs1[v]
+                for item in (sig,) if kind == "iso" else _numbered(sig):
+                    mask &= with_sig.get(item, 0)
+            if self.props_hard:
+                for item in ix.props1[v].items():
+                    mask &= with_prop.get(item, 0)
+            if not mask:
                 return None
-            domains[v] = base
+            domains[v] = mask
         return domains
 
     def _decisions(self, v: str, acc: int):
         """Assign ``v`` each candidate in lexicographic order whose node and
         edge buckets are feasible, yield the settled cost with it assigned,
         and undo it when resumed."""
-        assignment, inv, price = self.assignment, self.inv, self.price
+        assignment, inv, price, bit2 = self.assignment, self.inv, self.price, self.ix.bit2
         closed1 = [(k, b1) for u, k, b1 in self.ix.at1[v] if u == v or u in assignment]
         for w in self._candidates(v):
             node_cost = price(v, w)
@@ -676,7 +645,9 @@ class _DecisionSearch(_BranchAndBound):
             assignment[v] = w
             if self.injective:
                 inv[w] = v
+                self.used |= bit2[w]
             yield acc + node_cost + cost
+            self.used &= ~bit2[w]
             inv.pop(w, None)
             del assignment[v]
 

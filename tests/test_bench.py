@@ -115,6 +115,7 @@ def test_asp_backend_through_fake_solver():
     # the fake solver answers UNKNOWN to arbitrary programs: recorded, not raised
     assert r.backend == "asp"
     assert r.status in ("ERROR", "SAT", "UNSAT")
+    assert r.error.startswith("ProcessFailure")
 
 
 def test_parallel_workers_give_same_results():

@@ -142,9 +142,9 @@ def test_solve_with_fake_solver(graphs, capsys):
         ["solve", "--kind", "hom", "--solver", sys.executable,
          "--solver-arg", str(FAKE_SOLVER), a, b]
     )
-    # the fake solver answers UNKNOWN, mapped to the error exit code
+    # the fake solver answers UNKNOWN: an error whose cause reaches stderr
     assert code == 3
-    assert "status: ERROR" in capsys.readouterr().out
+    assert "solver answered UNKNOWN" in capsys.readouterr().err
 
 
 def test_solve_refuses_output_without_a_model(tmp_path, capsys):

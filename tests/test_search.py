@@ -187,6 +187,31 @@ def _fresh_value(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
     return PropertyGraph(g.nodes, g.edges, {**g.props, (owner, rng.choice(KEYS)): "fresh"})
 
 
+def _looped_path(rng: random.Random, prefix: str) -> PropertyGraph:
+    """A node on a path from a self-loop or 2-cycle to another: it has an
+    endless walk in and out but lies on no cycle."""
+    ids = [f"{prefix}v{i}" for i in range(5)]
+    left = [ids[0]] if rng.random() < 0.5 else ids[:2]
+    right = [ids[4]] if rng.random() < 0.5 else ids[3:]
+    pairs = [(left[-1], ids[2]), (ids[2], right[0])]
+    for end in (left, right):  # one self-loop at a 1-node end
+        pairs += dict.fromkeys([(end[0], end[-1]), (end[-1], end[0])])
+    nodes = {v: rng.choice(LABELS) for v in left + [ids[2]] + right}
+    edges = {f"{prefix}e{i}": (s, t, rng.choice(LABELS)) for i, (s, t) in enumerate(pairs)}
+    return PropertyGraph(nodes, edges)
+
+
+def _with_tail(rng: random.Random, g: PropertyGraph) -> PropertyGraph:
+    """``g`` plus a new node joined to one of its nodes by an edge either
+    way: a tail, in no walk core."""
+    if not g.nodes:
+        return g
+    v, tail = rng.choice(sorted(g.nodes)), "zv"
+    edge = (v, tail) if rng.random() < 0.5 else (tail, v)
+    nodes, edges = {**g.nodes, tail: rng.choice(LABELS)}, {**g.edges, "ze": (*edge, "a")}
+    return PropertyGraph(nodes, edges, g.props)
+
+
 def test_searches_agree_with_brute_force_on_random_pairs():
     rng = random.Random(101)
     pairs = [
@@ -222,6 +247,13 @@ def test_searches_agree_with_brute_force_on_random_pairs():
         g = random_graph(rng, prefix="a", max_nodes=4, edge_p=0.4, self_loops=True)
         pairs.append((g, _degree_deficient(rng, g)))
         pairs.append((_fresh_value(rng, g), _renamed_copy(rng, g)))
+    for _ in range(30):
+        # walk core apart from the cycle set: a path between two loops or
+        # 2-cycles, against another and against targets with loops and tails
+        g = _looped_path(rng, "a")
+        h = random_graph(rng, prefix="b", max_nodes=3, edge_p=0.4, self_loops=True)
+        pairs.append((g, _looped_path(rng, "b")))
+        pairs.append((g, _with_tail(rng, h)))
     relabel, soft = SearchOptions(mode="relabel"), SearchOptions(properties="soft")
     for g1, g2 in pairs:
         unlabelled = _stripped(g1, labels=True), _stripped(g2, labels=True)
