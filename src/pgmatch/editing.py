@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import ClassVar, Union
 
 from .graphs import Matching, PropertyGraph, UnknownIdError, matching_violations
-from .records import RecordSyntaxError, format_record, parse_records
+from .records import format_record, parse_records
 
 
 class PreconditionViolated(Exception):
@@ -561,11 +561,7 @@ def format_script(ops: list) -> str:
 def parse_script(text: str) -> list:
     """Parse the one-operation-per-line script format (inverse of format_script)."""
     ops: list = []
-    try:
-        records = parse_records(text)
-    except RecordSyntaxError as exc:
-        raise ValueError(str(exc)) from exc
-    for lineno, tokens in records:
+    for lineno, tokens in parse_records(text):
         kind, args = tokens[0], tokens[1:]
         if kind not in _OP_KINDS:
             raise ValueError(f"line {lineno}: unknown operation {kind!r}")

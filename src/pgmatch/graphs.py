@@ -224,30 +224,29 @@ def parse_graph(text: str) -> PropertyGraph:
     edges: dict[str, tuple[str, str, str]] = {}
     props: dict[tuple[str, str], str] = {}
     try:
-        records = parse_records(text)
+        for lineno, tokens in parse_records(text):
+            tag = tokens[0]
+            if tag == "n" and len(tokens) == 3:
+                _, nid, lab = tokens
+                if nid in nodes:
+                    raise GraphFormatError(f"line {lineno}: duplicate node id {nid!r}")
+                nodes[nid] = lab
+            elif tag == "e" and len(tokens) == 5:
+                _, eid, src, tgt, lab = tokens
+                if eid in edges:
+                    raise GraphFormatError(f"line {lineno}: duplicate edge id {eid!r}")
+                edges[eid] = (src, tgt, lab)
+            elif tag == "p" and len(tokens) == 4:
+                _, owner, key, value = tokens
+                if (owner, key) in props:
+                    raise GraphFormatError(
+                        f"line {lineno}: duplicate property ({owner!r}, {key!r})"
+                    )
+                props[(owner, key)] = value
+            else:
+                raise GraphFormatError(f"line {lineno}: unrecognized record {tokens!r}")
     except RecordSyntaxError as exc:
         raise GraphFormatError(str(exc)) from exc
-    for lineno, tokens in records:
-        tag = tokens[0]
-        if tag == "n" and len(tokens) == 3:
-            _, nid, lab = tokens
-            if nid in nodes:
-                raise GraphFormatError(f"line {lineno}: duplicate node id {nid!r}")
-            nodes[nid] = lab
-        elif tag == "e" and len(tokens) == 5:
-            _, eid, src, tgt, lab = tokens
-            if eid in edges:
-                raise GraphFormatError(f"line {lineno}: duplicate edge id {eid!r}")
-            edges[eid] = (src, tgt, lab)
-        elif tag == "p" and len(tokens) == 4:
-            _, owner, key, value = tokens
-            if (owner, key) in props:
-                raise GraphFormatError(
-                    f"line {lineno}: duplicate property ({owner!r}, {key!r})"
-                )
-            props[(owner, key)] = value
-        else:
-            raise GraphFormatError(f"line {lineno}: unrecognized record {tokens!r}")
     g = PropertyGraph(nodes, edges, props)
     issues = validate(g)
     if issues:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterator
 
 # Each escape and the character it stands for.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -115,14 +116,13 @@ def format_record(tokens: list[str]) -> str:
     return line
 
 
-def parse_records(text: str) -> list[tuple[int, list[str]]]:
-    """Tokenize a whole document; returns (line number, tokens) per non-empty record."""
-    out = []
+def parse_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Tokenize a whole document, yielding (line number, tokens) per non-empty
+    record as it is read."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = tokenize_line(line, lineno)
         if tokens:
-            out.append((lineno, tokens))
-    return out
+            yield lineno, tokens
 
 
 def scan_atoms(line: str) -> list[tuple[str, str, tuple[str, ...]]]:

@@ -393,32 +393,31 @@ def _bucket_pairs(
     b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
 ) -> list[tuple[str, str]]:
     """The lexicographically first of the cheapest pairings of one bucket
-    (arguments as for ``_bucket_cost``), built edge by edge: end it when
-    deleting and inserting the rest is optimal, else take the first pair that
-    keeps the optimum, else delete. Without ``dele`` neither the end nor the
-    deletion can be the optimum, so every edge of ``b1`` is paired. A pair of
-    the last cheapest pairing solved keeps the optimum without a new solve."""
-    pairs: list[tuple[str, str]] = []
-    left, cheapest = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)
-    for i, e in enumerate(b1):
-        if dele is not None and left == sum(dele[x] for x in b1[i:]) + sum(ins[f] for f in b2):
-            break
-        for f in b2:
-            c = edge_cost(e, f)
-            if c is None:
-                continue
-            rest = [x for x in b2 if x != f]
-            if cheapest.get(e) != f:
-                found = _bucket_cost(b1[i + 1 :], rest, edge_cost, deadline, dele, ins)
-                if found is None or found[0] != left - c:
-                    continue
-                cheapest = found[1]
-            pairs.append((e, f))
-            left, b2 = left - c, rest
-            break
-        else:
-            left -= dele[e]
-    return pairs
+    (arguments as for ``_bucket_cost``), deletion ranked last, from one solve:
+    with ``base = len(b2) + 1``, the i-th of the n edges of ``b1`` pays
+    ``base**n`` times its cost plus ``base**(n-1-i)`` times its rank (j for
+    the j-th partner, ``len(b2)`` for deletion), ranks that sum below
+    ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
+    deleting the rest, and inserting the partners it frees, costs no more."""
+    n, m = len(b1), len(b2)
+    scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
+    rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
+
+    def ranked(e: str, f: str) -> int | None:
+        c = edge_cost(e, f)
+        return None if c is None else c * scale + rank2[f] * rank1[e]
+
+    scaled = () if dele is None else (
+        {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
+    )
+    partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
+    cut, saves = n, 0  # what the solved b1[i:] saves against deleting it
+    for i in range(n - 1, -1, -1) if scaled else ():
+        e, f = b1[i], partner.get(b1[i])
+        saves += 0 if f is None else dele[e] + ins[f] - edge_cost(e, f)
+        if saves == 0:
+            cut = i
+    return [(e, partner[e]) for e in b1[:cut] if e in partner]
 
 
 def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple, hom: bool = False) -> dict:

@@ -30,6 +30,7 @@ from pgmatch import (
     search_iso,
     search_sub,
 )
+from pgmatch.search import _bucket_pairs, _Deadline
 
 RELABEL = SearchOptions(mode="relabel")
 
@@ -541,6 +542,73 @@ def test_parallel_edge_bucket_ties_take_the_first_cheapest_pairing():
     assert check_subgraph_embedding(witness, g1, g2)
 
 
+def _first_cheapest_by_enumeration(b1, b2, cost, dele=None, ins=None):
+    """The witness rule of one bucket by enumeration, None when no pairing
+    exists: keep the cheapest assignments of distinct partners (None: deleted,
+    edit distance only), then go edge by edge: end if deleting the rest is
+    among them, otherwise take the lowest partner, otherwise delete."""
+
+    def choices(i, used):
+        if i == len(b1):
+            yield ()
+            return
+        for f in b2 + ([None] if dele is not None else []):
+            if f is None or (f not in used and cost(b1[i], f) is not None):
+                for rest in choices(i + 1, used | {f}):
+                    yield (f, *rest)
+
+    def price(choice):
+        total = sum(dele[e] if f is None else cost(e, f) for e, f in zip(b1, choice))
+        return total if ins is None else total + sum(ins[f] for f in b2 if f not in choice)
+
+    options = list(choices(0, frozenset()))
+    if not options:
+        return None
+    low = min(map(price, options))
+    alive = [c for c in options if price(c) == low]
+    pairs = []
+    for i, e in enumerate(b1):
+        if dele is not None and any(set(c[i:]) == {None} for c in alive):
+            break
+        partners = [c[i] for c in alive if c[i] is not None]
+        f = min(partners, key=b2.index) if partners else None
+        alive = [c for c in alive if c[i] == f]
+        if f is not None:
+            pairs.append((e, f))
+    return pairs
+
+
+def test_bucket_witness_agrees_with_enumeration():
+    # small costs make ties common; decision pricing has no dele/ins and no
+    # more edges than partners
+    rng = random.Random(16)
+    deadline = _Deadline(60.0)
+    checked = 0
+    for _ in range(1500):
+        ged = rng.random() < 0.5
+        n = rng.randint(1, 4)
+        b1 = [f"e{i}" for i in range(n)]
+        b2 = [f"f{j}" for j in range(rng.randint(0 if ged else n, 5))]
+        high, forbidden = rng.choice((1, 2, 3)), rng.choice((0.0, 0.2, 0.4))
+        table = {
+            (e, f): None if rng.random() < forbidden else rng.randint(0, high)
+            for e in b1
+            for f in b2
+        }
+
+        def cost(e, f):
+            return table[e, f]
+
+        edits = ()
+        if ged:
+            edits = tuple({x: rng.randint(0, high + 1) for x in b} for b in (b1, b2))
+        expected = _first_cheapest_by_enumeration(b1, b2, cost, *edits)
+        if expected is not None:
+            assert _bucket_pairs(b1, b2, cost, deadline, *edits) == expected, (table, edits)
+            checked += 1
+    assert checked > 1200
+
+
 def test_ged_zero_iff_isomorphic():
     rng = random.Random(127)
     for _ in range(80):
@@ -587,6 +655,14 @@ def _one_bucket(p: str, n: int, value: str) -> PropertyGraph:
     return PropertyGraph({f"{p}1": "a", f"{p}2": "a"}, edges, {(e, "k"): value for e in edges})
 
 
+def _looped_node(rng: random.Random, p: str, n: int) -> PropertyGraph:
+    """One node with ``n`` self-loops, each with properties ``k0``..``k2``
+    drawn from ``p0``..``p3``."""
+    edges = {f"{p}e{i}": (p, p, "x") for i in range(n)}
+    props = {(e, f"k{j}"): rng.choice(["p0", "p1", "p2", "p3"]) for e in edges for j in range(3)}
+    return PropertyGraph({p: "a"}, edges, props)
+
+
 def test_min_edit_timeout_holds_inside_a_bucket():
     # one bucket pair of 300 parallel edges each, every pairing an update:
     # one assignment solve of it takes several times the budget
@@ -606,6 +682,14 @@ def test_min_edit_large_buckets_prove_optimal_within_budget():
         result = min_edit_matching(g1, g2, SearchOptions(budget=0.5))
         assert result.optimal and result.cost == k
         assert result.matching.edge_map == {f"ve{i}": f"we{i}" for i in range(k)}
+    # one node with 150 self-loops a side, three properties of four values
+    # each: the witness is rebuilt after the search within the budget too
+    rng, budget = random.Random(1), 0.5
+    g1, g2 = (_looped_node(rng, p, 150) for p in "vw")
+    start = time.monotonic()
+    result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
+    assert time.monotonic() - start <= 2 * budget + 0.1
+    assert result.optimal and result.cost == 51
 
 
 def test_min_edit_identity_on_long_chain():
