@@ -14,7 +14,10 @@ explicit stack, so no graph is too deep for it. A step deciding g1 node ``v``
 visits only ``v``'s neighbours: decision candidates come from the images of
 its assigned neighbours, and the buckets priced or checked are those between
 ``v`` and its decided neighbours and (iso and edit distance) the g2 buckets
-between ``v``'s image and nodes with a preimage.
+between ``v``'s image and nodes with a preimage. Edit distance carries its
+count bound from step to step, summing the label classes only at the root:
+each option's child bound is the node's plus what the option changes on the
+g2 side, and an option the bound would cut is skipped before it is applied.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -32,8 +35,9 @@ distance takes the cost model's weights; decision searches count property
 edits at unit weights, insertions only for iso, and under hard properties
 allow a pair only at cost 0. Iso, sub and edit distance price the parallel
 edges between two nodes (a bucket) with one assignment solver, ``_assign``;
-hom, not injective, takes each edge's cheapest image. A witness pairs each
-bucket lexicographically first among its cheapest pairings
+a one-edge bucket needs no matrix, its edge taking its cheapest allowed
+partner. Hom, not injective, takes each edge's cheapest image. A witness
+pairs each bucket lexicographically first among its cheapest pairings
 (``_witness_edges``).
 """
 
@@ -129,17 +133,19 @@ def _buckets_at(g: PropertyGraph, pairs: dict) -> dict[str, list]:
     return at
 
 
-def _class_tallies(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tuple:
+def _class_gaps(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tuple:
     """Per label class (the label under ``label-hard``, None for every
-    element under ``relabel``), the ``[g1, g2]`` counts of nodes and of
+    element under ``relabel``), g1's count less g2's, of nodes and of
     edges."""
     nodes: dict = {}
     edges: dict = {}
-    for i, g in enumerate((g1, g2)):
+    for sign, g in ((1, g1), (-1, g2)):
         for lab in g.nodes.values():
-            nodes.setdefault(lab if label_hard else None, [0, 0])[i] += 1
+            c = lab if label_hard else None
+            nodes[c] = nodes.get(c, 0) + sign
         for _, _, lab in g.edges.values():
-            edges.setdefault(lab if label_hard else None, [0, 0])[i] += 1
+            c = lab if label_hard else None
+            edges[c] = edges.get(c, 0) + sign
     return nodes, edges
 
 
@@ -373,7 +379,21 @@ def _bucket_cost(
     ``b2`` at ``edge_cost(e, f)`` (None: not allowed), or, for edit distance,
     is deleted at ``dele[e]``, each ``f`` left over inserted at ``ins[f]``: a
     pair then costs ``edge_cost(e, f) - ins[f]`` on top of inserting all of
-    ``b2``, and each row has its own deletion column (Riesen & Bunke 2009)."""
+    ``b2``, and each row has its own deletion column (Riesen & Bunke 2009).
+    One edge takes its cheapest allowed column, the first among equals and
+    deletion last, as ``_assign``'s first loop would, without the matrix."""
+    if len(b1) == 1:
+        e, low, pick = b1[0], math.inf, None
+        base = 0 if dele is None else sum([ins[f] for f in b2])
+        for f in b2:
+            c = edge_cost(e, f)
+            if c is not None:
+                c -= 0 if dele is None else ins[f]
+                if c < low:
+                    low, pick = c, f
+        if dele is not None and dele[e] < low:
+            return base + dele[e], {}
+        return None if pick is None else (base + low, {e: pick})
     if dele is None:
         costs, base = [[edge_cost(e, f) for f in b2] for e in b1], 0
     else:
@@ -400,19 +420,22 @@ def _bucket_pairs(
     ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
     deleting the rest, and inserting the partners it frees, costs no more."""
     n, m = len(b1), len(b2)
-    scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
-    rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
+    if n == 1:  # _bucket_cost's one-row rule is already this order
+        partner = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)[1]
+    else:
+        scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
+        rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
 
-    def ranked(e: str, f: str) -> int | None:
-        c = edge_cost(e, f)
-        return None if c is None else c * scale + rank2[f] * rank1[e]
+        def ranked(e: str, f: str) -> int | None:
+            c = edge_cost(e, f)
+            return None if c is None else c * scale + rank2[f] * rank1[e]
 
-    scaled = () if dele is None else (
-        {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
-    )
-    partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
+        scaled = () if dele is None else (
+            {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
+        )
+        partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
     cut, saves = n, 0  # what the solved b1[i:] saves against deleting it
-    for i in range(n - 1, -1, -1) if scaled else ():
+    for i in range(n - 1, -1, -1) if dele is not None else ():
         e, f = b1[i], partner.get(b1[i])
         saves += 0 if f is None else dele[e] + ins[f] - edge_cost(e, f)
         if saves == 0:
@@ -442,7 +465,8 @@ class _BranchAndBound:
     """Depth-first branch and bound over the g1 nodes (DF-GED, Abu-Aisheh et
     al., ICPRAM 2015), shared by both engines. A subclass gives ``deadline``;
     ``_decisions(v, acc)``, a generator that applies each option for ``v`` in
-    turn, yields the settled cost with it applied and undoes it when resumed;
+    turn, yields the settled cost with it applied and undoes it when resumed,
+    and may skip unapplied an option whose child the bound would cut on entry;
     and ``_leaf(acc)``, handed every complete decision the bound let through,
     which returns True to end the search. ``_bound`` is a lower bound on the
     cost still to settle, ``best_cost`` the incumbent's (none: infinite)."""
@@ -572,11 +596,11 @@ class _DecisionSearch(_BranchAndBound):
         """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
         iso and at most as many for sub, per node and per edge label when
         labels must match."""
-        nodes, edges = _class_tallies(self.g1, self.g2, self.label_hard)
-        counts = [*nodes.values(), *edges.values()]
+        nodes, edges = _class_gaps(self.g1, self.g2, self.label_hard)
+        gaps = [*nodes.values(), *edges.values()]
         if self.kind == "iso":
-            return all(n1 == n2 for n1, n2 in counts)
-        return all(n1 <= n2 for n1, n2 in counts)
+            return not any(gaps)
+        return all(gap <= 0 for gap in gaps)
 
     def _root_domains(self) -> dict[str, int] | None:
         """Each g1 node's candidate domain, as a bitset over ``ix.ids2``, or
@@ -695,7 +719,11 @@ class _GedSearch(_BranchAndBound):
     class under ``relabel``), the undecided g1 nodes with the unused g2 nodes
     and the unsettled g1 edges with the unsettled g2 edges: each surplus must
     be deleted or inserted, and node and edge operations are priced apart,
-    so the bound never exceeds the remaining cost.
+    so the bound never exceeds the remaining cost. The per-class gaps and the
+    bound are summed once at the root and then carried: a step moves only the
+    classes of ``v``, its image and the edges it settles, and prices each
+    option's child bound before applying it, so an option the bound cuts is
+    never applied or entered.
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
@@ -723,8 +751,14 @@ class _GedSearch(_BranchAndBound):
         self.ins_edge = priced(self.w_ins_e, w["insP"], ix.props2, g2.edges)
         self.del_bucket1 = {k: sum(self.del_edge[e] for e in b) for k, b in ix.pairs1.items()}
         self.ins_bucket2 = {k: sum(self.ins_edge[f] for f in b) for k, b in ix.pairs2.items()}
-        # per label class: [undecided g1, unused g2] nodes, [unsettled g1, g2] edges
-        self.node_left, self.edge_left = _class_tallies(g1, g2, self.label_hard)
+        # per label class, undecided g1 less unused g2 nodes and g1 edges with
+        # an undecided endpoint less g2 edges with an unused one; the bound,
+        # summed here once, deletes a positive gap and inserts a negative one
+        self.node_gap, self.edge_gap = _class_gaps(g1, g2, self.label_hard)
+        self.bound = sum(
+            [g * self.w_del_v if g > 0 else -g * self.w_ins_v for g in self.node_gap.values()]
+            + [g * self.w_del_e if g > 0 else -g * self.w_ins_e for g in self.edge_gap.values()]
+        )
         # what a leaf inserts: unused g2 nodes and g2 edges with an unused endpoint
         self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
         self.assignment: dict[str, str | None] = {}
@@ -760,30 +794,21 @@ class _GedSearch(_BranchAndBound):
                     total += self.ins_bucket2[k]
         return total, closed2
 
-    def _shift(self, v: str, w: str | None, closed1: list, closed2: list, d: int) -> None:
-        """Move the running counts and the leaf's insertion sum by one
-        decision: ``d`` is -1 to decide ``v`` as ``w``, +1 to undo it."""
-        ix, edge_left = self.ix, self.edge_left
-        self.node_left[ix.cls1[v]][0] += d
-        for _, b1 in closed1:
-            for e in b1:
-                edge_left[ix.cls1[e]][0] += d
-        if w is not None:
-            self.node_left[ix.cls2[w]][1] += d
-            self.ins_open += d * self.ins_node[w]
-            for k in closed2:
-                for f in ix.pairs2[k]:
-                    edge_left[ix.cls2[f]][1] += d
-                self.ins_open += d * self.ins_bucket2[k]
+    def _use(self, w: str, closed2: list, d: int) -> None:
+        """Move the g2 side of the gaps and the leaf's insertion sum by ``w``
+        and the g2 buckets ``closed2``: ``d`` is 1 to use them, -1 to give
+        them back."""
+        ix, edge_gap = self.ix, self.edge_gap
+        self.node_gap[ix.cls2[w]] += d
+        self.ins_open -= d * self.ins_node[w]
+        for k in closed2:
+            for f in ix.pairs2[k]:
+                edge_gap[ix.cls2[f]] += d
+            self.ins_open -= d * self.ins_bucket2[k]
 
     def _bound(self) -> int:
-        """Node and edge deletions and insertions forced by the counts."""
-        bound = 0
-        for r1, a2 in self.node_left.values():
-            bound += (r1 - a2) * self.w_del_v if r1 > a2 else (a2 - r1) * self.w_ins_v
-        for r1, a2 in self.edge_left.values():
-            bound += (r1 - a2) * self.w_del_e if r1 > a2 else (a2 - r1) * self.w_ins_e
-        return bound
+        """The count bound of the decisions applied, carried by ``_decisions``."""
+        return self.bound
 
     def run(self) -> GedResult:
         try:
@@ -807,32 +832,64 @@ class _GedSearch(_BranchAndBound):
         cheapest step first, then matching before deleting, then the candidate
         ``w`` whose out- and in-degree differ least from ``v``'s, by
         ``|out(v) - out(w)| + |in(v) - in(w)|``, then by g2 node id), yield
-        the settled cost with it applied, and undo it when resumed."""
-        ix, assignment, inv = self.ix, self.assignment, self.inv
+        the settled cost with it applied, and undo it when resumed. An option
+        whose settled cost plus child bound reaches ``best_cost`` is skipped
+        unapplied: as ``best_cost`` only goes down, its child would be cut."""
+        ix, assignment, inv, deadline = self.ix, self.assignment, self.inv, self.deadline
+        node_gap, edge_gap, cls1, cls2 = self.node_gap, self.edge_gap, ix.cls1, ix.cls2
+        w_del_e, w_ins_e = self.w_del_e, self.w_ins_e
         closed1 = [(k, b1) for u, k, b1 in ix.at1[v] if u == v or u in assignment]
-        candidates = ix.nodes2_by_cls.get(ix.cls1[v], [])
+        ends1 = [cls1[e] for _, b1 in closed1 for e in b1]
+        # a gap falling to 0 or more saves a deletion, below 0 adds an insertion
+        entry, c = self.bound, cls1[v]
+        node_gap[c] -= 1
+        bound = entry + (-self.w_del_v if node_gap[c] >= 0 else self.w_ins_v)
+        for c1 in ends1:
+            edge_gap[c1] -= 1
+            bound += -w_del_e if edge_gap[c1] >= 0 else w_ins_e
+        # and rising above 0 adds a deletion, to 0 or less saves an insertion;
+        # every candidate has v's class, so takes back the node gap v left
+        matched = bound + (self.w_del_v if node_gap[c] >= 0 else -self.w_ins_v)
         out_v, in_v = self.degrees1[v]
         degrees2 = self.degrees2
-        # (step cost, degree gap, w, closed2): deletion's infinite gap puts it
-        # after the matches of equal cost, and as no two options tie before w,
-        # sorting never compares w with None or reaches closed2
+        # (step cost, degree gap, w, child bound, closed2): deletion's infinite
+        # gap puts it after the matches of equal cost, and as no two options
+        # tie before w, sorting never compares w with None or reaches further
         options = []
-        for w in candidates:
+        for w in ix.nodes2_by_cls.get(c, []):
             if w not in inv:
+                if deadline.check():
+                    raise SearchTimeout("edit-distance search exceeded its budget")
                 step_cost, closed2 = self._decide_cost(v, w, closed1)
+                child, risen = matched, {}
+                for k in closed2:
+                    for f in ix.pairs2[k]:
+                        c2 = cls2[f]
+                        risen[c2] = gap = risen.get(c2, edge_gap[c2]) + 1
+                        child += w_del_e if gap > 0 else -w_ins_e
                 out_w, in_w = degrees2[w]
-                options.append((step_cost, abs(out_v - out_w) + abs(in_v - in_w), w, closed2))
-        options.append((self._decide_cost(v, None, closed1)[0], math.inf, None, []))
+                apart = abs(out_v - out_w) + abs(in_v - in_w)
+                options.append((step_cost, apart, w, child, closed2))
+        options.append((self._decide_cost(v, None, closed1)[0], math.inf, None, bound, []))
         options.sort()
-        for step_cost, _, w, closed2 in options:
+        for step_cost, _, w, child, closed2 in options:
+            if acc + step_cost + child >= self.best_cost:
+                continue
             assignment[v] = w
             if w is not None:
                 inv[w] = v
-            self._shift(v, w, closed1, closed2, -1)
+                self._use(w, closed2, 1)
+            self.bound = child
             yield acc + step_cost
-            self._shift(v, w, closed1, closed2, 1)
-            inv.pop(w, None)
+            if w is not None:
+                self._use(w, closed2, -1)
+                del inv[w]
             del assignment[v]
+        # not reached when a timeout abandons the search, and run() then reads no gap
+        node_gap[c] += 1
+        for c1 in ends1:
+            edge_gap[c1] += 1
+        self.bound = entry
 
     def _leaf(self, acc: int) -> bool:
         """Replace the incumbent when this leaf, with its insertions, is

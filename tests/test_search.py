@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from pgmatch import (
     check_subgraph_embedding,
     gen_chain,
     gen_cycle,
+    gen_random,
     min_edit_matching,
     oracle_ged,
     rename_graph,
@@ -30,7 +32,7 @@ from pgmatch import (
     search_iso,
     search_sub,
 )
-from pgmatch.search import _bucket_pairs, _Deadline
+from pgmatch.search import _bucket_cost, _bucket_pairs, _Deadline, _GedSearch
 
 RELABEL = SearchOptions(mode="relabel")
 
@@ -609,6 +611,116 @@ def test_bucket_witness_agrees_with_enumeration():
     assert checked > 1200
 
 
+def test_one_edge_bucket_agrees_with_enumeration():
+    # one g1 edge takes its cheapest allowed partner, the first among equals,
+    # and is deleted only when that is strictly cheaper
+    rng = random.Random(17)
+    deadline = _Deadline(60.0)
+    seen = Counter()
+    for _ in range(1500):
+        ged = rng.random() < 0.5
+        b2 = [f"f{j}" for j in range(rng.randint(0, 5))]
+        table = {f: None if rng.random() < 0.3 else rng.randint(0, 2) for f in b2}
+
+        def cost(e, f):
+            return table[f]
+
+        edits = ()
+        if ged:
+            edits = ({"e0": rng.randint(0, 3)}, {f: rng.randint(0, 2) for f in b2})
+        inserted = sum(edits[1].values()) if ged else 0
+        options = [
+            (table[f] + inserted - (edits[1][f] if ged else 0), j, {"e0": f})
+            for j, f in enumerate(b2)
+            if table[f] is not None
+        ]
+        if ged:
+            options.append((edits[0]["e0"] + inserted, len(b2), {}))
+        expected = min(options, key=lambda o: o[:2]) if options else None
+        found = _bucket_cost(["e0"], b2, cost, deadline, *edits)
+        assert found == (None if expected is None else (expected[0], expected[2])), (table, edits)
+        costs = [o[0] for o in options]
+        seen["ged" if ged else "decide"] += 1
+        seen["empty b2"] += not b2
+        seen["forbidden"] += None in table.values()
+        seen["tie"] += bool(costs) and costs.count(min(costs)) > 1
+        seen["none"] += found is None
+    assert min(seen.values()) > 50, seen
+
+
+def _recounted_bound(search) -> int:
+    """The count bound of a GED search's partial matching, recounted from the
+    graphs alone: per label class (one class under relabel), the undecided g1
+    nodes against the unused g2 nodes, and the g1 edges with an undecided
+    endpoint against the g2 edges with an unused endpoint. A surplus is
+    deleted, a shortfall inserted."""
+    g1, g2, opts = search.g1, search.g2, search.opts
+    w, hard = opts.cost_model.weights, opts.mode == "label-hard"
+    decided = search.assignment
+    used = {x for x in decided.values() if x is not None}
+    sides = (
+        (
+            [lab for v, lab in g1.nodes.items() if v not in decided],
+            [lab for x, lab in g2.nodes.items() if x not in used],
+            w["delV"],
+            w["insV"],
+        ),
+        (
+            [lab for s, t, lab in g1.edges.values() if s not in decided or t not in decided],
+            [lab for s, t, lab in g2.edges.values() if s not in used or t not in used],
+            w["delE"],
+            w["insE"],
+        ),
+    )
+    total = 0
+    for left1, left2, w_del, w_ins in sides:
+        n1 = Counter(lab if hard else None for lab in left1)
+        n2 = Counter(lab if hard else None for lab in left2)
+        for c in set(n1) | set(n2):
+            gap = n1[c] - n2[c]
+            total += gap * w_del if gap > 0 else -gap * w_ins
+    return total
+
+
+def test_carried_bound_equals_a_recount_at_every_node(monkeypatch):
+    carried = _GedSearch._bound
+    entered = []
+
+    def checked(search):
+        bound = carried(search)
+        assert bound == _recounted_bound(search), search.assignment
+        entered.append(bound)
+        return bound
+
+    monkeypatch.setattr(_GedSearch, "_bound", checked)
+    rng = random.Random(151)
+    settings = [
+        SearchOptions(mode=mode, cost_model=cm)
+        for mode in ("label-hard", "relabel")
+        for cm in (CostModel.unit(), CostModel.gedc())
+    ]
+    pairs = loops = parallel = 0
+    while pairs < 60:
+        g1, g2 = (
+            _with_parallel_edges(rng, random_graph(rng, prefix=p, self_loops=True))
+            for p in "ab"
+        )
+        both = (g1, g2)
+        edges = [edge for g in both for edge in g.edges.values()]
+        if len({lab for g in both for lab in g.nodes.values()}) < 2:
+            continue
+        if len({lab for _, _, lab in edges}) < 2:
+            continue
+        for opts in settings:
+            assert min_edit_matching(g1, g2, opts).optimal
+        pairs += 1
+        loops += any(s == t for s, t, _ in edges)
+        parallel += any(
+            len({(s, t) for s, t, _ in g.edges.values()}) < len(g.edges) for g in both
+        )
+    assert loops > 10 and parallel > 10 and len(entered) > 2000, (loops, parallel, len(entered))
+
+
 def test_ged_zero_iff_isomorphic():
     rng = random.Random(127)
     for _ in range(80):
@@ -668,6 +780,17 @@ def test_min_edit_timeout_holds_inside_a_bucket():
     # one assignment solve of it takes several times the budget
     budget = 0.5
     g1, g2 = _one_bucket("v", 300, "p"), _one_bucket("w", 300, "q")
+    start = time.monotonic()
+    result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
+    assert time.monotonic() - start <= 2 * budget + 0.1
+    assert not result.optimal
+
+
+def test_min_edit_timeout_holds_while_pricing_candidates():
+    # every node entered prices up to 200 candidates, each against many
+    # decided neighbours: the deadline must tick per candidate priced
+    budget = 0.3
+    g1, g2 = gen_random(200, 0.2, 400, "a"), gen_random(200, 0.2, 401, "b")
     start = time.monotonic()
     result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
     assert time.monotonic() - start <= 2 * budget + 0.1
