@@ -15,9 +15,7 @@ visits only ``v``'s neighbours: decision candidates come from the images of
 its assigned neighbours, and the buckets priced or checked are those between
 ``v`` and its decided neighbours and (iso and edit distance) the g2 buckets
 between ``v``'s image and nodes with a preimage. Edit distance carries its
-count bound from step to step, summing the label classes only at the root:
-each option's child bound is the node's plus what the option changes on the
-g2 side, and an option the bound would cut is skipped before it is applied.
+count bound and skips an option the bound cuts before applying it.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -34,11 +32,10 @@ a label substitution plus property updates, deletions and insertions. Edit
 distance takes the cost model's weights; decision searches count property
 edits at unit weights, insertions only for iso, and under hard properties
 allow a pair only at cost 0. Iso, sub and edit distance price the parallel
-edges between two nodes (a bucket) with one assignment solver, ``_assign``;
-a one-edge bucket needs no matrix, its edge taking its cheapest allowed
-partner. Hom, not injective, takes each edge's cheapest image. A witness
-pairs each bucket lexicographically first among its cheapest pairings
-(``_witness_edges``).
+edges between two nodes (a bucket) with one assignment solver, ``_assign``
+(a one-edge bucket needs no matrix); hom, not injective, takes each edge's
+cheapest image. A witness pairs each bucket lexicographically first among
+its cheapest pairings (``_witness_edges``).
 """
 
 from __future__ import annotations
@@ -420,22 +417,19 @@ def _bucket_pairs(
     ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
     deleting the rest, and inserting the partners it frees, costs no more."""
     n, m = len(b1), len(b2)
-    if n == 1:  # _bucket_cost's one-row rule is already this order
-        partner = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)[1]
-    else:
-        scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
-        rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
+    scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
+    rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
 
-        def ranked(e: str, f: str) -> int | None:
-            c = edge_cost(e, f)
-            return None if c is None else c * scale + rank2[f] * rank1[e]
+    def ranked(e: str, f: str) -> int | None:
+        c = edge_cost(e, f)
+        return None if c is None else c * scale + rank2[f] * rank1[e]
 
-        scaled = () if dele is None else (
-            {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
-        )
-        partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
+    scaled = () if dele is None else (
+        {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
+    )
+    partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
     cut, saves = n, 0  # what the solved b1[i:] saves against deleting it
-    for i in range(n - 1, -1, -1) if dele is not None else ():
+    for i in range(n - 1, -1, -1) if scaled else ():
         e, f = b1[i], partner.get(b1[i])
         saves += 0 if f is None else dele[e] + ins[f] - edge_cost(e, f)
         if saves == 0:
@@ -465,8 +459,7 @@ class _BranchAndBound:
     """Depth-first branch and bound over the g1 nodes (DF-GED, Abu-Aisheh et
     al., ICPRAM 2015), shared by both engines. A subclass gives ``deadline``;
     ``_decisions(v, acc)``, a generator that applies each option for ``v`` in
-    turn, yields the settled cost with it applied and undoes it when resumed,
-    and may skip unapplied an option whose child the bound would cut on entry;
+    turn, yields the settled cost with it applied and undoes it when resumed;
     and ``_leaf(acc)``, handed every complete decision the bound let through,
     which returns True to end the search. ``_bound`` is a lower bound on the
     cost still to settle, ``best_cost`` the incumbent's (none: infinite)."""
@@ -720,10 +713,7 @@ class _GedSearch(_BranchAndBound):
     and the unsettled g1 edges with the unsettled g2 edges: each surplus must
     be deleted or inserted, and node and edge operations are priced apart,
     so the bound never exceeds the remaining cost. The per-class gaps and the
-    bound are summed once at the root and then carried: a step moves only the
-    classes of ``v``, its image and the edges it settles, and prices each
-    option's child bound before applying it, so an option the bound cuts is
-    never applied or entered.
+    bound are summed once at the root and then carried (see ``_decisions``).
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
@@ -752,8 +742,7 @@ class _GedSearch(_BranchAndBound):
         self.del_bucket1 = {k: sum(self.del_edge[e] for e in b) for k, b in ix.pairs1.items()}
         self.ins_bucket2 = {k: sum(self.ins_edge[f] for f in b) for k, b in ix.pairs2.items()}
         # per label class, undecided g1 less unused g2 nodes and g1 edges with
-        # an undecided endpoint less g2 edges with an unused one; the bound,
-        # summed here once, deletes a positive gap and inserts a negative one
+        # an undecided endpoint less g2 edges with an unused one
         self.node_gap, self.edge_gap = _class_gaps(g1, g2, self.label_hard)
         self.bound = sum(
             [g * self.w_del_v if g > 0 else -g * self.w_ins_v for g in self.node_gap.values()]
@@ -795,9 +784,8 @@ class _GedSearch(_BranchAndBound):
         return total, closed2
 
     def _use(self, w: str, closed2: list, d: int) -> None:
-        """Move the g2 side of the gaps and the leaf's insertion sum by ``w``
-        and the g2 buckets ``closed2``: ``d`` is 1 to use them, -1 to give
-        them back."""
+        """Use (``d`` 1) or give back (``d`` -1) g2 node ``w`` and the g2
+        buckets ``closed2``: their class gaps and the leaf's insertion sum."""
         ix, edge_gap = self.ix, self.edge_gap
         self.node_gap[ix.cls2[w]] += d
         self.ins_open -= d * self.ins_node[w]
@@ -847,8 +835,7 @@ class _GedSearch(_BranchAndBound):
         for c1 in ends1:
             edge_gap[c1] -= 1
             bound += -w_del_e if edge_gap[c1] >= 0 else w_ins_e
-        # and rising above 0 adds a deletion, to 0 or less saves an insertion;
-        # every candidate has v's class, so takes back the node gap v left
+        # and rising does the reverse: each candidate takes back v's node gap
         matched = bound + (self.w_del_v if node_gap[c] >= 0 else -self.w_ins_v)
         out_v, in_v = self.degrees1[v]
         degrees2 = self.degrees2
@@ -867,8 +854,7 @@ class _GedSearch(_BranchAndBound):
                         c2 = cls2[f]
                         risen[c2] = gap = risen.get(c2, edge_gap[c2]) + 1
                         child += w_del_e if gap > 0 else -w_ins_e
-                out_w, in_w = degrees2[w]
-                apart = abs(out_v - out_w) + abs(in_v - in_w)
+                apart = abs(out_v - degrees2[w][0]) + abs(in_v - degrees2[w][1])
                 options.append((step_cost, apart, w, child, closed2))
         options.append((self._decide_cost(v, None, closed1)[0], math.inf, None, bound, []))
         options.sort()
