@@ -61,6 +61,15 @@ class BenchResult:
         return self.status in _SOLVED and not self.timed_out
 
 
+def _whole(spec: dict, key: str, default: int | None = None) -> int:
+    """``spec[key]`` (``default`` when given and the key is absent) as an int,
+    refusing a boolean and a number with a fractional part."""
+    x = spec[key] if default is None else spec.get(key, default)
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{key} must be a whole number, not {x!r}")
+    return int(x)
+
+
 def _graph_from_spec(spec: dict, default_prefix: str) -> PropertyGraph:
     if not isinstance(spec, dict):
         raise TypeError(f"graph spec {spec!r} is not a JSON object")
@@ -69,11 +78,11 @@ def _graph_from_spec(spec: dict, default_prefix: str) -> PropertyGraph:
     gen = spec.get("gen")
     prefix = spec.get("prefix", default_prefix)
     if gen == "chain":
-        return gen_chain(int(spec["k"]), prefix)
+        return gen_chain(_whole(spec, "k"), prefix)
     if gen == "cycle":
-        return gen_cycle(int(spec["k"]), prefix)
+        return gen_cycle(_whole(spec, "k"), prefix)
     if gen == "random":
-        return gen_random(int(spec["n"]), float(spec.get("p", 0.1)), int(spec.get("seed", 0)), prefix)
+        return gen_random(_whole(spec, "n"), float(spec.get("p", 0.1)), _whole(spec, "seed", 0), prefix)
     raise ValueError(f"unrecognized graph spec {spec!r}")
 
 

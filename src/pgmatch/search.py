@@ -33,9 +33,9 @@ distance takes the cost model's weights; decision searches count property
 edits at unit weights, insertions only for iso, and under hard properties
 allow a pair only at cost 0. Iso, sub and edit distance price the parallel
 edges between two nodes (a bucket) with one assignment solver, ``_assign``
-(a one-edge bucket needs no matrix); hom, not injective, takes each edge's
-cheapest image. A witness pairs each bucket lexicographically first among
-its cheapest pairings (``_witness_edges``).
+(a one-edge bucket needs no matrix); hom, not injective, prices each edge
+as a one-edge bucket. A witness pairs each bucket lexicographically first
+among its cheapest pairings (``_witness_edges``).
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ class _PairIndex:
     - ``pairs1`` / ``pairs2``: edge buckets, the sorted parallel edges per
       (src, tgt).
     - ``at1`` / ``at2``: the buckets incident to each node (``_buckets_at``).
-    - ``out1[v]`` / ``in1[v]``: the distinct ``(neighbour, edge class)``
-      pairs of ``v``'s edges to and from other nodes.
     - ``ids2``: the g2 node ids in sorted order. A set of g2 nodes is an
       ``int`` whose bit *i* stands for ``ids2[i]``; ``bit2[w]`` is ``w``'s.
     - ``succ2[w][c]`` / ``pred2[w][c]``: the g2 successors and predecessors
@@ -179,14 +177,7 @@ class _PairIndex:
         self.pairs2 = _edges_by_pair(g2)
         self.at1 = _buckets_at(g1, self.pairs1)
         self.at2 = _buckets_at(g2, self.pairs2)
-        cls1, cls2 = self.cls1, self.cls2
-        self.out1: dict[str, set] = {v: set() for v in g1.nodes}
-        self.in1: dict[str, set] = {v: set() for v in g1.nodes}
-        for (s, t), b1 in self.pairs1.items():
-            if s != t:
-                for e in b1:
-                    self.out1[s].add((t, cls1[e]))
-                    self.in1[t].add((s, cls1[e]))
+        cls2 = self.cls2
         self.ids2 = sorted(g2.nodes)
         self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         self.succ2: dict[str, dict] = {w: {} for w in g2.nodes}
@@ -441,17 +432,14 @@ def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple, hom: bool = F
     """The edge map of a witness for ``node_map``: each g1 bucket takes the
     lexicographically first of its cheapest pairings with the g2 bucket
     between the images of its ends (``pricing`` as the arguments after the
-    buckets of ``_bucket_pairs``), none when an end has no image. Under
-    ``hom`` each edge takes its cheapest image, the first by id among equals."""
-    price = pricing[0]
+    buckets of ``_bucket_pairs``), under ``hom`` each of its edges as a
+    one-edge bucket. A bucket with no g2 bucket there is deleted, unpaired."""
     edge_map: dict[str, str] = {}
     for (s, t), b1 in ix.pairs1.items():
-        b2 = ix.pairs2.get((node_map.get(s), node_map.get(t)), [])
-        if hom:
-            for e in b1:
-                edge_map[e] = min((c, f) for f in b2 if (c := price(e, f)) is not None)[1]
-        else:
-            edge_map.update(_bucket_pairs(b1, b2, *pricing))
+        b2 = ix.pairs2.get((node_map.get(s), node_map.get(t)))
+        if b2:
+            for b in ([e] for e in b1) if hom else (b1,):
+                edge_map.update(_bucket_pairs(b, b2, *pricing))
     return edge_map
 
 
@@ -516,11 +504,11 @@ class _DecisionSearch(_BranchAndBound):
         g1 buckets ``closed1`` between ``v`` and its assigned neighbours, and
         for iso the g2 buckets between ``w`` and assigned images. Returns the
         added soft cost (0 under hard properties), or None when some bucket
-        cannot be matched as the problem kind requires: hom maps each edge to
-        its cheapest image, iso and sub pair each bucket with one of the same
-        size (sub: at least the size)."""
+        cannot be matched as the problem kind requires: iso and sub pair each
+        bucket with one of the same size (sub: at least the size), hom, not
+        injective, each of its edges as a one-edge bucket."""
         pairs1, pairs2, assignment = self.ix.pairs1, self.ix.pairs2, self.assignment
-        kind, price = self.kind, self.price
+        kind, injective = self.kind, self.injective
         if kind == "iso":
             # cut: a g2 bucket at w needs a g1 bucket between the preimages
             for x, (s, t), _ in self.ix.at2[w]:
@@ -530,36 +518,30 @@ class _DecisionSearch(_BranchAndBound):
         total = 0
         for (s, t), b1 in closed1:
             b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]), [])
-            if kind == "hom":
-                for e in b1:
-                    costs = [c for f in b2 if (c := price(e, f)) is not None]
-                    if not costs:
-                        return None
-                    total += min(costs)
-                continue
-            if len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2):
+            if injective and (len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2)):
                 return None
-            found = _bucket_cost(b1, b2, *self.pricing)
-            if found is None:
-                return None
-            total += found[0]
+            for b in (b1,) if injective else ([e] for e in b1):
+                found = _bucket_cost(b, b2, *self.pricing)
+                if found is None:
+                    return None
+                total += found[0]
         return total
 
     # -- candidate generation -----------------------------------------------
 
-    def _candidates(self, v: str):
+    def _candidates(self, v: str, closed1: list):
         """The candidates for ``v`` in id order: its root domain, less the
-        used g2 nodes (iso and sub), ANDed per assigned neighbour with the
-        predecessors (edges out of ``v``) or successors (edges into ``v``)
-        of its image over that edge class."""
-        ix, assignment = self.ix, self.assignment
+        used g2 nodes (iso and sub), ANDed per edge of the buckets
+        ``closed1`` to an assigned neighbour with the predecessors (edges out
+        of ``v``) or successors (edges into ``v``) of the neighbour's image
+        over that edge's class."""
+        ix, assignment, cls1 = self.ix, self.assignment, self.ix.cls1
         mask = self.domains[v] & ~self.used
-        for t, c in ix.out1[v]:
-            if t in assignment:
-                mask &= ix.pred2[assignment[t]].get(c, 0)
-        for s, c in ix.in1[v]:
-            if s in assignment:
-                mask &= ix.succ2[assignment[s]].get(c, 0)
+        for (s, t), b1 in closed1:
+            if s != t:
+                nbrs = ix.pred2[assignment[t]] if s == v else ix.succ2[assignment[s]]
+                for e in b1:
+                    mask &= nbrs.get(cls1[e], 0)
         ids2 = ix.ids2
         while mask:  # the set bits, lowest first
             low = mask & -mask
@@ -651,7 +633,7 @@ class _DecisionSearch(_BranchAndBound):
         and undo it when resumed."""
         assignment, inv, price, bit2 = self.assignment, self.inv, self.price, self.ix.bit2
         closed1 = [(k, b1) for u, k, b1 in self.ix.at1[v] if u == v or u in assignment]
-        for w in self._candidates(v):
+        for w in self._candidates(v, closed1):
             node_cost = price(v, w)
             if node_cost is None:
                 continue
@@ -770,9 +752,7 @@ class _GedSearch(_BranchAndBound):
         ix, assignment, inv = self.ix, self.assignment, self.inv
         pairs1, pairs2 = ix.pairs1, ix.pairs2
         for (s, t), b1 in closed1:
-            ws = w if s == v else assignment[s]
-            wt = w if t == v else assignment[t]
-            b2 = pairs2.get((ws, wt)) if ws is not None and wt is not None else None
+            b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]))
             total += _bucket_cost(b1, b2, *self.pricing)[0] if b2 else self.del_bucket1[(s, t)]
         closed2 = []
         for x, k, _ in ix.at2[w]:

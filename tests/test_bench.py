@@ -171,6 +171,8 @@ def test_suite_file_errors_name_file_case_and_key(tmp_path):
         (5, f"suite file {path}: 'cases' is not a JSON list"),
         ([dict(good, kind="bogus")], f"suite file {path}: case pair1: unknown problem kind 'bogus'"),
         ([dict(good, g2={"gen": "cycle", "k": "x"})], f"suite file {path}: case pair1: invalid literal"),
+        ([dict(good, g1={"gen": "chain", "k": 3.9})], f"suite file {path}: case pair1: k must be a whole number, not 3.9"),
+        ([dict(good, g2={"gen": "random", "n": True})], f"suite file {path}: case pair1: n must be a whole number, not True"),
     ]:
         path.write_text(json.dumps({"cases": cases}), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -32,6 +32,7 @@ from pgmatch import (
     search_iso,
     search_sub,
 )
+from pgmatch import search as search_mod
 from pgmatch.search import _bucket_cost, _bucket_pairs, _Deadline, _GedSearch
 
 RELABEL = SearchOptions(mode="relabel")
@@ -542,6 +543,30 @@ def test_parallel_edge_bucket_ties_take_the_first_cheapest_pairing():
     witness = search_sub(g1, g2)
     assert witness.edge_map == {"e1": "f1", "e2": "f3"}
     assert check_subgraph_embedding(witness, g1, g2)
+    # hom is not injective: each edge, a one-edge bucket, takes the first
+    # image it may take, so both take f1
+    witness = search_hom(g1, g2)
+    assert witness.edge_map == {"e1": "f1", "e2": "f1"}
+    assert check_homomorphism(witness, g1, g2)
+
+
+def test_witness_solves_no_bucket_without_a_partner(monkeypatch):
+    # deleting everything pairs no edge: no bucket of g1 has a g2 bucket
+    # between images, so the witness rebuild solves none
+    calls = []
+    solve = search_mod._bucket_pairs
+
+    def counted(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(search_mod, "_bucket_pairs", counted)
+    g1 = PropertyGraph(
+        {"v1": "a", "v2": "a"},
+        {"e1": ("v1", "v2", "x"), "e2": ("v1", "v2", "x"), "e3": ("v1", "v1", "x")},
+    )
+    result = min_edit_matching(g1, PropertyGraph())
+    assert (result.cost, result.optimal, calls) == (5, True, [])
 
 
 def _first_cheapest_by_enumeration(b1, b2, cost, dele=None, ins=None):
