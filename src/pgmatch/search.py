@@ -8,14 +8,16 @@ better ones. Decision searches try candidate values lexicographically; edit
 distance tries the cheapest step first, then the candidate closest in out-
 and in-degree, then by id. Iso and sub are first cut by node and edge counts,
 and edit distance is bounded below by them, per label when labels must match.
-Past that cut a search builds one graph-pair index (``_PairIndex``), and one
-depth-first branch and bound (``_BranchAndBound``) runs every search on an
-explicit stack, so no graph is too deep for it. A step deciding g1 node ``v``
-visits only ``v``'s neighbours: decision candidates come from the images of
-its assigned neighbours, and the buckets priced or checked are those between
-``v`` and its decided neighbours and (iso and edit distance) the g2 buckets
-between ``v``'s image and nodes with a preimage. Edit distance carries its
-count bound and skips an option the bound cuts before applying it.
+Past that cut a search builds one graph-pair index (``_PairIndex``) of what
+both engines read: labels, label classes, properties and edge buckets. Each
+engine builds its own tables after the cuts that can end it. One depth-first
+branch and bound (``_BranchAndBound``) runs every search on an explicit stack,
+so no graph is too deep for it. A step deciding g1 node ``v`` visits only
+``v``'s neighbours: decision candidates come from the images of its assigned
+neighbours, and the buckets priced or checked are those between ``v`` and its
+decided neighbours and (iso and edit distance) the g2 buckets between ``v``'s
+image and nodes with a preimage. Edit distance carries its count bound and
+skips an option the bound cuts before applying it.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -147,7 +149,7 @@ def _class_gaps(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tuple
 
 
 class _PairIndex:
-    """Tables for one (g1, g2) pair, built once per search call.
+    """The tables both engines read for one (g1, g2) pair, built once per call.
 
     - ``labels1`` / ``labels2``: the label per node and edge id, and
       ``cls1`` / ``cls2`` its label class: the label under ``label-hard``,
@@ -155,12 +157,7 @@ class _PairIndex:
     - ``props1`` / ``props2``: properties per owner (node or edge id).
     - ``pairs1`` / ``pairs2``: edge buckets, the sorted parallel edges per
       (src, tgt).
-    - ``at1`` / ``at2``: the buckets incident to each node (``_buckets_at``).
-    - ``ids2``: the g2 node ids in sorted order. A set of g2 nodes is an
-      ``int`` whose bit *i* stands for ``ids2[i]``; ``bit2[w]`` is ``w``'s.
-    - ``succ2[w][c]`` / ``pred2[w][c]``: the g2 successors and predecessors
-      of ``w`` over edges of class ``c``, as such a bitset.
-    - ``nodes2_by_cls``: g2 node ids per class, in sorted order.
+    - ``at1``: the buckets incident to each g1 node (``_buckets_at``).
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, label_hard: bool):
@@ -176,19 +173,6 @@ class _PairIndex:
         self.pairs1 = _edges_by_pair(g1)
         self.pairs2 = _edges_by_pair(g2)
         self.at1 = _buckets_at(g1, self.pairs1)
-        self.at2 = _buckets_at(g2, self.pairs2)
-        cls2 = self.cls2
-        self.ids2 = sorted(g2.nodes)
-        self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
-        self.succ2: dict[str, dict] = {w: {} for w in g2.nodes}
-        self.pred2: dict[str, dict] = {w: {} for w in g2.nodes}
-        for f, (s, t, _) in g2.edges.items():
-            c = cls2[f]
-            self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
-            self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
-        self.nodes2_by_cls: dict = {}
-        for w in self.ids2:
-            self.nodes2_by_cls.setdefault(cls2[w], []).append(w)
 
 
 def _pair_pricer(ix: _PairIndex, sub: int | None, upd: int, dele: int, ins: int, hard=False):
@@ -286,9 +270,8 @@ def _in_out_degrees(g: PropertyGraph) -> dict[str, tuple[int, int]]:
     return {v: (out[v], into[v]) for v in g.nodes}
 
 
-def _ordered_nodes(g: PropertyGraph) -> list[str]:
-    degree = {v: o + i for v, (o, i) in _in_out_degrees(g).items()}
-    return sorted(g.nodes, key=lambda v: (-degree[v], v))
+def _ordered_nodes(g: PropertyGraph, degrees: dict) -> list[str]:
+    return sorted(g.nodes, key=lambda v: (-sum(degrees[v]), v))
 
 
 class _Deadline:
@@ -497,7 +480,7 @@ class _DecisionSearch(_BranchAndBound):
         self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
         self.used = 0  # the bitset of images, for injective kinds
         self.best: dict[str, str] | None = None
-        # run() sets ix, price, pricing and domains once the counts fit
+        # run() sets ix, price, pricing, domains and the g2 tables past its cuts
 
     def _assign_buckets(self, v: str, w: str, closed1: list) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
@@ -511,7 +494,7 @@ class _DecisionSearch(_BranchAndBound):
         kind, injective = self.kind, self.injective
         if kind == "iso":
             # cut: a g2 bucket at w needs a g1 bucket between the preimages
-            for x, (s, t), _ in self.ix.at2[w]:
+            for x, (s, t), _ in self.at2[w]:
                 u = v if x == w else self.inv.get(x)
                 if u is not None and (v if s == w else u, v if t == w else u) not in pairs1:
                     return None
@@ -535,14 +518,14 @@ class _DecisionSearch(_BranchAndBound):
         ``closed1`` to an assigned neighbour with the predecessors (edges out
         of ``v``) or successors (edges into ``v``) of the neighbour's image
         over that edge's class."""
-        ix, assignment, cls1 = self.ix, self.assignment, self.ix.cls1
+        assignment, cls1 = self.assignment, self.ix.cls1
         mask = self.domains[v] & ~self.used
         for (s, t), b1 in closed1:
             if s != t:
-                nbrs = ix.pred2[assignment[t]] if s == v else ix.succ2[assignment[s]]
+                nbrs = self.pred2[assignment[t]] if s == v else self.succ2[assignment[s]]
                 for e in b1:
                     mask &= nbrs.get(cls1[e], 0)
-        ids2 = ix.ids2
+        ids2 = self.ids2
         while mask:  # the set bits, lowest first
             low = mask & -mask
             yield ids2[low.bit_length() - 1]
@@ -554,6 +537,9 @@ class _DecisionSearch(_BranchAndBound):
         if self.kind != "hom" and not self._counts_fit():
             return None
         self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
+        # a set of g2 nodes is an int whose bit i stands for ids2[i]
+        self.ids2 = sorted(self.g2.nodes)
+        self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         # relabeling is free; soft properties cost their unit edits, inserted
         # ones only for iso, and hard ones must cost nothing
         sub = None if self.label_hard else 0
@@ -562,7 +548,16 @@ class _DecisionSearch(_BranchAndBound):
         self.domains = self._root_domains()
         if self.domains is None:
             return None
-        self._depth_first(_ordered_nodes(self.g1), self.kind)
+        # succ2[w][c] / pred2[w][c]: w's successors / predecessors over class c
+        self.succ2: dict[str, dict] = {w: {} for w in self.ids2}
+        self.pred2: dict[str, dict] = {w: {} for w in self.ids2}
+        for f, (s, t, _) in self.g2.edges.items():
+            c = ix.cls2[f]
+            self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
+            self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
+        if self.kind == "iso":
+            self.at2 = _buckets_at(self.g2, ix.pairs2)
+        self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
         if self.best is None:
             return None
         return Matching(self.best, _witness_edges(ix, self.best, self.pricing, self.kind == "hom"))
@@ -578,7 +573,7 @@ class _DecisionSearch(_BranchAndBound):
         return all(gap <= 0 for gap in gaps)
 
     def _root_domains(self) -> dict[str, int] | None:
-        """Each g1 node's candidate domain, as a bitset over ``ix.ids2``, or
+        """Each g1 node's candidate domain, as a bitset over ``ids2``, or
         None when a domain is empty. A g2 node ``w`` is in ``v``'s domain
         when it has ``v``'s label (``label-hard``) and ``v``'s properties
         (hard properties), lies in the walk core of g2 if ``v`` lies in
@@ -602,7 +597,7 @@ class _DecisionSearch(_BranchAndBound):
         with_sig: dict = {}
         with_prop: dict = {}
         in_core = 0
-        for w, bit in ix.bit2.items():
+        for w, bit in self.bit2.items():
             with_label[ix.cls2[w]] = with_label.get(ix.cls2[w], 0) | bit
             in_core |= bit if w in core2 else 0
             sig = sigs2.get(w, ())
@@ -611,7 +606,7 @@ class _DecisionSearch(_BranchAndBound):
         if self.props_hard:
             for (x, k), d in g2.props.items():
                 if x in g2.nodes:
-                    with_prop[(k, d)] = with_prop.get((k, d), 0) | ix.bit2[x]
+                    with_prop[(k, d)] = with_prop.get((k, d), 0) | self.bit2[x]
         domains = {}
         for v in g1.nodes:
             mask = with_label.get(ix.cls1[v], 0) & (in_core if v in core1 else -1)
@@ -631,7 +626,7 @@ class _DecisionSearch(_BranchAndBound):
         """Assign ``v`` each candidate in lexicographic order whose node and
         edge buckets are feasible, yield the settled cost with it assigned,
         and undo it when resumed."""
-        assignment, inv, price, bit2 = self.assignment, self.inv, self.price, self.ix.bit2
+        assignment, inv, price, bit2 = self.assignment, self.inv, self.price, self.bit2
         closed1 = [(k, b1) for u, k, b1 in self.ix.at1[v] if u == v or u in assignment]
         for w in self._candidates(v, closed1):
             node_cost = price(v, w)
@@ -699,13 +694,18 @@ class _GedSearch(_BranchAndBound):
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
+        self.deadline = _Deadline(opts.budget)
         self.g1, self.g2 = g1, g2
         self.opts = opts
         self.cm = opts.cost_model
         self.label_hard = opts.mode == MODE_LABEL_HARD
-        self.order1 = _ordered_nodes(g1)
         self.degrees1, self.degrees2 = _in_out_degrees(g1), _in_out_degrees(g2)
+        self.order1 = _ordered_nodes(g1, self.degrees1)
         self.ix = ix = _PairIndex(g1, g2, self.label_hard)
+        self.at2 = _buckets_at(g2, ix.pairs2)
+        self.nodes2_by_cls: dict = {}  # g2 node ids per class, in sorted order
+        for w in sorted(g2.nodes):
+            self.nodes2_by_cls.setdefault(ix.cls2[w], []).append(w)
         w = self.cm.weights
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
         self.w_del_e, self.w_ins_e = w["delE"], w["insE"]
@@ -734,7 +734,6 @@ class _GedSearch(_BranchAndBound):
         self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
         self.assignment: dict[str, str | None] = {}
         self.inv: dict[str, str] = {}  # used g2 node -> its preimage
-        self.deadline = _Deadline(opts.budget)
         self.pricing = (edge_price, self.deadline, self.del_edge, self.ins_edge)
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
@@ -755,7 +754,7 @@ class _GedSearch(_BranchAndBound):
             b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]))
             total += _bucket_cost(b1, b2, *self.pricing)[0] if b2 else self.del_bucket1[(s, t)]
         closed2 = []
-        for x, k, _ in ix.at2[w]:
+        for x, k, _ in self.at2[w]:
             u = v if x == w else inv.get(x)
             if u is not None:
                 closed2.append(k)
@@ -823,7 +822,7 @@ class _GedSearch(_BranchAndBound):
         # gap puts it after the matches of equal cost, and as no two options
         # tie before w, sorting never compares w with None or reaches further
         options = []
-        for w in ix.nodes2_by_cls.get(c, []):
+        for w in self.nodes2_by_cls.get(c, []):
             if w not in inv:
                 if deadline.check():
                     raise SearchTimeout("edit-distance search exceeded its budget")

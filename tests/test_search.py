@@ -814,14 +814,55 @@ def test_min_edit_timeout_holds_inside_a_bucket():
 def test_min_edit_timeout_holds_while_pricing_candidates():
     # every node entered prices up to 200 candidates, each against many
     # decided neighbours: the deadline must tick per candidate priced.
-    # About 0.2 s of setup and witness rebuild is unbudgeted, so the 0.6 s
-    # of slack leaves room for slower interpreters
+    # Setup runs on the budget; the witness rebuild and the script after the
+    # search do not, so the 0.6 s of slack leaves room for slower interpreters
     budget = 0.5
     g1, g2 = gen_random(200, 0.2, 400, "a"), gen_random(200, 0.2, 401, "b")
     start = time.monotonic()
     result = min_edit_matching(g1, g2, SearchOptions(budget=budget))
     assert time.monotonic() - start <= 2 * budget + 0.1
     assert not result.optimal
+
+
+def test_setup_runs_on_the_search_clock(monkeypatch):
+    # a pair index that takes longer to build than the whole budget: both
+    # engines must count it, so neither proves nor searches past it
+    class SlowIndex(search_mod._PairIndex):
+        def __init__(self, *args):
+            time.sleep(0.1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(search_mod, "_PairIndex", SlowIndex)
+    spent = SearchOptions(budget=0.05)
+    assert not min_edit_matching(gen_chain(3, "a"), gen_cycle(3, "b"), spent).optimal
+    for search in (search_hom, search_sub):
+        with pytest.raises(SearchTimeout):
+            search(gen_chain(3, "a"), gen_chain(4, "b"), spent)
+
+
+def test_each_engine_builds_only_the_tables_it_reads(monkeypatch):
+    # the shared index holds what both engines read; g2's incident buckets
+    # are built by iso and edit distance only, the bitsets by decisions only
+    calls = []
+    build = search_mod._buckets_at
+
+    def counted(g, pairs):
+        calls.append(g)
+        return build(g, pairs)
+
+    monkeypatch.setattr(search_mod, "_buckets_at", counted)
+    g1, g2 = gen_chain(3, "a"), gen_chain(4, "b")
+    for search, n in ((search_hom, 1), (search_sub, 1), (search_iso, 2)):
+        calls.clear()
+        search(g1, g1 if search is search_iso else g2)
+        assert len(calls) == n, search.__name__
+    calls.clear()
+    ged = _GedSearch(g1, g2, SearchOptions())
+    assert len(calls) == 2
+    assert set(vars(ged.ix)) == {
+        "labels1", "labels2", "cls1", "cls2", "props1", "props2", "pairs1", "pairs2", "at1"
+    }
+    assert not {"ids2", "bit2", "succ2", "pred2"} & set(vars(ged))
 
 
 def test_min_edit_large_buckets_prove_optimal_within_budget():
