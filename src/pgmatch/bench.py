@@ -5,6 +5,8 @@ A suite is a list of cases, each naming a problem kind and two graphs
 (generated or loaded from files). Every (case, backend) cell records status,
 cost, wall time and whether the budget expired; a cell counts as solved when
 it reached a definitive answer (SAT, UNSAT or proven optimum) in time.
+Each backend answers through one runner, ``run_native`` or ``run_asp``,
+which the command line calls too.
 """
 
 from __future__ import annotations
@@ -17,23 +19,17 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
-from .bridge import SolverConfig, SolverStatus, run_solver
+from .bridge import SolverConfig, SolverStatus, decode_edit_script, decode_matching, run_solver
+from .editing import CostModel
 from .encode import EDIT_KIND_MODES, ProblemKind, kind_cost_model, render_job
-from .generators import gen_chain, gen_cycle, gen_random
+from .generators import SHAPES, gen_chain, gen_cycle, gen_random
 from .graphs import PropertyGraph, load_graph
-from .search import (
-    GedResult,
-    SearchOptions,
-    SearchTimeout,
-    min_edit_matching,
-    search_hom,
-    search_iso,
-    search_sub,
-)
+from .search import SearchOptions, SearchTimeout, min_edit_matching, search_hom, search_iso, search_sub
 
 CSV_COLUMNS = ("instance", "kind", "backend", "status", "cost", "ms", "timed_out")
 
-_DECISION_KINDS = (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB)
+# The native search of each decision kind; the edit-distance kinds share one.
+_SEARCHES = {ProblemKind.HOM: search_hom, ProblemKind.ISO: search_iso, ProblemKind.SUB: search_sub}
 _SOLVED = {"SAT", "UNSAT", "OPTIMUM"}
 
 
@@ -77,10 +73,8 @@ def _graph_from_spec(spec: dict, default_prefix: str) -> PropertyGraph:
         return load_graph(spec["file"])
     gen = spec.get("gen")
     prefix = spec.get("prefix", default_prefix)
-    if gen == "chain":
-        return gen_chain(_whole(spec, "k"), prefix)
-    if gen == "cycle":
-        return gen_cycle(_whole(spec, "k"), prefix)
+    if gen in SHAPES:
+        return SHAPES[gen](_whole(spec, "k"), prefix)
     if gen == "random":
         return gen_random(_whole(spec, "n"), float(spec.get("p", 0.1)), _whole(spec, "seed", 0), prefix)
     raise ValueError(f"unrecognized graph spec {spec!r}")
@@ -109,15 +103,12 @@ def load_suite(path: str) -> list[BenchCase]:
     return cases
 
 
-_SHAPES = {"chain": gen_chain, "cycle": gen_cycle}
-
-
 def _shape_pairs(kind: ProblemKind) -> list[BenchCase]:
     """Chain/cycle pairs for k in 10..100 across all four shape pairs."""
     return [
-        BenchCase(f"{kind.value}-{s1}{k}-{s2}{k}", kind, _SHAPES[s1](k, "a"), _SHAPES[s2](k, "b"))
-        for s1 in _SHAPES
-        for s2 in _SHAPES
+        BenchCase(f"{kind.value}-{s1}{k}-{s2}{k}", kind, SHAPES[s1](k, "a"), SHAPES[s2](k, "b"))
+        for s1 in SHAPES
+        for s2 in SHAPES
         for k in range(10, 101, 10)
     ]
 
@@ -127,7 +118,7 @@ def synthetic_matrix() -> list[BenchCase]:
     problems, plus random graphs with edge probability 0.1; the subgraph rows
     additionally embed a one-shorter chain into the cycle."""
     cases: list[BenchCase] = []
-    for kind in (*_DECISION_KINDS, ProblemKind.GED):
+    for kind in (*_SEARCHES, ProblemKind.GED):
         cases += _shape_pairs(kind)
         for n in range(5, 51, 5):
             cases.append(
@@ -153,7 +144,7 @@ def synthetic_matrix() -> list[BenchCase]:
 def native_matrix() -> list[BenchCase]:
     """The decision matrix plus edit distance on chain-versus-cycle pairs
     of 1 to 8 nodes, small enough for the exact native search."""
-    cases = [case for kind in _DECISION_KINDS for case in _shape_pairs(kind)]
+    cases = [case for kind in _SEARCHES for case in _shape_pairs(kind)]
     for k in range(1, 9):
         cases.append(
             BenchCase(
@@ -169,53 +160,66 @@ def native_matrix() -> list[BenchCase]:
 PRESETS = {"synthetic-matrix": synthetic_matrix, "native-matrix": native_matrix}
 
 
-def _run_native(case: BenchCase, budget: float) -> tuple[str, int | None, bool]:
-    if case.kind in _DECISION_KINDS:
-        searcher = {
-            ProblemKind.HOM: search_hom,
-            ProblemKind.ISO: search_iso,
-            ProblemKind.SUB: search_sub,
-        }[case.kind]
+def run_native(kind: ProblemKind, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
+    """Answer ``kind`` with the native search under ``opts`` (an edit-distance
+    kind takes its mode and cost model from them) as ``(status, cost, answer)``:
+    the edit script and its cost, or no cost and the witness (None when there
+    is none). A decision search that runs out of budget is a TIMEOUT with no
+    answer; edit distance's is its incumbent's."""
+    if kind in _SEARCHES:
         try:
-            witness = searcher(case.g1, case.g2, SearchOptions(budget=budget))
+            witness = _SEARCHES[kind](g1, g2, opts)
         except SearchTimeout:
-            return "TIMEOUT", None, True
-        return ("SAT", None, False) if witness is not None else ("UNSAT", None, False)
-    if case.kind not in EDIT_KIND_MODES:
-        raise ValueError(f"the native backend cannot run {case.kind.value}")
-    cm = kind_cost_model(case.kind)
-    opts = SearchOptions(mode=EDIT_KIND_MODES[case.kind], cost_model=cm, budget=budget)
-    result: GedResult = min_edit_matching(case.g1, case.g2, opts)
-    if result.optimal:
-        return "OPTIMUM", result.cost, False
-    return "TIMEOUT", result.cost, True
+            return SolverStatus.TIMEOUT, None, None
+        return SolverStatus.UNSAT if witness is None else SolverStatus.SAT, None, witness
+    if kind not in EDIT_KIND_MODES:
+        raise ValueError(f"the native backend cannot run {kind.value}")
+    result = min_edit_matching(g1, g2, opts)
+    return SolverStatus.OPTIMUM if result.optimal else SolverStatus.TIMEOUT, result.cost, result.script
 
 
-def _run_asp(case: BenchCase, budget: float, solver: SolverConfig) -> tuple[str, int | None, bool]:
-    cm = kind_cost_model(case.kind) if case.kind is ProblemKind.GEDC_WEIGHTED else None
-    program = render_job(case.g1, case.g2, case.kind, cm)
-    cfg = SolverConfig(solver.executable, solver.args, budget)
-    ans = run_solver(program, cfg)
+def run_asp(
+    kind: ProblemKind, g1: PropertyGraph, g2: PropertyGraph, cfg: SolverConfig, cm: CostModel | None = None
+):
+    """Answer ``kind`` through the solver ``cfg`` runs, the job rendered with
+    ``cm`` (gedc's weights, None for the other kinds), as ``run_native`` does.
+    The model is decoded and checked against the graphs: an edit-distance
+    model's script under ``kind_cost_model``, with that script's cost, and
+    otherwise its matching, with the solver's own cost. A model that
+    disagrees with the graphs raises ``DecodeMismatchError`` or
+    ``UnknownIdError``."""
+    ans = run_solver(render_job(g1, g2, kind, cm), cfg)
+    if ans.status is SolverStatus.UNSAT:
+        return ans.status, None, None
+    if kind in EDIT_KIND_MODES:
+        script, cost = decode_edit_script(ans, g1, g2, EDIT_KIND_MODES[kind], kind_cost_model(kind, cm))
+        return ans.status, cost, script
     cost = sum(ans.costs) if ans.costs is not None else None
-    return ans.status.value, cost, ans.status is SolverStatus.TIMEOUT
+    return ans.status, cost, decode_matching(ans, g1, g2) if ans.atoms else None
 
 
 def _run_cell(case: BenchCase, backend: str, budget: float, solver: SolverConfig | None) -> BenchResult:
     start = time.monotonic()
-    error = None
+    kind, error = case.kind, None
     try:
         if backend == "native":
-            status, cost, timed_out = _run_native(case, budget)
+            opts = SearchOptions(budget=budget)
+            if kind in EDIT_KIND_MODES:
+                opts = SearchOptions(EDIT_KIND_MODES[kind], cost_model=kind_cost_model(kind), budget=budget)
+            status, cost, _ = run_native(kind, case.g1, case.g2, opts)
         elif backend == "asp":
             if solver is None:
                 raise ValueError("the asp backend needs a solver configuration")
-            status, cost, timed_out = _run_asp(case, budget, solver)
+            cm = kind_cost_model(kind) if kind is ProblemKind.GEDC_WEIGHTED else None
+            cfg = SolverConfig(solver.executable, solver.args, budget)
+            status, cost, _ = run_asp(kind, case.g1, case.g2, cfg, cm)
         else:
             raise ValueError(f"unknown backend {backend!r}")
+        status = status.value
     except Exception as exc:  # one failed cell must not end the run
-        status, cost, timed_out, error = "ERROR", None, False, f"{type(exc).__name__}: {exc}"
+        status, cost, error = "ERROR", None, f"{type(exc).__name__}: {exc}"
     ms = (time.monotonic() - start) * 1000.0
-    return BenchResult(case.instance, case.kind.value, backend, status, cost, ms, timed_out, error)
+    return BenchResult(case.instance, kind.value, backend, status, cost, ms, status == "TIMEOUT", error)
 
 
 def run_bench(

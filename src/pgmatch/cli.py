@@ -11,33 +11,13 @@ import json
 import os
 import sys
 
-from .bench import PRESETS, load_suite, render_csv, render_summary, run_bench
-from .bridge import (
-    EXIT_CODES,
-    SOLVER_ENV_VAR,
-    SolverConfig,
-    SolverStatus,
-    decode_edit_script,
-    decode_matching,
-    run_solver,
-)
-from .editing import (
-    MODE_LABEL_HARD,
-    MODE_RELABEL,
-    CostModel,
-    format_script,
-)
-from .encode import EDIT_KIND_MODES, GEDC_WEIGHTS, ProblemKind, kind_cost_model, render_job
-from .generators import gen_chain, gen_cycle, gen_random
-from .graphs import format_graph, load_graph
-from .search import (
-    SearchOptions,
-    SearchTimeout,
-    min_edit_matching,
-    search_hom,
-    search_iso,
-    search_sub,
-)
+from .bench import PRESETS, load_suite, render_csv, render_summary, run_asp, run_bench, run_native
+from .bridge import EXIT_CODES, SOLVER_ENV_VAR, SolverConfig, SolverStatus
+from .editing import MODE_LABEL_HARD, MODE_RELABEL, CostModel, format_script
+from .encode import GEDC_WEIGHTS, ProblemKind, render_job
+from .generators import SHAPES, gen_random
+from .graphs import Matching, format_graph, load_graph
+from .search import SearchOptions
 
 
 def _cost_model(name: str, expressible: frozenset | None = None) -> CostModel:
@@ -61,11 +41,19 @@ def _cost_model(name: str, expressible: frozenset | None = None) -> CostModel:
     )
 
 
-def _print_matching(m) -> None:
-    for v, w in m.node_map.items():
-        print(f"node {v} -> {w}")
-    for e, f in m.edge_map.items():
-        print(f"edge {e} -> {f}")
+def _report(status: SolverStatus, cost: int | None, answer) -> int:
+    """Print an answer of ``run_native`` or ``run_asp``: the status, then a
+    witness's pairs or an edit script's cost and text. Returns the exit code."""
+    print(f"status: {status.value}")
+    if isinstance(answer, Matching):
+        for v, w in answer.node_map.items():
+            print(f"node {v} -> {w}")
+        for e, f in answer.edge_map.items():
+            print(f"edge {e} -> {f}")
+    elif answer is not None:
+        print(f"cost: {cost}")
+        sys.stdout.write(format_script(answer))
+    return EXIT_CODES[status]
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -83,18 +71,7 @@ def _cmd_check(args) -> int:
         properties="soft" if args.soft_props else "hard",
         budget=args.timeout,
     )
-    searcher = {"hom": search_hom, "iso": search_iso, "sub": search_sub}[args.mode]
-    try:
-        witness = searcher(g1, g2, opts)
-    except SearchTimeout:
-        print("status: TIMEOUT")
-        return EXIT_CODES[SolverStatus.TIMEOUT]
-    if witness is None:
-        print("status: UNSAT")
-        return EXIT_CODES[SolverStatus.UNSAT]
-    print("status: SAT")
-    _print_matching(witness)
-    return EXIT_CODES[SolverStatus.SAT]
+    return _report(*run_native(ProblemKind.from_name(args.mode), g1, g2, opts))
 
 
 def _cmd_ged(args) -> int:
@@ -104,13 +81,8 @@ def _cmd_ged(args) -> int:
         cost_model=_cost_model(args.weights),
         budget=args.timeout,
     )
-    result = min_edit_matching(g1, g2, opts)
-    print(f"status: {'OPTIMUM' if result.optimal else 'TIMEOUT'}")
-    print(f"cost: {result.cost}")
-    sys.stdout.write(format_script(result.script))
-    if result.optimal:
-        return EXIT_CODES[SolverStatus.OPTIMUM]
-    return EXIT_CODES[SolverStatus.TIMEOUT]
+    kind = ProblemKind.GED_RELABEL if args.relabel else ProblemKind.GED
+    return _report(*run_native(kind, g1, g2, opts))
 
 
 def _job_cost_model(args, kind: ProblemKind) -> CostModel | None:
@@ -138,18 +110,7 @@ def _cmd_solve(args) -> int:
     if cfg is None:
         print("no solver configured (use --solver or PGMATCH_SOLVER)", file=sys.stderr)
         return EXIT_CODES[SolverStatus.ERROR]
-    program = render_job(g1, g2, kind, cm)
-    ans = run_solver(program, cfg)
-    print(f"status: {ans.status.value}")
-    if ans.status in (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT):
-        if kind in EDIT_KIND_MODES:
-            cm = kind_cost_model(kind, cm)
-            script, cost = decode_edit_script(ans, g1, g2, EDIT_KIND_MODES[kind], cm)
-            print(f"cost: {cost}")
-            sys.stdout.write(format_script(script))
-        elif ans.atoms:
-            _print_matching(decode_matching(ans, g1, g2))
-    return EXIT_CODES[ans.status]
+    return _report(*run_asp(kind, g1, g2, cfg, cm))
 
 
 def _solver_config(args) -> SolverConfig | None:
@@ -160,10 +121,8 @@ def _solver_config(args) -> SolverConfig | None:
 
 
 def _cmd_gen(args) -> int:
-    if args.shape == "chain":
-        g = gen_chain(args.k, args.prefix)
-    elif args.shape == "cycle":
-        g = gen_cycle(args.k, args.prefix)
+    if args.shape in SHAPES:
+        g = SHAPES[args.shape](args.k, args.prefix)
     else:
         g = gen_random(args.n, args.p, args.seed, args.prefix)
     _write_out(format_graph(g), args.output)
@@ -232,15 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic graph")
     shapes = p.add_subparsers(dest="shape", required=True)
-    pc = shapes.add_parser("chain")
-    pc.add_argument("--k", type=int, required=True)
-    pcy = shapes.add_parser("cycle")
-    pcy.add_argument("--k", type=int, required=True)
+    subparsers = [shapes.add_parser(shape) for shape in SHAPES]
+    for sp in subparsers:
+        sp.add_argument("--k", type=int, required=True)
     pr = shapes.add_parser("random")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--p", type=float, default=0.1)
     pr.add_argument("--seed", type=int, default=0)
-    for sp in (pc, pcy, pr):
+    for sp in (*subparsers, pr):
         sp.add_argument("--prefix", default="")
         sp.add_argument("-o", "--output", default=None)
         sp.set_defaults(func=_cmd_gen)

@@ -107,17 +107,10 @@ class RelabelEdge:
     label: str
 
 
-EditOp = Union[
-    InsertNode,
-    InsertEdge,
-    InsertProp,
-    DeleteNode,
-    DeleteEdge,
-    DeleteProp,
-    UpdateProp,
-    RelabelNode,
-    RelabelEdge,
-]
+# The operation classes; an EditOp is any one of them.
+_OPS = (InsertNode, InsertEdge, InsertProp, DeleteNode, DeleteEdge, DeleteProp,
+        UpdateProp, RelabelNode, RelabelEdge)
+EditOp = Union[_OPS]
 
 PHASE_ORDER = ("delP", "delE", "delV", "updP", "relV", "relE", "insV", "insE", "insP")
 CORE_KINDS = frozenset({"delP", "delE", "delV", "updP", "insV", "insE", "insP"})
@@ -137,17 +130,7 @@ _OP_KINDS = {
         attrgetter("kind", *(f.name for f in fields(cls))),
         2 if cls.kind.endswith("P") else 1,
     )
-    for cls in (
-        InsertNode,
-        InsertEdge,
-        InsertProp,
-        DeleteNode,
-        DeleteEdge,
-        DeleteProp,
-        UpdateProp,
-        RelabelNode,
-        RelabelEdge,
-    )
+    for cls in _OPS
 }
 
 

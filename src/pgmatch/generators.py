@@ -49,6 +49,10 @@ def gen_cycle(k: int, prefix: str = "") -> PropertyGraph:
     return PropertyGraph(nodes, edges)
 
 
+# The generators of one size ``k``, by name: suite files and ``pgmatch gen``.
+SHAPES = {"chain": gen_chain, "cycle": gen_cycle}
+
+
 def gen_random(n: int, p: float, seed: int, prefix: str = "") -> PropertyGraph:
     """``n`` uniformly labeled nodes; every ordered pair of distinct nodes
     receives one edge with probability ``p``, decided by a deterministic

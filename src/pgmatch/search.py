@@ -560,6 +560,7 @@ class _DecisionSearch(_BranchAndBound):
         self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
         if self.best is None:
             return None
+        self.deadline.expires = math.inf  # the witness found is rebuilt unbudgeted
         return Matching(self.best, _witness_edges(ix, self.best, self.pricing, self.kind == "hom"))
 
     def _counts_fit(self) -> bool:
@@ -703,8 +704,8 @@ class _GedSearch(_BranchAndBound):
         self.order1 = _ordered_nodes(g1, self.degrees1)
         self.ix = ix = _PairIndex(g1, g2, self.label_hard)
         self.at2 = _buckets_at(g2, ix.pairs2)
-        self.nodes2_by_cls: dict = {}  # g2 node ids per class, in sorted order
-        for w in sorted(g2.nodes):
+        self.nodes2_by_cls: dict = {}  # g2 node ids per class
+        for w in g2.nodes:
             self.nodes2_by_cls.setdefault(ix.cls2[w], []).append(w)
         w = self.cm.weights
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]

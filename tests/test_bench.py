@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import FAKE_SOLVER
-from pgmatch import CostModel, PropertyGraph, SolverConfig
+from pgmatch import CostModel, PropertyGraph, SearchOptions, SolverConfig
 from pgmatch.bridge import AnswerSet, DecodeMismatchError, SolverStatus, decode_edit_script
 from pgmatch.bench import (
     CSV_COLUMNS,
@@ -14,11 +14,13 @@ from pgmatch.bench import (
     native_matrix,
     render_csv,
     render_summary,
+    run_asp,
     run_bench,
+    run_native,
     success_rates,
     synthetic_matrix,
 )
-from pgmatch.encode import Fact, ProblemKind, kind_cost_model
+from pgmatch.encode import EDIT_KIND_MODES, Fact, ProblemKind, kind_cost_model
 from pgmatch.generators import gen_chain, gen_cycle, gen_random
 
 
@@ -116,6 +118,36 @@ def test_asp_backend_through_fake_solver():
     assert r.backend == "asp"
     assert r.status in ("ERROR", "SAT", "UNSAT")
     assert r.error.startswith("ProcessFailure")
+
+
+def test_asp_cell_whose_model_disagrees_with_its_graphs_is_an_error():
+    # a solver claiming cost 0 for one node pair, whose script costs 11 (the
+    # optimum is 3): the cell is refused, not recorded as solved
+    answer = "print('Answer: 1'); print('h(av000,bv000)'); print('Optimization: 0'); print('OPTIMUM FOUND')"
+    solver = SolverConfig(sys.executable, ("-c", "import sys; sys.stdin.read(); " + answer))
+    cases = [BenchCase("ged", ProblemKind.GED, gen_chain(3, "a"), gen_cycle(3, "b"))]
+    (r,) = run_bench(cases, ("asp",), budget=10.0, solver=solver)
+    assert (r.status, r.cost, r.timed_out) == ("ERROR", None, False)
+    assert r.error.startswith(("DecodeMismatchError", "UnknownIdError"))
+
+
+def test_edit_kinds_agree_on_both_backends():
+    solver = SolverConfig(sys.executable, (str(FAKE_SOLVER),), budget=10.0)
+    cases = [
+        BenchCase("ged", ProblemKind.GED, gen_chain(3, "a"), gen_cycle(3, "b")),
+        BenchCase("ged-relabel", ProblemKind.GED_RELABEL, gen_chain(5, "a"), gen_cycle(5, "b")),
+        BenchCase("gedc", ProblemKind.GEDC_WEIGHTED, gen_chain(5, "a"), gen_cycle(5, "b")),
+    ]
+    results = run_bench(cases, ("native", "asp"), budget=10.0, solver=solver)
+    rows = {(r.instance, r.backend): (r.status, r.cost) for r in results}
+    for case, cost in zip(cases, (3, 3, 8)):
+        assert rows[case.instance, "native"] == rows[case.instance, "asp"] == ("OPTIMUM", cost)
+        cm = kind_cost_model(case.kind)
+        opts = SearchOptions(EDIT_KIND_MODES[case.kind], cost_model=cm)
+        *_, native = run_native(case.kind, case.g1, case.g2, opts)
+        gedc = cm if case.kind is ProblemKind.GEDC_WEIGHTED else None
+        *_, asp = run_asp(case.kind, case.g1, case.g2, solver, gedc)
+        assert asp == native
 
 
 def test_parallel_workers_give_same_results():

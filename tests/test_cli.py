@@ -158,6 +158,20 @@ def test_solve_refuses_output_without_a_model(tmp_path, capsys):
     assert "no model or status found in solver output" in captured.err
 
 
+def test_solve_refuses_a_model_that_disagrees_with_its_graphs(tmp_path, capsys):
+    # the solver claims cost 0 for one node pair, whose script costs 11: the
+    # cause reaches stderr, and no status is printed for the refused model
+    a, b = tmp_path / "a.pg", tmp_path / "b.pg"
+    assert main(["gen", "chain", "--k", "3", "--prefix", "a", "-o", str(a)]) == 0
+    assert main(["gen", "cycle", "--k", "3", "--prefix", "b", "-o", str(b)]) == 0
+    answer = "import sys; sys.stdin.read(); print('Answer: 1\\nh(av000,bv000)\\nOptimization: 0\\nOPTIMUM FOUND')"
+    solver = ["--solver", sys.executable, "--solver-arg=-c", f"--solver-arg={answer}"]
+    assert main(["solve", "--kind", "ged", *solver, str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver cost 0 differs from script cost 11" in captured.err
+
+
 def test_solve_without_solver_configured(graphs, capsys, monkeypatch):
     monkeypatch.delenv("PGMATCH_SOLVER", raising=False)
     a, b = graphs

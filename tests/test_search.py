@@ -840,6 +840,25 @@ def test_setup_runs_on_the_search_clock(monkeypatch):
             search(gen_chain(3, "a"), gen_chain(4, "b"), spent)
 
 
+def test_a_decision_witness_found_is_rebuilt_off_the_clock(monkeypatch):
+    # the budget runs out just after the leaf that keeps the witness: its
+    # edges are still paired, through an assignment solve per bucket of two
+    keep = search_mod._DecisionSearch._leaf
+
+    def spent_at_leaf(self, acc):
+        done = keep(self, acc)
+        self.deadline.expires, self.deadline._tick = 0, 0
+        return done
+
+    monkeypatch.setattr(search_mod._DecisionSearch, "_leaf", spent_at_leaf)
+    g1 = PropertyGraph({"a1": "n", "a2": "n"}, {"ae1": ("a1", "a2", "e"), "ae2": ("a1", "a2", "e")})
+    g2 = PropertyGraph({"b1": "n", "b2": "n"}, {"be1": ("b1", "b2", "e"), "be2": ("b1", "b2", "e")})
+    for search in (search_sub, search_iso):
+        witness = search(g1, g2)
+        assert witness.node_map == {"a1": "b1", "a2": "b2"}, search.__name__
+        assert witness.edge_map == {"ae1": "be1", "ae2": "be2"}, search.__name__
+
+
 def test_each_engine_builds_only_the_tables_it_reads(monkeypatch):
     # the shared index holds what both engines read; g2's incident buckets
     # are built by iso and edit distance only, the bitsets by decisions only
