@@ -185,11 +185,12 @@ def run_asp(
     ``cm`` (gedc's weights, None for the other kinds), as ``run_native`` does.
     The model is decoded and checked against the graphs: an edit-distance
     model's script under ``kind_cost_model``, with that script's cost, and
-    otherwise its matching, with the solver's own cost. A model that
-    disagrees with the graphs raises ``DecodeMismatchError`` or
+    otherwise its matching, with the solver's own cost. A run with no model
+    (UNSAT, or killed before printing one) has no cost and no answer. A model
+    that disagrees with the graphs raises ``DecodeMismatchError`` or
     ``UnknownIdError``."""
     ans = run_solver(render_job(g1, g2, kind, cm), cfg)
-    if ans.status is SolverStatus.UNSAT:
+    if not ans.found:
         return ans.status, None, None
     if kind in EDIT_KIND_MODES:
         script, cost = decode_edit_script(ans, g1, g2, EDIT_KIND_MODES[kind], kind_cost_model(kind, cm))

@@ -94,13 +94,16 @@ class AnswerSet:
     """The best model reported by one solver run.
 
     ``costs`` is present only when the program carried a minimize directive;
-    ``optimal`` is True only when the solver proved optimality.
+    ``optimal`` is True only when the solver proved optimality. ``found`` is
+    False when the solver printed no model, as when it was killed first:
+    ``atoms`` is then empty but is no model.
     """
 
     atoms: tuple[Fact, ...]
     costs: tuple[int, ...] | None
     optimal: bool
     status: SolverStatus
+    found: bool = True
 
     def atoms_named(self, pred: str) -> list[Fact]:
         return [a for a in self.atoms if a.pred == pred]
@@ -144,7 +147,8 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     """Run one solver job and return its final (best) model.
 
     On budget expiry the process is killed and whatever model it printed so
-    far is returned with status TIMEOUT. Unexpected process failures and an
+    far is returned with status TIMEOUT, or, when it printed none, an answer
+    set that is not ``found``. Unexpected process failures and an
     ``UNKNOWN`` answer raise ``ProcessFailure`` with the start of the
     solver's stderr; unrecognizable output raises ``ParseFailure``.
     """
@@ -178,13 +182,13 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     atoms = tuple(models[-1]) if models else ()
     cost_vec = tuple(costs) if costs is not None else None
     if timed_out:
-        return AnswerSet(atoms, cost_vec, optimal=False, status=SolverStatus.TIMEOUT)
+        return AnswerSet(atoms, cost_vec, False, SolverStatus.TIMEOUT, found=bool(models))
     if status_word == "OPTIMUM FOUND":
         return AnswerSet(atoms, cost_vec, optimal=True, status=SolverStatus.OPTIMUM)
     if status_word == "SATISFIABLE":
         return AnswerSet(atoms, cost_vec, optimal=False, status=SolverStatus.SAT)
     if status_word == "UNSATISFIABLE":
-        return AnswerSet((), None, optimal=False, status=SolverStatus.UNSAT)
+        return AnswerSet((), None, False, SolverStatus.UNSAT, found=False)
     if status_word == "UNKNOWN":
         raise ProcessFailure(f"solver answered UNKNOWN; stderr: {(err or '').strip()[:200]!r}")
     if models:
@@ -252,7 +256,8 @@ def decode_edit_script(
     reported cost; applying it to ``g1`` must give ``g2`` up to renaming
     matched ids. Any disagreement raises ``DecodeMismatchError``.
     """
-    if ans.status not in (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT):
+    answered = (SolverStatus.SAT, SolverStatus.OPTIMUM, SolverStatus.TIMEOUT)
+    if not ans.found or ans.status not in answered:
         raise DecodeMismatchError(f"no model to decode (status {ans.status.value})")
     cm = cm or CostModel.unit()
     h = decode_matching(ans, g1, g2)

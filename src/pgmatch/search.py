@@ -17,7 +17,9 @@ so no graph is too deep for it. A step deciding g1 node ``v`` visits only
 neighbours, and the buckets priced or checked are those between ``v`` and its
 decided neighbours and (iso and edit distance) the g2 buckets between ``v``'s
 image and nodes with a preimage. Edit distance carries its count bound and
-skips an option the bound cuts before applying it.
+skips an option the bound cuts before applying it; once a candidate joined
+to no image of a decided neighbour cannot beat the incumbent, it prices only
+the candidates so joined.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -704,6 +706,7 @@ class _GedSearch(_BranchAndBound):
         self.order1 = _ordered_nodes(g1, self.degrees1)
         self.ix = ix = _PairIndex(g1, g2, self.label_hard)
         self.at2 = _buckets_at(g2, ix.pairs2)
+        self.loops2 = {s for s, t in ix.pairs2 if s == t}  # g2 nodes with a self-loop
         self.nodes2_by_cls: dict = {}  # g2 node ids per class
         for w in g2.nodes:
             self.nodes2_by_cls.setdefault(ix.cls2[w], []).append(w)
@@ -741,13 +744,11 @@ class _GedSearch(_BranchAndBound):
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
         self.timed_out = False
 
-    def _decide_cost(self, v: str, w: str | None, closed1: list) -> tuple[int, list]:
-        """Cost settled by deciding ``v`` as ``w`` (None: delete ``v``), and
-        the g2 buckets it settles: those between ``w`` and used g2 nodes,
-        priced as insertions when no g1 bucket joins the preimages. The g1
-        buckets ``closed1`` join ``v`` and its decided neighbours."""
-        if w is None:
-            return self.del_node[v] + sum(self.del_bucket1[k] for k, _ in closed1), []
+    def _decide_cost(self, v: str, w: str, closed1: list) -> tuple[int, list]:
+        """Cost settled by matching ``v`` with ``w``, and the g2 buckets it
+        settles: those between ``w`` and used g2 nodes, priced as insertions
+        when no g1 bucket joins the preimages. The g1 buckets ``closed1`` join
+        ``v`` and its decided neighbours."""
         total = self.node_price(v, w)
         ix, assignment, inv = self.ix, self.assignment, self.inv
         pairs1, pairs2 = ix.pairs1, ix.pairs2
@@ -802,7 +803,16 @@ class _GedSearch(_BranchAndBound):
         ``|out(v) - out(w)| + |in(v) - in(w)|``, then by g2 node id), yield
         the settled cost with it applied, and undo it when resumed. An option
         whose settled cost plus child bound reaches ``best_cost`` is skipped
-        unapplied: as ``best_cost`` only goes down, its child would be cut."""
+        unapplied: as ``best_cost`` only goes down, its child would be cut.
+
+        When deleting the closed g1 buckets but keeping ``v``'s node already
+        reaches ``best_cost``, only anchored candidates are priced: a ``w``
+        that a g2 bucket joins, in the direction of a closed g1 bucket, to
+        the image of ``v``'s neighbour (to itself for ``v``'s self-loop). Any
+        other ``w`` deletes every closed g1 bucket and inserts every g2
+        bucket it closes, each insertion costing at least what its gap rise
+        takes off the child bound, so its option would be skipped (Chang et
+        al., ICDE 2020). An unpriced candidate does not tick the deadline."""
         ix, assignment, inv, deadline = self.ix, self.assignment, self.inv, self.deadline
         node_gap, edge_gap, cls1, cls2 = self.node_gap, self.edge_gap, ix.cls1, ix.cls2
         w_del_e, w_ins_e = self.w_del_e, self.w_ins_e
@@ -819,12 +829,23 @@ class _GedSearch(_BranchAndBound):
         matched = bound + (self.w_del_v if node_gap[c] >= 0 else -self.w_ins_v)
         out_v, in_v = self.degrees1[v]
         degrees2 = self.degrees2
+        dropped = sum(self.del_bucket1[k] for k, _ in closed1)  # the closed g1 buckets
+        anchored = None  # None: every candidate is priced
+        if acc + matched + dropped >= self.best_cost:
+            anchored = set()
+            for (s, t), _ in closed1:
+                if s == t:
+                    anchored |= self.loops2
+                elif (x := assignment[t if s == v else s]) is not None:
+                    anchored.update(
+                        y for y, k, _ in self.at2[x] if k == ((y, x) if s == v else (x, y))
+                    )
         # (step cost, degree gap, w, child bound, closed2): deletion's infinite
         # gap puts it after the matches of equal cost, and as no two options
         # tie before w, sorting never compares w with None or reaches further
         options = []
         for w in self.nodes2_by_cls.get(c, []):
-            if w not in inv:
+            if w not in inv and (anchored is None or w in anchored):
                 if deadline.check():
                     raise SearchTimeout("edit-distance search exceeded its budget")
                 step_cost, closed2 = self._decide_cost(v, w, closed1)
@@ -836,7 +857,7 @@ class _GedSearch(_BranchAndBound):
                         child += w_del_e if gap > 0 else -w_ins_e
                 apart = abs(out_v - degrees2[w][0]) + abs(in_v - degrees2[w][1])
                 options.append((step_cost, apart, w, child, closed2))
-        options.append((self._decide_cost(v, None, closed1)[0], math.inf, None, bound, []))
+        options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
         options.sort()
         for step_cost, _, w, child, closed2 in options:
             if acc + step_cost + child >= self.best_cost:

@@ -131,6 +131,17 @@ def test_asp_cell_whose_model_disagrees_with_its_graphs_is_an_error():
     assert r.error.startswith(("DecodeMismatchError", "UnknownIdError"))
 
 
+def test_asp_run_killed_before_any_model_has_no_answer():
+    # a solver that only sleeps prints nothing: that is no model, not the
+    # empty one whose script deletes and inserts everything
+    sleeper = "import sys, time; sys.stdin.read(); time.sleep(60)"
+    solver = SolverConfig(sys.executable, ("-c", sleeper), budget=0.5)
+    g1, g2 = gen_chain(2, "a"), gen_cycle(2, "b")
+    assert run_asp(ProblemKind.GED, g1, g2, solver) == (SolverStatus.TIMEOUT, None, None)
+    (r,) = run_bench([BenchCase("ged", ProblemKind.GED, g1, g2)], ("asp",), budget=0.5, solver=solver)
+    assert (r.status, r.cost, r.timed_out) == ("TIMEOUT", None, True)
+
+
 def test_edit_kinds_agree_on_both_backends():
     solver = SolverConfig(sys.executable, (str(FAKE_SOLVER),), budget=10.0)
     cases = [

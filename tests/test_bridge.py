@@ -111,6 +111,7 @@ def test_run_solver_timeout_without_model():
     ans = run_solver("%fake: sleep\n", fake_cfg(budget=0.5))
     assert ans.status is SolverStatus.TIMEOUT
     assert ans.atoms == ()
+    assert not ans.found
 
 
 def test_run_solver_unmarked_model_line_raises_parse_failure():
@@ -383,6 +384,9 @@ def test_decode_edit_script_remaps_inserted_edge_endpoints():
 
 def test_decode_edit_script_needs_a_model():
     g1, g2 = g_pair()
-    ans = AnswerSet((), None, False, SolverStatus.UNSAT)
-    with pytest.raises(DecodeMismatchError):
-        decode_edit_script(ans, g1, g2)
+    for ans in (
+        AnswerSet((), None, False, SolverStatus.UNSAT),
+        AnswerSet((), None, False, SolverStatus.TIMEOUT, found=False),
+    ):
+        with pytest.raises(DecodeMismatchError, match="no model to decode"):
+            decode_edit_script(ans, g1, g2)

@@ -673,6 +673,14 @@ def test_one_edge_bucket_agrees_with_enumeration():
     assert min(seen.values()) > 50, seen
 
 
+# label-hard and relabel, each under unit and gedc costs
+_BOTH_MODES_UNIT_AND_GEDC = [
+    SearchOptions(mode=mode, cost_model=cm)
+    for mode in ("label-hard", "relabel")
+    for cm in (CostModel.unit(), CostModel.gedc())
+]
+
+
 def _recounted_bound(search) -> int:
     """The count bound of a GED search's partial matching, recounted from the
     graphs alone: per label class (one class under relabel), the undecided g1
@@ -719,11 +727,6 @@ def test_carried_bound_equals_a_recount_at_every_node(monkeypatch):
 
     monkeypatch.setattr(_GedSearch, "_bound", checked)
     rng = random.Random(151)
-    settings = [
-        SearchOptions(mode=mode, cost_model=cm)
-        for mode in ("label-hard", "relabel")
-        for cm in (CostModel.unit(), CostModel.gedc())
-    ]
     pairs = loops = parallel = 0
     while pairs < 60:
         g1, g2 = (
@@ -736,7 +739,7 @@ def test_carried_bound_equals_a_recount_at_every_node(monkeypatch):
             continue
         if len({lab for _, _, lab in edges}) < 2:
             continue
-        for opts in settings:
+        for opts in _BOTH_MODES_UNIT_AND_GEDC:
             assert min_edit_matching(g1, g2, opts).optimal
         pairs += 1
         loops += any(s == t for s, t, _ in edges)
@@ -744,6 +747,80 @@ def test_carried_bound_equals_a_recount_at_every_node(monkeypatch):
             len({(s, t) for s, t, _ in g.edges.values()}) < len(g.edges) for g in both
         )
     assert loops > 10 and parallel > 10 and len(entered) > 2000, (loops, parallel, len(entered))
+
+
+def test_unpriced_candidates_would_all_be_cut(monkeypatch):
+    # a step prices only the candidates adjacent to an image of a decided
+    # neighbour once the rest cannot beat the incumbent: price every
+    # candidate it leaves unpriced, its child bound recounted, and check the
+    # option would have been skipped anyway
+    decide, decisions = _GedSearch._decide_cost, _GedSearch._decisions
+    priced, unpriced = set(), []
+
+    def recorded(search, v, w, closed1):
+        priced.add(w)
+        return decide(search, v, w, closed1)
+
+    def checked(search, v, acc):
+        ix, assignment = search.ix, search.assignment
+        closed1 = [(k, b1) for u, k, b1 in ix.at1[v] if u == v or u in assignment]
+        cut = {}
+        for w in search.g2.nodes:
+            if w not in search.inv and ix.cls2[w] == ix.cls1[v]:
+                assignment[v] = w
+                child = _recounted_bound(search)
+                del assignment[v]
+                cut[w] = acc + decide(search, v, w, closed1)[0] + child >= search.best_cost
+        priced.clear()
+        options = decisions(search, v, acc)
+        first = next(options, None)  # every option is priced before the first
+        for w in cut.keys() - priced:
+            assert cut[w], (v, w, search.assignment)
+            unpriced.append(w)
+        if first is not None:
+            yield first
+            yield from options
+
+    monkeypatch.setattr(_GedSearch, "_decide_cost", recorded)
+    monkeypatch.setattr(_GedSearch, "_decisions", checked)
+    rng = random.Random(157)
+    loops = parallel = 0
+    for _ in range(60):
+        g1, g2 = (
+            _with_parallel_edges(rng, random_graph(rng, prefix=p, max_nodes=6, self_loops=True))
+            for p in "ab"
+        )
+        edges = [edge for g in (g1, g2) for edge in g.edges.values()]
+        for opts in _BOTH_MODES_UNIT_AND_GEDC:
+            assert min_edit_matching(g1, g2, opts).optimal
+        loops += any(s == t for s, t, _ in edges)
+        parallel += any(
+            len({(s, t) for s, t, _ in g.edges.values()}) < len(g.edges) for g in (g1, g2)
+        )
+    assert loops > 10 and parallel > 10 and len(unpriced) > 5000, (loops, parallel, len(unpriced))
+
+
+def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
+    # the unit optimum 3 is found early; from then on an unanchored candidate
+    # cannot beat it and is not priced, and no node entered changes
+    carried, decide = _GedSearch._bound, _GedSearch._decide_cost
+    counts = Counter()
+
+    def entered(search):
+        counts["entered"] += 1
+        return carried(search)
+
+    def priced(search, v, w, closed1):
+        counts["priced"] += 1
+        return decide(search, v, w, closed1)
+
+    monkeypatch.setattr(_GedSearch, "_bound", entered)
+    monkeypatch.setattr(_GedSearch, "_decide_cost", priced)
+    for k, nodes, candidates in ((10, 93, 136), (18, 309, 460)):
+        counts.clear()
+        result = min_edit_matching(gen_chain(k, "a"), gen_cycle(k, "b"))
+        assert result.optimal and result.cost == 3
+        assert (counts["entered"] - 1, counts["priced"]) == (nodes, candidates), k
 
 
 def test_ged_zero_iff_isomorphic():
