@@ -5,9 +5,10 @@ The bridge writes one program to the solver's stdin, enforces a wall-clock
 budget by terminating the process, and parses Clingo's default text output:
 ``Answer: N`` followed by one line of atoms, ``Optimization: c``, then a
 status line. A model is read only from the line after an ``Answer:`` line.
-Output with neither a model nor a status word is a ``ParseFailure`` (exit
-code 3 on the command line): ``cat`` as the solver echoes the program back,
-and its fact lines are not taken for a model. The command line takes the
+Output with neither a model nor a status word, or with a status word that
+claims a model but none printed, is a ``ParseFailure`` (exit code 3 on the
+command line): ``cat`` as the solver echoes the program back, and its fact
+lines are not taken for a model. The command line takes the
 solver executable from ``--solver`` or from the ``PGMATCH_SOLVER``
 environment variable.
 """
@@ -150,7 +151,8 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     far is returned with status TIMEOUT, or, when it printed none, an answer
     set that is not ``found``. Unexpected process failures and an
     ``UNKNOWN`` answer raise ``ProcessFailure`` with the start of the
-    solver's stderr; unrecognizable output raises ``ParseFailure``.
+    solver's stderr; unrecognizable output, and a ``SATISFIABLE`` or
+    ``OPTIMUM FOUND`` with no model before it, raise ``ParseFailure``.
     """
     cmd = [cfg.executable, *cfg.args, "-"]
     timed_out = False
@@ -183,6 +185,8 @@ def run_solver(program: str, cfg: SolverConfig) -> AnswerSet:
     cost_vec = tuple(costs) if costs is not None else None
     if timed_out:
         return AnswerSet(atoms, cost_vec, False, SolverStatus.TIMEOUT, found=bool(models))
+    if status_word in ("OPTIMUM FOUND", "SATISFIABLE") and not models:
+        raise ParseFailure(f"solver answered {status_word} but printed no model: {out[:200]!r}")
     if status_word == "OPTIMUM FOUND":
         return AnswerSet(atoms, cost_vec, optimal=True, status=SolverStatus.OPTIMUM)
     if status_word == "SATISFIABLE":

@@ -19,7 +19,11 @@ decided neighbours and (iso and edit distance) the g2 buckets between ``v``'s
 image and nodes with a preimage. Edit distance carries its count bound and
 skips an option the bound cuts before applying it; once a candidate joined
 to no image of a decided neighbour cannot beat the incumbent, it prices only
-the candidates so joined.
+the candidates so joined. At its root it enters one image per automorphism
+orbit of g2 it knows (``_RootOrbits``): an automorphism is found by the iso
+search of g2 onto itself with one node pinned, run only between nodes of
+one colour (one refinement round) and at most once per colour that has
+none.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -471,8 +475,16 @@ class _DecisionSearch(_BranchAndBound):
     """The engine of the three decision problems: each step visits only the
     neighbours of the node it assigns."""
 
-    def __init__(self, kind: str, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
+    def __init__(
+        self,
+        kind: str,
+        g1: PropertyGraph,
+        g2: PropertyGraph,
+        opts: SearchOptions,
+        pin: tuple[str, str] | None = None,
+    ):
         self.kind = kind
+        self.pin = pin  # (x, y): g1 node x may take only y, and is decided first
         self.g1, self.g2 = g1, g2
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
@@ -536,6 +548,15 @@ class _DecisionSearch(_BranchAndBound):
     # -- main search ----------------------------------------------------------
 
     def run(self) -> Matching | None:
+        node_map = self.node_map()
+        if node_map is None:
+            return None
+        self.deadline.expires = math.inf  # the witness found is rebuilt unbudgeted
+        hom = self.kind == "hom"
+        return Matching(node_map, _witness_edges(self.ix, node_map, self.pricing, hom))
+
+    def node_map(self) -> dict[str, str] | None:
+        """The node map of the witness ``run`` returns, or None."""
         if self.kind != "hom" and not self._counts_fit():
             return None
         self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
@@ -550,6 +571,13 @@ class _DecisionSearch(_BranchAndBound):
         self.domains = self._root_domains()
         if self.domains is None:
             return None
+        order = _ordered_nodes(self.g1, _in_out_degrees(self.g1))
+        if self.pin is not None:
+            x, y = self.pin
+            self.domains[x] &= bit2[y]
+            if not self.domains[x]:
+                return None
+            order = [x, *(v for v in order if v != x)]
         # succ2[w][c] / pred2[w][c]: w's successors / predecessors over class c
         self.succ2: dict[str, dict] = {w: {} for w in self.ids2}
         self.pred2: dict[str, dict] = {w: {} for w in self.ids2}
@@ -559,11 +587,8 @@ class _DecisionSearch(_BranchAndBound):
             self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
         if self.kind == "iso":
             self.at2 = _buckets_at(self.g2, ix.pairs2)
-        self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
-        if self.best is None:
-            return None
-        self.deadline.expires = math.inf  # the witness found is rebuilt unbudgeted
-        return Matching(self.best, _witness_edges(ix, self.best, self.pricing, self.kind == "hom"))
+        self._depth_first(order, self.kind)
+        return self.best
 
     def _counts_fit(self) -> bool:
         """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
@@ -680,6 +705,81 @@ def search_sub(g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions | None 
     return _DecisionSearch("sub", g1, g2, opts or SearchOptions()).run()
 
 
+def _colours(g: PropertyGraph, labels: dict, props: dict, at: dict) -> dict[str, tuple]:
+    """One refinement round over ``g`` (labels and properties per owner,
+    buckets per node ``at``): per node, its label and properties and the
+    sorted ``(direction, edge labels and properties, neighbour's label and
+    properties)`` of its buckets, direction 0 out of it, 1 into it, 2 a
+    self-loop. An automorphism maps each node onto one of its colour."""
+    tag = {x: (labels[x], tuple(sorted(props[x].items()))) for x in labels}
+    return {
+        w: (tag[w], tuple(sorted(
+            (2 if s == t else int(t == w), tuple(sorted([tag[e] for e in b])), tag[x])
+            for x, (s, t), b in at[w]
+        )))
+        for w in g.nodes
+    }
+
+
+class _RootOrbits:
+    """The images an edit-distance search has entered at its root, and the
+    automorphism orbits of g2 it knows: a union-find along each automorphism
+    found (the orbit pruning of McKay & Piperno, J. Symbolic Computation
+    2014). An automorphism is found by the iso search of g2 onto itself with
+    one node pinned to another, under ``label-hard`` and hard properties, so
+    it keeps every label, property and edge."""
+
+    def __init__(self, g2: PropertyGraph, ix: _PairIndex, at2: dict, deadline: _Deadline):
+        self.g2, self.ix, self.at2, self.deadline = g2, ix, at2, deadline
+        self.entered: list[str] = []
+        self.reps: set[str] = set()  # the union-find roots of the entered
+        self.parent: dict[str, str] = {}  # union-find links; a root has none
+        self.colours: dict | None = None  # built when a second image is offered
+        self.first: dict = {}  # per colour, the first image entered with it
+        self.failed: set = set()  # the colours whose test found no automorphism
+
+    def _find(self, w: str) -> str:
+        root, parent = w, self.parent
+        while root in parent:
+            root = parent[root]
+        while w != root:
+            parent[w], w = root, parent[w]
+        return root
+
+    def enters(self, w: str) -> bool:
+        """Whether the root enters image ``w``, which it then records: not
+        when an automorphism maps an image entered onto ``w``. Only the
+        first image entered with ``w``'s colour is tested, and a colour
+        whose test fails is not tested again. A test that runs out of time
+        ends the search, whose budget it shares."""
+        find = self._find
+        if find(w) in self.reps:
+            return False
+        if self.entered:
+            if self.colours is None:
+                self.colours = _colours(self.g2, self.ix.labels2, self.ix.props2, self.at2)
+                self.first = {self.colours[self.entered[0]]: self.entered[0]}
+            colour = self.colours[w]
+            first = self.first.setdefault(colour, w)
+            if first != w and colour not in self.failed:
+                budget = self.deadline.expires - time.monotonic()
+                if budget <= 0:
+                    raise SearchTimeout("edit-distance search exceeded its budget")
+                opts = SearchOptions(budget=budget)
+                sigma = _DecisionSearch("iso", self.g2, self.g2, opts, (first, w)).node_map()
+                if sigma is not None:
+                    for x, y in sigma.items():
+                        a, b = find(x), find(y)
+                        if a != b:
+                            self.parent[a] = b
+                    self.reps = {find(r) for r in self.entered}
+                    return False
+                self.failed.add(colour)
+        self.entered.append(w)
+        self.reps.add(find(w))
+        return True
+
+
 class _GedSearch(_BranchAndBound):
     """Branch and bound over partial injective node matchings.
 
@@ -742,6 +842,7 @@ class _GedSearch(_BranchAndBound):
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
+        self.orbits = _RootOrbits(g2, ix, self.at2, self.deadline)
         self.timed_out = False
 
     def _decide_cost(self, v: str, w: str, closed1: list) -> tuple[int, list]:
@@ -812,7 +913,17 @@ class _GedSearch(_BranchAndBound):
         other ``w`` deletes every closed g1 bucket and inserts every g2
         bucket it closes, each insertion costing at least what its gap rise
         takes off the child bound, so its option would be skipped (Chang et
-        al., ICDE 2020). An unpriced candidate does not tick the deadline."""
+        al., ICDE 2020). An unpriced candidate does not tick the deadline.
+
+        At the root (no g1 node decided) a candidate ``w`` is skipped when an
+        automorphism ``s`` of g2 maps a root image ``w'`` already entered
+        onto it (``_RootOrbits``). ``s`` keeps every label, property and
+        edge, so following a matching by ``s`` maps the complete matchings
+        under ``w'`` onto those under ``w`` at equal cost. The subtree under
+        ``w'`` was searched with an incumbent no lower than the current one,
+        so it left none of its leaves strictly cheaper than ``best_cost``,
+        and neither does ``w``'s: under the strict-improvement rule skipping
+        it changes no cost, matching or script."""
         ix, assignment, inv, deadline = self.ix, self.assignment, self.inv, self.deadline
         node_gap, edge_gap, cls1, cls2 = self.node_gap, self.edge_gap, ix.cls1, ix.cls2
         w_del_e, w_ins_e = self.w_del_e, self.w_ins_e
@@ -859,8 +970,11 @@ class _GedSearch(_BranchAndBound):
                 options.append((step_cost, apart, w, child, closed2))
         options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
         options.sort()
+        root, orbits = not assignment, self.orbits
         for step_cost, _, w, child, closed2 in options:
             if acc + step_cost + child >= self.best_cost:
+                continue
+            if root and w is not None and not orbits.enters(w):
                 continue
             assignment[v] = w
             if w is not None:

@@ -172,6 +172,21 @@ def test_solve_refuses_a_model_that_disagrees_with_its_graphs(tmp_path, capsys):
     assert "solver cost 0 differs from script cost 11" in captured.err
 
 
+@pytest.mark.parametrize("status", ["OPTIMUM FOUND", "SATISFIABLE"])
+def test_solve_refuses_a_status_with_no_model(tmp_path, capsys, status):
+    # the solver claims a model but prints no Answer: line; read as the empty
+    # model it would give the delete-everything/insert-everything cost 9
+    a, b = tmp_path / "a.pg", tmp_path / "b.pg"
+    assert main(["gen", "chain", "--k", "2", "--prefix", "a", "-o", str(a)]) == 0
+    assert main(["gen", "cycle", "--k", "2", "--prefix", "b", "-o", str(b)]) == 0
+    answer = f"import sys; sys.stdin.read(); print({status!r})"
+    solver = ["--solver", sys.executable, "--solver-arg=-c", f"--solver-arg={answer}"]
+    assert main(["solve", "--kind", "ged", *solver, str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"solver answered {status} but printed no model" in captured.err
+
+
 def test_solve_without_solver_configured(graphs, capsys, monkeypatch):
     monkeypatch.delenv("PGMATCH_SOLVER", raising=False)
     a, b = graphs

@@ -33,7 +33,7 @@ from pgmatch import (
     search_sub,
 )
 from pgmatch import search as search_mod
-from pgmatch.search import _bucket_cost, _bucket_pairs, _Deadline, _GedSearch
+from pgmatch.search import _bucket_cost, _bucket_pairs, _Deadline, _DecisionSearch, _GedSearch
 
 RELABEL = SearchOptions(mode="relabel")
 
@@ -800,11 +800,29 @@ def test_unpriced_candidates_would_all_be_cut(monkeypatch):
     assert loops > 10 and parallel > 10 and len(unpriced) > 5000, (loops, parallel, len(unpriced))
 
 
+def _count_pinned_searches(monkeypatch, counts: Counter) -> None:
+    """Count in ``counts`` the pinned searches run (``pinned``) and those
+    that found an automorphism (``found``)."""
+    node_map = _DecisionSearch.node_map
+
+    def counted(search):
+        found = node_map(search)
+        if search.pin is not None:
+            counts["pinned"] += 1
+            counts["found"] += found is not None
+        return found
+
+    monkeypatch.setattr(_DecisionSearch, "node_map", counted)
+
+
 def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
-    # the unit optimum 3 is found early; from then on an unanchored candidate
-    # cannot beat it and is not priced, and no node entered changes
+    # the unit optimum 3 is found under the first root image; every other
+    # image is a rotation of it, which one pinned search finds, so the root
+    # enters no other; below it an unanchored candidate that cannot beat the
+    # incumbent is not priced
     carried, decide = _GedSearch._bound, _GedSearch._decide_cost
     counts = Counter()
+    _count_pinned_searches(monkeypatch, counts)
 
     def entered(search):
         counts["entered"] += 1
@@ -816,11 +834,92 @@ def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
 
     monkeypatch.setattr(_GedSearch, "_bound", entered)
     monkeypatch.setattr(_GedSearch, "_decide_cost", priced)
-    for k, nodes, candidates in ((10, 93, 136), (18, 309, 460)):
+    for k, nodes, candidates in ((10, 12, 55), (18, 20, 171)):
         counts.clear()
         result = min_edit_matching(gen_chain(k, "a"), gen_cycle(k, "b"))
         assert result.optimal and result.cost == 3
         assert (counts["entered"] - 1, counts["priced"]) == (nodes, candidates), k
+        assert (counts["pinned"], counts["found"]) == (1, 1), k
+
+
+def _star(k: int, prefix: str, values: str, inward: bool = False) -> PropertyGraph:
+    """A centre with ``k`` leaves, leaf i carrying ``k1`` = ``values[i]``."""
+    centre, leaves = f"{prefix}c", [f"{prefix}l{i}" for i in range(k)]
+    edges = {
+        f"{prefix}e{i}": (leaf, centre, "x") if inward else (centre, leaf, "x")
+        for i, leaf in enumerate(leaves)
+    }
+    props = {(leaf, "k1"): f"d{d}" for leaf, d in zip(leaves, values)}
+    return PropertyGraph({centre: "a", **dict.fromkeys(leaves, "a")}, edges, props)
+
+
+def _union(*graphs: PropertyGraph) -> PropertyGraph:
+    nodes, edges, props = {}, {}, {}
+    for g in graphs:
+        nodes.update(g.nodes)
+        edges.update(g.edges)
+        props.update(g.props)
+    return PropertyGraph(nodes, edges, props)
+
+
+def test_ged_matches_the_oracle_on_symmetric_targets(monkeypatch):
+    # targets with many automorphisms, where the root enters one image per
+    # orbit; in C3 + C4 every node has one colour but there are two orbits,
+    # so skipping a C4 image for a C3 one would cost more than the oracle's
+    counts = Counter()
+    _count_pinned_searches(monkeypatch, counts)
+    c3c4 = _union(gen_cycle(3, "bx"), gen_cycle(4, "by"))
+    twins = PropertyGraph(
+        {"bv0": "a", "bv1": "a", "bt0": "a", "bt1": "a", "bt2": "b"}, {"be0": ("bv0", "bv1", "a")}
+    )
+    pairs = [
+        (gen_cycle(4, "a"), gen_cycle(5, "b")),
+        (gen_chain(3, "a"), gen_cycle(6, "b")),
+        (gen_cycle(3, "a"), c3c4),
+        (gen_cycle(4, "a"), c3c4),
+        (gen_chain(4, "a"), c3c4),
+        (_union(gen_cycle(3, "ax"), gen_chain(2, "ay")), c3c4),
+        (_star(3, "a", "12"), _star(5, "b", "11222")),
+        (_star(4, "a", "1212", inward=True), _star(6, "b", "121212", inward=True)),
+        (_star(2, "a", "22"), _star(4, "b", "1122", inward=True)),
+        (PropertyGraph({"av0": "a", "av1": "b"}, {"ae0": ("av0", "av1", "a")}), twins),
+        (PropertyGraph({"av0": "a", "av1": "a", "av2": "a"}), twins),
+    ]
+    for g1, g2 in pairs:
+        for opts in _BOTH_MODES_UNIT_AND_GEDC:
+            result = min_edit_matching(g1, g2, opts)
+            assert result.optimal and result.cost == oracle_ged(g1, g2, opts), (g1, g2, opts)
+    assert counts["found"] > 20 and counts["pinned"] > counts["found"], counts
+
+
+def test_ged_pinned_searches_stay_few_on_cycle_and_chain(monkeypatch):
+    # the chain's inner nodes share one colour but no two are in one orbit:
+    # the first test fails and that colour is not tested again
+    counts = Counter()
+    _count_pinned_searches(monkeypatch, counts)
+    result = min_edit_matching(gen_cycle(30, "a"), gen_chain(30, "b"))
+    assert result.optimal and result.cost == 3
+    assert counts["pinned"] <= 1, counts
+    counts.clear()
+    result = min_edit_matching(gen_chain(30, "a"), gen_cycle(30, "b"))
+    assert result.optimal and result.cost == 3
+    assert (counts["pinned"], counts["found"]) == (1, 1), counts
+
+
+def test_decision_search_pin_fixes_one_image():
+    # a directed cycle has a rotation taking any node to any other; a directed
+    # chain has no automorphism but the identity
+    for g, u, w, found in (
+        (gen_cycle(5, "b"), "bv000", "bv003", True),
+        (gen_chain(5, "b"), "bv001", "bv003", False),
+        (gen_chain(5, "b"), "bv002", "bv002", True),
+    ):
+        sigma = _DecisionSearch("iso", g, g, SearchOptions(), pin=(u, w)).node_map()
+        assert (sigma is not None) == found, (u, w)
+        if found:
+            assert sigma[u] == w
+            edges = {(sigma[s], sigma[t]) for s, t, _ in g.edges.values()}
+            assert edges == {(s, t) for s, t, _ in g.edges.values()}
 
 
 def test_ged_zero_iff_isomorphic():
