@@ -232,7 +232,10 @@ def run_bench(
 ) -> list[BenchResult]:
     """Run every (case, backend) cell; per-cell errors are recorded as ERROR
     rows and the run continues. With ``workers > 1`` the cells run in that
-    many worker processes. Results come back sorted."""
+    many worker processes; fewer than one is a ValueError. Results come
+    back sorted."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     cells = [(case, backend) for case in cases for backend in backends]
     if workers > 1:
         # Processes, not threads: the cells are CPU-bound pure Python, and

@@ -20,10 +20,10 @@ image and nodes with a preimage. Edit distance carries its count bound and
 skips an option the bound cuts before applying it; once a candidate joined
 to no image of a decided neighbour cannot beat the incumbent, it prices only
 the candidates so joined. At its root it enters one image per automorphism
-orbit of g2 it knows (``_RootOrbits``): an automorphism is found by the iso
-search of g2 onto itself with one node pinned, run only between nodes of
-one colour (one refinement round) and at most once per colour that has
-none.
+orbit of g2 it knows (``_RootOrbits``): an automorphism is found by one dive
+of a single iso search of g2 onto itself, built once per call from edit
+distance's own tables, run only between nodes of one colour (one refinement
+round) and at most once per colour that has none.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -43,7 +43,8 @@ allow a pair only at cost 0. Iso, sub and edit distance price the parallel
 edges between two nodes (a bucket) with one assignment solver, ``_assign``
 (a one-edge bucket needs no matrix); hom, not injective, prices each edge
 as a one-edge bucket. A witness pairs each bucket lexicographically first
-among its cheapest pairings (``_witness_edges``).
+among its cheapest pairings (``_witness_edges``), ranked in one solve unless
+the bucket has one edge.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .editing import (
     MODE_LABEL_HARD,
@@ -394,22 +396,27 @@ def _bucket_pairs(
     with ``base = len(b2) + 1``, the i-th of the n edges of ``b1`` pays
     ``base**n`` times its cost plus ``base**(n-1-i)`` times its rank (j for
     the j-th partner, ``len(b2)`` for deletion), ranks that sum below
-    ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
+    ``base**n`` (Burkard, Dell'Amico & Martello 2009). One edge needs no
+    ranks: ``_bucket_cost`` already takes its first cheapest partner and
+    deletes it only when that is strictly cheaper. The pairing ends where
     deleting the rest, and inserting the partners it frees, costs no more."""
     n, m = len(b1), len(b2)
-    scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
-    rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
+    if n == 1:
+        partner = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)[1]
+    else:
+        scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
+        rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
 
-    def ranked(e: str, f: str) -> int | None:
-        c = edge_cost(e, f)
-        return None if c is None else c * scale + rank2[f] * rank1[e]
+        def ranked(e: str, f: str) -> int | None:
+            c = edge_cost(e, f)
+            return None if c is None else c * scale + rank2[f] * rank1[e]
 
-    scaled = () if dele is None else (
-        {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
-    )
-    partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
+        scaled = () if dele is None else (
+            {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
+        )
+        partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
     cut, saves = n, 0  # what the solved b1[i:] saves against deleting it
-    for i in range(n - 1, -1, -1) if scaled else ():
+    for i in range(n - 1, -1, -1) if dele is not None else ():
         e, f = b1[i], partner.get(b1[i])
         saves += 0 if f is None else dele[e] + ins[f] - edge_cost(e, f)
         if saves == 0:
@@ -481,20 +488,16 @@ class _DecisionSearch(_BranchAndBound):
         g1: PropertyGraph,
         g2: PropertyGraph,
         opts: SearchOptions,
-        pin: tuple[str, str] | None = None,
+        deadline: _Deadline | None = None,  # default: a new one for opts.budget
     ):
         self.kind = kind
-        self.pin = pin  # (x, y): g1 node x may take only y, and is decided first
         self.g1, self.g2 = g1, g2
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.props_hard = opts.properties == PROPS_HARD
-        self.deadline = _Deadline(opts.budget)
-        self.assignment: dict[str, str] = {}
-        self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
-        self.used = 0  # the bitset of images, for injective kinds
-        self.best: dict[str, str] | None = None
-        # run() sets ix, price, pricing, domains and the g2 tables past its cuts
+        self.deadline = deadline or _Deadline(opts.budget)
+        # node_map() (or onto_itself()) sets ix, price, pricing and the g2
+        # tables, and each dive its domains and assignment
 
     def _assign_buckets(self, v: str, w: str, closed1: list) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
@@ -556,28 +559,50 @@ class _DecisionSearch(_BranchAndBound):
         return Matching(node_map, _witness_edges(self.ix, node_map, self.pricing, hom))
 
     def node_map(self) -> dict[str, str] | None:
-        """The node map of the witness ``run`` returns, or None."""
+        """The node map of the witness ``run`` returns, or None: its cuts,
+        each followed by the tables the next step reads, then one dive."""
         if self.kind != "hom" and not self._counts_fit():
             return None
-        self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
+        self._index(_PairIndex(self.g1, self.g2, self.label_hard))
+        domains = self._root_domains()
+        if domains is None:
+            return None
+        self._neighbour_sets()
+        if self.kind == "iso":
+            self.at2 = _buckets_at(self.g2, self.ix.pairs2)
+        return self._dive(domains, _ordered_nodes(self.g1, _in_out_degrees(self.g1)))
+
+    @classmethod
+    def onto_itself(cls, g: PropertyGraph, ix: _PairIndex, at: dict, deadline: _Deadline):
+        """The iso search of ``g`` onto itself (``label-hard``, hard properties)
+        from the g2 side of edit distance's index ``ix``, its g2 buckets per
+        node ``at`` and its ``deadline``; its dives are its only entry."""
+        search = cls("iso", g, g, SearchOptions(), deadline)
+        mirror = object.__new__(_PairIndex)  # g2's side as both sides
+        mirror.labels1 = mirror.labels2 = mirror.cls1 = mirror.cls2 = ix.labels2
+        mirror.props1 = mirror.props2 = ix.props2
+        mirror.pairs1 = mirror.pairs2 = ix.pairs2
+        mirror.at1 = at
+        search._index(mirror)
+        search._neighbour_sets()
+        search.at2 = at
+        return search
+
+    def _index(self, ix: _PairIndex) -> None:
+        """Take ``ix`` and build what the root domains read with it."""
+        self.ix = ix
         # a set of g2 nodes is an int whose bit i stands for ids2[i]
         self.ids2 = sorted(self.g2.nodes)
-        self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
+        self.bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         # relabeling is free; soft properties cost their unit edits, inserted
         # ones only for iso, and hard ones must cost nothing
         sub = None if self.label_hard else 0
         self.price = _pair_pricer(ix, sub, 1, 1, int(self.kind == "iso"), self.props_hard)
         self.pricing = (self.price, self.deadline)  # for the bucket helpers
-        self.domains = self._root_domains()
-        if self.domains is None:
-            return None
-        order = _ordered_nodes(self.g1, _in_out_degrees(self.g1))
-        if self.pin is not None:
-            x, y = self.pin
-            self.domains[x] &= bit2[y]
-            if not self.domains[x]:
-                return None
-            order = [x, *(v for v in order if v != x)]
+
+    def _neighbour_sets(self) -> None:
+        """Build the g2 neighbour sets per edge class, read by the dives only."""
+        ix, bit2 = self.ix, self.bit2
         # succ2[w][c] / pred2[w][c]: w's successors / predecessors over class c
         self.succ2: dict[str, dict] = {w: {} for w in self.ids2}
         self.pred2: dict[str, dict] = {w: {} for w in self.ids2}
@@ -585,8 +610,13 @@ class _DecisionSearch(_BranchAndBound):
             c = ix.cls2[f]
             self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
             self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
-        if self.kind == "iso":
-            self.at2 = _buckets_at(self.g2, ix.pairs2)
+
+    def _dive(self, domains: dict[str, int], order: list[str]) -> dict[str, str] | None:
+        """One depth-first search over the tables built, from root domains
+        ``domains`` with the g1 nodes decided in ``order``: the first witness
+        found (hard properties) or the cheapest (soft), or None."""
+        self.domains, self.assignment, self.inv, self.used = domains, {}, {}, 0
+        self.best, self.best_cost = None, math.inf
         self._depth_first(order, self.kind)
         return self.best
 
@@ -725,18 +755,29 @@ class _RootOrbits:
     """The images an edit-distance search has entered at its root, and the
     automorphism orbits of g2 it knows: a union-find along each automorphism
     found (the orbit pruning of McKay & Piperno, J. Symbolic Computation
-    2014). An automorphism is found by the iso search of g2 onto itself with
-    one node pinned to another, under ``label-hard`` and hard properties, so
-    it keeps every label, property and edge."""
+    2014). An automorphism is found by one dive of a single iso search of g2
+    onto itself, under ``label-hard`` and hard properties, so it keeps every
+    label, property and edge. That search is built at the first test from
+    the edit-distance search's own tables and clock; its root domains are
+    the colour classes, which every automorphism keeps, so like every root
+    filter they drop only values that belong to no automorphism."""
 
-    def __init__(self, g2: PropertyGraph, ix: _PairIndex, at2: dict, deadline: _Deadline):
+    def __init__(self, g2: PropertyGraph, ix: _PairIndex, at2: dict, degrees2: dict, deadline):
         self.g2, self.ix, self.at2, self.deadline = g2, ix, at2, deadline
+        self.degrees2 = degrees2
         self.entered: list[str] = []
         self.reps: set[str] = set()  # the union-find roots of the entered
         self.parent: dict[str, str] = {}  # union-find links; a root has none
-        self.colours: dict | None = None  # built when a second image is offered
         self.first: dict = {}  # per colour, the first image entered with it
         self.failed: set = set()  # the colours whose test found no automorphism
+        # the self-search, its root domains and its node order: built at the
+        # first test
+        self.search: _DecisionSearch | None = None
+
+    @cached_property
+    def colours(self) -> dict[str, tuple]:
+        """Each g2 node's colour, built when a second image is offered."""
+        return _colours(self.g2, self.ix.labels2, self.ix.props2, self.at2)
 
     def _find(self, w: str) -> str:
         root, parent = w, self.parent
@@ -756,17 +797,12 @@ class _RootOrbits:
         if find(w) in self.reps:
             return False
         if self.entered:
-            if self.colours is None:
-                self.colours = _colours(self.g2, self.ix.labels2, self.ix.props2, self.at2)
-                self.first = {self.colours[self.entered[0]]: self.entered[0]}
+            if not self.first:
+                self.first[self.colours[self.entered[0]]] = self.entered[0]
             colour = self.colours[w]
             first = self.first.setdefault(colour, w)
             if first != w and colour not in self.failed:
-                budget = self.deadline.expires - time.monotonic()
-                if budget <= 0:
-                    raise SearchTimeout("edit-distance search exceeded its budget")
-                opts = SearchOptions(budget=budget)
-                sigma = _DecisionSearch("iso", self.g2, self.g2, opts, (first, w)).node_map()
+                sigma = self.automorphism(first, w)
                 if sigma is not None:
                     for x, y in sigma.items():
                         a, b = find(x), find(y)
@@ -778,6 +814,23 @@ class _RootOrbits:
         self.entered.append(w)
         self.reps.add(find(w))
         return True
+
+    def automorphism(self, x: str, y: str) -> dict[str, str] | None:
+        """An automorphism of g2 mapping ``x`` onto ``y``, of one colour, or
+        None: one dive of the self-search with ``x``'s domain cut to ``y``
+        and ``x`` decided first."""
+        if self.search is None:
+            self.search = search = _DecisionSearch.onto_itself(
+                self.g2, self.ix, self.at2, self.deadline
+            )
+            colours, classes = self.colours, {}
+            for w, bit in search.bit2.items():
+                classes[colours[w]] = classes.get(colours[w], 0) | bit
+            self.domains = {w: classes[colours[w]] for w in search.ids2}
+            self.order = _ordered_nodes(self.g2, self.degrees2)
+        domains = dict(self.domains)
+        domains[x] &= self.search.bit2[y]
+        return self.search._dive(domains, [x, *(v for v in self.order if v != x)])
 
 
 class _GedSearch(_BranchAndBound):
@@ -842,7 +895,7 @@ class _GedSearch(_BranchAndBound):
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
-        self.orbits = _RootOrbits(g2, ix, self.at2, self.deadline)
+        self.orbits = _RootOrbits(g2, ix, self.at2, self.degrees2, self.deadline)
         self.timed_out = False
 
     def _decide_cost(self, v: str, w: str, closed1: list) -> tuple[int, list]:

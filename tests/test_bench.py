@@ -170,6 +170,12 @@ def test_parallel_workers_give_same_results():
     ]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, not {workers}"):
+        run_bench(small_cases()[:1], ("native",), budget=10.0, workers=workers)
+
+
 def test_suite_file_loading(tmp_path):
     suite = {
         "cases": [

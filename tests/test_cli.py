@@ -226,5 +226,16 @@ def test_bench_preset_and_csv(tmp_path, capsys):
     assert "rate" in err
 
 
+def test_bench_refuses_fewer_than_one_worker(tmp_path, capsys):
+    suite = {"cases": [{"id": "c", "kind": "hom", "g1": {"gen": "chain", "k": 1},
+                        "g2": {"gen": "chain", "k": 1}}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite), encoding="utf-8")
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--suite", str(path), "--workers", "0", "-o", str(out)]) == 3
+    assert "error: workers must be at least 1, not 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_exit_code_for_missing_file(capsys):
     assert main(["check", "--mode", "hom", "/no/such/file", "/no/such/file2"]) == 3

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -33,7 +34,14 @@ from pgmatch import (
     search_sub,
 )
 from pgmatch import search as search_mod
-from pgmatch.search import _bucket_cost, _bucket_pairs, _Deadline, _DecisionSearch, _GedSearch
+from pgmatch.search import (
+    _bucket_cost,
+    _bucket_pairs,
+    _Deadline,
+    _DecisionSearch,
+    _GedSearch,
+    _RootOrbits,
+)
 
 RELABEL = SearchOptions(mode="relabel")
 
@@ -610,7 +618,7 @@ def test_bucket_witness_agrees_with_enumeration():
     # more edges than partners
     rng = random.Random(16)
     deadline = _Deadline(60.0)
-    checked = 0
+    checked, one_edge = 0, Counter()  # one-edge buckets, with dele/ins or without
     for _ in range(1500):
         ged = rng.random() < 0.5
         n = rng.randint(1, 4)
@@ -633,7 +641,10 @@ def test_bucket_witness_agrees_with_enumeration():
         if expected is not None:
             assert _bucket_pairs(b1, b2, cost, deadline, *edits) == expected, (table, edits)
             checked += 1
+            one_edge[ged] += n == 1
     assert checked > 1200
+    assert one_edge[True] + one_edge[False] >= 300, one_edge
+    assert min(one_edge[True], one_edge[False]) > 150, one_edge
 
 
 def test_one_edge_bucket_agrees_with_enumeration():
@@ -801,18 +812,23 @@ def test_unpriced_candidates_would_all_be_cut(monkeypatch):
 
 
 def _count_pinned_searches(monkeypatch, counts: Counter) -> None:
-    """Count in ``counts`` the pinned searches run (``pinned``) and those
-    that found an automorphism (``found``)."""
-    node_map = _DecisionSearch.node_map
+    """Count in ``counts`` the automorphism tests run (``pinned``), those
+    that found one (``found``) and the self-search tables built
+    (``tables``)."""
+    automorphism, neighbour_sets = _RootOrbits.automorphism, _DecisionSearch._neighbour_sets
 
-    def counted(search):
-        found = node_map(search)
-        if search.pin is not None:
-            counts["pinned"] += 1
-            counts["found"] += found is not None
+    def counted(orbits, x, y):
+        found = automorphism(orbits, x, y)
+        counts["pinned"] += 1
+        counts["found"] += found is not None
         return found
 
-    monkeypatch.setattr(_DecisionSearch, "node_map", counted)
+    def built(search):
+        counts["tables"] += 1
+        return neighbour_sets(search)
+
+    monkeypatch.setattr(_RootOrbits, "automorphism", counted)
+    monkeypatch.setattr(_DecisionSearch, "_neighbour_sets", built)
 
 
 def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
@@ -892,6 +908,102 @@ def test_ged_matches_the_oracle_on_symmetric_targets(monkeypatch):
     assert counts["found"] > 20 and counts["pinned"] > counts["found"], counts
 
 
+def test_ged_builds_the_self_search_once_per_call(monkeypatch):
+    # C3 + C4 has one colour and two orbits: C4 against it tests two root
+    # images, finding one automorphism, and builds the self-search's tables
+    # at the first test only
+    counts = Counter()
+    _count_pinned_searches(monkeypatch, counts)
+    g1, c3c4 = gen_cycle(4, "a"), _union(gen_cycle(3, "bx"), gen_cycle(4, "by"))
+    for opts in _BOTH_MODES_UNIT_AND_GEDC:
+        counts.clear()
+        result = min_edit_matching(g1, c3c4, opts)
+        assert result.optimal and result.cost == oracle_ged(g1, c3c4, opts)
+        assert (counts["pinned"], counts["found"], counts["tables"]) == (2, 1, 1), counts
+
+
+def _automorphisms(g: PropertyGraph) -> set[tuple]:
+    """Every node permutation of ``g`` (as images of its sorted nodes) that
+    keeps labels, properties and each bucket's multiset of edge labels and
+    properties, by enumeration."""
+    nodes = sorted(g.nodes)
+    tag = {x: tuple(sorted((k, d) for (y, k), d in g.props.items() if y == x)) for x in nodes}
+    buckets: dict = {}
+    for e, (s, t, lab) in g.edges.items():
+        props = tuple(sorted((k, d) for (y, k), d in g.props.items() if y == e))
+        buckets.setdefault((s, t), []).append((lab, props))
+    buckets = {k: sorted(b) for k, b in buckets.items()}
+    found = set()
+    for images in itertools.permutations(nodes):
+        p = dict(zip(nodes, images))
+        if all(g.nodes[v] == g.nodes[p[v]] and tag[v] == tag[p[v]] for v in nodes) and all(
+            buckets.get((s, t)) == buckets.get((p[s], p[t])) for s in nodes for t in nodes
+        ):
+            found.add(images)
+    return found
+
+
+def _symmetric_target(rng: random.Random) -> PropertyGraph:
+    """Directed cycles and chains side by side, at most 6 nodes: each part
+    with one of two node and edge labels, maybe a parallel edge beside each
+    of its edges and one property value on all its nodes; then maybe one
+    extra edge anywhere."""
+    nodes, edges, props = {}, {}, {}
+    while True:
+        shape, k = rng.choice((gen_cycle, gen_chain)), rng.randint(1, 4)
+        if len(nodes) + k + (shape is gen_chain) > 6:
+            break
+        part = shape(k, f"b{len(nodes)}")
+        node_label, edge_label, value = (rng.choice(x) for x in (LABELS, LABELS, VALUES))
+        nodes.update(dict.fromkeys(part.nodes, node_label))
+        edges.update({e: (s, t, edge_label) for e, (s, t, _) in part.edges.items()})
+        if rng.random() < 0.3:
+            twin = rng.choice(LABELS)
+            edges.update({e + "p": (s, t, twin) for e, (s, t, _) in part.edges.items()})
+        if rng.random() < 0.3:
+            props.update({(v, "k1"): value for v in part.nodes})
+    if nodes and rng.random() < 0.3:
+        edges["bx"] = (rng.choice(sorted(nodes)), rng.choice(sorted(nodes)), rng.choice(LABELS))
+    return PropertyGraph(nodes, edges, props)
+
+
+def test_automorphism_tests_agree_with_enumeration():
+    # one self-search per target answers every same-colour pair: a map
+    # exactly when some permutation taking x to y keeps everything, and
+    # then such a permutation; half the targets are random graphs, two
+    # copies side by side when small, half cycles and chains
+    rng = random.Random(163)
+    seen = Counter()
+    for i in range(240):
+        if i % 2:
+            g = _symmetric_target(rng)
+        else:
+            g = _with_parallel_edges(
+                rng, random_graph(rng, prefix="b", max_nodes=6, max_props=1, self_loops=True)
+            )
+            if len(g.nodes) <= 3:
+                copy = rename_graph(g, {x: x.replace("b", "c", 1) for x in [*g.nodes, *g.edges]})
+                g = _union(g, copy)
+        nodes, autos = sorted(g.nodes), _automorphisms(g)
+        orbits = _GedSearch(g, g, SearchOptions()).orbits
+        for x in nodes:
+            for y in nodes:
+                if orbits.colours[x] != orbits.colours[y]:
+                    continue
+                sigma = orbits.automorphism(x, y)
+                exists = any(images[nodes.index(x)] == y for images in autos)
+                assert (sigma is not None) == exists, (g, x, y)
+                if sigma is not None:
+                    assert sigma[x] == y and tuple(sigma[v] for v in nodes) in autos, (g, x, y)
+                if x != y:
+                    seen["found" if exists else "none"] += 1
+                    seen["parallel"] += len({(s, t) for s, t, _ in g.edges.values()}) < len(g.edges)
+                    seen["loops"] += any(s == t for s, t, _ in g.edges.values())
+                    seen["props"] += bool(g.props)
+    assert seen["found"] > 300 and seen["none"] > 100, seen
+    assert min(seen["parallel"], seen["loops"], seen["props"]) > 100, seen
+
+
 def test_ged_pinned_searches_stay_few_on_cycle_and_chain(monkeypatch):
     # the chain's inner nodes share one colour but no two are in one orbit:
     # the first test fails and that colour is not tested again
@@ -914,7 +1026,7 @@ def test_decision_search_pin_fixes_one_image():
         (gen_chain(5, "b"), "bv001", "bv003", False),
         (gen_chain(5, "b"), "bv002", "bv002", True),
     ):
-        sigma = _DecisionSearch("iso", g, g, SearchOptions(), pin=(u, w)).node_map()
+        sigma = _GedSearch(g, g, SearchOptions()).orbits.automorphism(u, w)
         assert (sigma is not None) == found, (u, w)
         if found:
             assert sigma[u] == w
