@@ -19,11 +19,14 @@ decided neighbours and (iso and edit distance) the g2 buckets between ``v``'s
 image and nodes with a preimage. Edit distance carries its count bound and
 skips an option the bound cuts before applying it; once a candidate joined
 to no image of a decided neighbour cannot beat the incumbent, it prices only
-the candidates so joined. At its root it enters one image per automorphism
-orbit of g2 it knows (``_RootOrbits``): an automorphism is found by one dive
-of a single iso search of g2 onto itself, built once per call from edit
-distance's own tables, run only between nodes of one colour (one refinement
-round) and at most once per colour that has none.
+the candidates so joined. A leaf that meets a degree-aware root bound ends
+it; when its first leaf misses that bound, a probe at the bound runs from
+the root before the open branch and bound does. At its root it enters one
+image per automorphism orbit of g2 it knows (``_RootOrbits``): an
+automorphism is found by one dive of a single iso search of g2 onto itself,
+built once per call from edit distance's own tables, run only between nodes
+of one colour (one refinement round) and at most once per colour that has
+none.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,6 +76,14 @@ class SearchTimeout(Exception):
 
 class SizeGuardError(ValueError):
     """The exhaustive oracle refuses graphs beyond its size guard."""
+
+
+class _ProbeSpent(Exception):
+    """An edit-distance probe priced more candidates than it may."""
+
+
+# The candidates an edit-distance probe may price, per pair of g1 and g2 nodes.
+_PROBE_PRICED = 8
 
 
 @dataclass(frozen=True)
@@ -154,6 +166,31 @@ def _class_gaps(g1: PropertyGraph, g2: PropertyGraph, label_hard: bool) -> tuple
             c = lab if label_hard else None
             edges[c] = edges.get(c, 0) + sign
     return nodes, edges
+
+
+def _forced_edges(g: PropertyGraph, cls: dict, surplus: dict) -> dict:
+    """Per edge class, a lower bound on the edges of ``g`` at any choice of
+    ``surplus[c]`` nodes of each node class ``c`` it names (``cls`` gives
+    each node's and edge's class), which edit distance deletes (or inserts)
+    with them. With d_1 <= d_2 <= ... the degrees in that edge class of the
+    nodes of one class (a self-loop counts once) and s its surplus, they
+    have at least the largest d_s and, as an edge has at most two ends among
+    them, half the sum of d_1 + ... + d_s over every class, rounded up."""
+    count = Counter(cls[x] for x in g.nodes if cls[x] in surplus)  # nodes per class
+    degrees: dict = {}  # (edge class, node class) -> node -> its edges of that class
+    for e, (s, t, _) in g.edges.items():
+        for x in {s, t}:
+            if cls[x] in surplus:
+                degrees.setdefault((cls[e], cls[x]), Counter())[x] += 1
+    top: dict = {}
+    total: dict = {}
+    for (ce, c), d in degrees.items():
+        # the s smallest degrees, after those of the nodes with no such edge
+        low = sorted(d.values())[: max(0, surplus[c] - (count[c] - len(d)))]
+        if low:
+            top[ce] = max(top.get(ce, 0), low[-1])
+            total[ce] = total.get(ce, 0) + sum(low)
+    return {ce: max(top[ce], (total[ce] + 1) // 2) for ce in top}
 
 
 class _PairIndex:
@@ -765,11 +802,9 @@ class _RootOrbits:
     def __init__(self, g2: PropertyGraph, ix: _PairIndex, at2: dict, degrees2: dict, deadline):
         self.g2, self.ix, self.at2, self.deadline = g2, ix, at2, deadline
         self.degrees2 = degrees2
-        self.entered: list[str] = []
-        self.reps: set[str] = set()  # the union-find roots of the entered
         self.parent: dict[str, str] = {}  # union-find links; a root has none
-        self.first: dict = {}  # per colour, the first image entered with it
         self.failed: set = set()  # the colours whose test found no automorphism
+        self.restart()
         # the self-search, its root domains and its node order: built at the
         # first test
         self.search: _DecisionSearch | None = None
@@ -778,6 +813,13 @@ class _RootOrbits:
     def colours(self) -> dict[str, tuple]:
         """Each g2 node's colour, built when a second image is offered."""
         return _colours(self.g2, self.ix.labels2, self.ix.props2, self.at2)
+
+    def restart(self) -> None:
+        """Forget the images entered, for a new pass from the root; the
+        automorphisms found still hold."""
+        self.entered: list[str] = []
+        self.reps: set[str] = set()  # the union-find roots of the entered
+        self.first: dict = {}  # per colour, the first image entered with it
 
     def _find(self, w: str) -> str:
         root, parent = w, self.parent
@@ -847,6 +889,10 @@ class _GedSearch(_BranchAndBound):
     be deleted or inserted, and node and edge operations are priced apart,
     so the bound never exceeds the remaining cost. The per-class gaps and the
     bound are summed once at the root and then carried (see ``_decisions``).
+
+    At the root it also sums a degree-aware bound, ``root_bound``, which
+    counts the edges a node surplus takes with it (``_forced_edges``); a
+    leaf that meets it ends the search (``_passes``).
     """
 
     def __init__(self, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
@@ -883,10 +929,20 @@ class _GedSearch(_BranchAndBound):
         # per label class, undecided g1 less unused g2 nodes and g1 edges with
         # an undecided endpoint less g2 edges with an unused one
         self.node_gap, self.edge_gap = _class_gaps(g1, g2, self.label_hard)
-        self.bound = sum(
+        nodes = sum(
             [g * self.w_del_v if g > 0 else -g * self.w_ins_v for g in self.node_gap.values()]
-            + [g * self.w_del_e if g > 0 else -g * self.w_ins_e for g in self.edge_gap.values()]
         )
+        self.bound = nodes + sum(
+            [g * self.w_del_e if g > 0 else -g * self.w_ins_e for g in self.edge_gap.values()]
+        )
+        # a node surplus deletes (inserts) its nodes' edges, at least so many
+        # per edge class, and the edge gap adds as many insertions (deletions)
+        dele = _forced_edges(g1, ix.cls1, {c: g for c, g in self.node_gap.items() if g > 0})
+        ins = _forced_edges(g2, ix.cls2, {c: -g for c, g in self.node_gap.items() if g < 0})
+        self.root_bound = nodes
+        for c, g in self.edge_gap.items():
+            deleted = max(dele.get(c, 0), ins.get(c, 0) + g)
+            self.root_bound += deleted * self.w_del_e + (deleted - g) * self.w_ins_e
         # what a leaf inserts: unused g2 nodes and g2 edges with an unused endpoint
         self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
         self.assignment: dict[str, str | None] = {}
@@ -897,6 +953,9 @@ class _GedSearch(_BranchAndBound):
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
         self.orbits = _RootOrbits(g2, ix, self.at2, self.degrees2, self.deadline)
         self.timed_out = False
+        # a pass ends at a kept leaf that costs at most ends_at, and raises
+        # _ProbeSpent once it has priced more candidates than its allowance
+        self.ends_at, self.allowance = math.inf, math.inf
 
     def _decide_cost(self, v: str, w: str, closed1: list) -> tuple[int, list]:
         """Cost settled by matching ``v`` with ``w``, and the g2 buckets it
@@ -934,8 +993,10 @@ class _GedSearch(_BranchAndBound):
         return self.bound
 
     def run(self) -> GedResult:
+        """Search (``_passes``) on the budget, then rebuild the incumbent's
+        edge pairs and script, whose cost must equal the search's own."""
         try:
-            self._depth_first(self.order1, "edit-distance")
+            self._passes()
         except SearchTimeout:
             self.timed_out = True
         self.deadline.expires = math.inf  # the incumbent's matching is rebuilt unbudgeted
@@ -950,6 +1011,49 @@ class _GedSearch(_BranchAndBound):
             )
         return GedResult(matching, script, cost, optimal=not self.timed_out)
 
+    def _passes(self) -> None:
+        """Search from the root in up to three passes of ``_depth_first``: a
+        dive that ends at its first leaf; when that leaf misses the
+        degree-aware root bound, a probe with the bound plus one as its
+        incumbent (the first iteration of IDA*, Korf, AIJ 1985), given up
+        after pricing ``_PROBE_PRICED`` candidates per pair of nodes; and when
+        the probe finds nothing, the branch and bound with the dive's leaf as
+        its incumbent. A leaf that meets the bound is optimal and ends the
+        search. Option order does not depend on the incumbent, and a cut
+        drops only leaves no cheaper than the incumbent, so the pass that
+        ends the search returns the first optimal leaf in depth-first order:
+        the leaf that one open branch and bound keeps last."""
+        bound, everything = self.root_bound, self.best_cost
+        root = (dict(self.node_gap), dict(self.edge_gap), self.bound, self.ins_open)
+        self._depth_first(self.order1, "edit-distance")
+        dive = self.best_cost
+        if dive == everything or dive <= bound:
+            return  # the dive proved deleting everything optimal, or met the bound
+        self.ends_at = bound
+        self._restart(root)
+        self.best_cost = bound + 1
+        self.allowance = _PROBE_PRICED * len(self.g1.nodes) * len(self.g2.nodes)
+        try:
+            self._depth_first(self.order1, "edit-distance")
+        except _ProbeSpent:
+            pass
+        finally:
+            if self.best_cost > bound:  # no leaf met it: the dive's stays
+                self.best_cost = dive
+        if self.best_cost > bound:
+            self._restart(root)
+            self.allowance = math.inf
+            self._depth_first(self.order1, "edit-distance")
+
+    def _restart(self, root: tuple) -> None:
+        """Take every decision back for a new pass from the root, whose gaps,
+        carried bound and insertion sum ``root`` holds."""
+        node_gap, edge_gap, self.bound, self.ins_open = root
+        self.node_gap, self.edge_gap = dict(node_gap), dict(edge_gap)
+        self.assignment.clear()
+        self.inv.clear()
+        self.orbits.restart()
+
     def _decisions(self, v: str, acc: int):
         """Apply each option for ``v`` in turn (unused candidates and deletion,
         cheapest step first, then matching before deleting, then the candidate
@@ -957,7 +1061,8 @@ class _GedSearch(_BranchAndBound):
         ``|out(v) - out(w)| + |in(v) - in(w)|``, then by g2 node id), yield
         the settled cost with it applied, and undo it when resumed. An option
         whose settled cost plus child bound reaches ``best_cost`` is skipped
-        unapplied: as ``best_cost`` only goes down, its child would be cut.
+        unapplied: as ``best_cost`` only goes down within a pass (see
+        ``_passes``), its child would be cut.
 
         When deleting the closed g1 buckets but keeping ``v``'s node already
         reaches ``best_cost``, only anchored candidates are priced: a ``w``
@@ -973,10 +1078,10 @@ class _GedSearch(_BranchAndBound):
         onto it (``_RootOrbits``). ``s`` keeps every label, property and
         edge, so following a matching by ``s`` maps the complete matchings
         under ``w'`` onto those under ``w`` at equal cost. The subtree under
-        ``w'`` was searched with an incumbent no lower than the current one,
-        so it left none of its leaves strictly cheaper than ``best_cost``,
-        and neither does ``w``'s: under the strict-improvement rule skipping
-        it changes no cost, matching or script."""
+        ``w'`` was searched in this pass with an incumbent no lower than the
+        current one, so it left none of its leaves strictly cheaper than
+        ``best_cost``, and neither does ``w``'s: under the strict-improvement
+        rule skipping it changes no cost, matching or script."""
         ix, assignment, inv, deadline = self.ix, self.assignment, self.inv, self.deadline
         node_gap, edge_gap, cls1, cls2 = self.node_gap, self.edge_gap, ix.cls1, ix.cls2
         w_del_e, w_ins_e = self.w_del_e, self.w_ins_e
@@ -1021,6 +1126,9 @@ class _GedSearch(_BranchAndBound):
                         child += w_del_e if gap > 0 else -w_ins_e
                 apart = abs(out_v - degrees2[w][0]) + abs(in_v - degrees2[w][1])
                 options.append((step_cost, apart, w, child, closed2))
+        self.allowance -= len(options)
+        if self.allowance < 0:
+            raise _ProbeSpent
         options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
         options.sort()
         root, orbits = not assignment, self.orbits
@@ -1047,11 +1155,12 @@ class _GedSearch(_BranchAndBound):
 
     def _leaf(self, acc: int) -> bool:
         """Replace the incumbent when this leaf, with its insertions, is
-        strictly cheaper."""
-        if acc + self.ins_open < self.best_cost:
-            self.best_cost = acc + self.ins_open
-            self.best_assignment = dict(self.assignment)
-        return False
+        strictly cheaper; one that costs at most ``ends_at`` ends the pass."""
+        cost = acc + self.ins_open
+        if cost >= self.best_cost:
+            return False
+        self.best_cost, self.best_assignment = cost, dict(self.assignment)
+        return cost <= self.ends_at
 
 
 def min_edit_matching(

@@ -831,14 +831,12 @@ def _count_pinned_searches(monkeypatch, counts: Counter) -> None:
     monkeypatch.setattr(_DecisionSearch, "_neighbour_sets", built)
 
 
-def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
-    # the unit optimum 3 is found under the first root image; every other
-    # image is a rotation of it, which one pinned search finds, so the root
-    # enters no other; below it an unanchored candidate that cannot beat the
-    # incumbent is not priced
-    carried, decide = _GedSearch._bound, _GedSearch._decide_cost
-    counts = Counter()
+def _count_ged_work(monkeypatch, counts: Counter) -> None:
+    """Count in ``counts`` what ``_count_pinned_searches`` counts, and the
+    GED nodes entered (``entered``, the root included) and candidates priced
+    (``priced``)."""
     _count_pinned_searches(monkeypatch, counts)
+    carried, decide = _GedSearch._bound, _GedSearch._decide_cost
 
     def entered(search):
         counts["entered"] += 1
@@ -850,12 +848,21 @@ def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
 
     monkeypatch.setattr(_GedSearch, "_bound", entered)
     monkeypatch.setattr(_GedSearch, "_decide_cost", priced)
-    for k, nodes, candidates in ((10, 12, 55), (18, 20, 171)):
+
+
+def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
+    # the unit optimum 3 is the first leaf of the dive and meets the
+    # degree-aware root bound, which ends the search: the root enters no
+    # second image and runs no automorphism test; below it an unanchored
+    # candidate that cannot beat the incumbent is not priced
+    counts = Counter()
+    _count_ged_work(monkeypatch, counts)
+    for k, nodes, candidates in ((10, 11, 55), (18, 19, 171)):
         counts.clear()
         result = min_edit_matching(gen_chain(k, "a"), gen_cycle(k, "b"))
         assert result.optimal and result.cost == 3
         assert (counts["entered"] - 1, counts["priced"]) == (nodes, candidates), k
-        assert (counts["pinned"], counts["found"]) == (1, 1), k
+        assert counts["pinned"] == 0, k
 
 
 def _star(k: int, prefix: str, values: str, inward: bool = False) -> PropertyGraph:
@@ -1004,18 +1011,32 @@ def test_automorphism_tests_agree_with_enumeration():
     assert min(seen["parallel"], seen["loops"], seen["props"]) > 100, seen
 
 
+def _one_edge_reversed(g: PropertyGraph, i: int) -> PropertyGraph:
+    e = sorted(g.edges)[i]
+    s, t, lab = g.edges[e]
+    return PropertyGraph(dict(g.nodes), {**g.edges, e: (t, s, lab)}, dict(g.props))
+
+
 def test_ged_pinned_searches_stay_few_on_cycle_and_chain(monkeypatch):
-    # the chain's inner nodes share one colour but no two are in one orbit:
-    # the first test fails and that colour is not tested again
+    # cycle 30 against chain 30 meets the degree-aware root bound 3 at its
+    # first leaf, in one dive; a graph with one edge reversed against a
+    # cycle or a chain costs 2 against a root bound of 0, so the root offers
+    # a second image in the probe and in the branch and bound after it: the
+    # cycle's rotation is found by one test, and the chain's inner nodes
+    # share one colour but no two are in one orbit, so the first test fails
+    # and that colour is not tested again
     counts = Counter()
-    _count_pinned_searches(monkeypatch, counts)
+    _count_ged_work(monkeypatch, counts)
     result = min_edit_matching(gen_cycle(30, "a"), gen_chain(30, "b"))
     assert result.optimal and result.cost == 3
-    assert counts["pinned"] <= 1, counts
-    counts.clear()
-    result = min_edit_matching(gen_chain(30, "a"), gen_cycle(30, "b"))
-    assert result.optimal and result.cost == 3
-    assert (counts["pinned"], counts["found"]) == (1, 1), counts
+    assert (counts["entered"], counts["priced"], counts["pinned"]) == (31, 495, 0), counts
+    for shape, found in ((gen_cycle, 1), (gen_chain, 0)):
+        g1, target = _one_edge_reversed(shape(30, "a"), 15), shape(30, "b")
+        assert _GedSearch(g1, target, SearchOptions()).root_bound == 0
+        counts.clear()
+        result = min_edit_matching(g1, target)
+        assert result.optimal and result.cost == 2
+        assert (counts["pinned"], counts["found"]) == (1, found), counts
 
 
 def test_decision_search_pin_fixes_one_image():
@@ -1242,6 +1263,93 @@ def test_min_edit_proves_near_isomorphic_pairs_at_the_root():
             result = min_edit_matching(g1, g2, opts)
             assert result.optimal, (n, opts.mode, opts.cost_model)
             assert result.cost == 3 * opts.cost_model.weights["delE"]
+
+
+_GED_EXACT_SETTINGS = [
+    SearchOptions(),
+    SearchOptions(mode="relabel"),
+    SearchOptions(mode="relabel", cost_model=CostModel.gedc()),
+]
+
+
+def test_degree_aware_root_bound_never_exceeds_the_oracle():
+    # one side up to 7 nodes and the other up to 3, so that node counts
+    # differ and the oracle stays quick; self-loops, parallel edges and two
+    # edge labels, in both modes under unit and gedc costs
+    rng = random.Random(167)
+    above = 0
+    for i in range(1000):
+        sizes = (7, 3) if i % 2 else (3, 7)
+        g1, g2 = (
+            _with_parallel_edges(
+                rng, random_graph(rng, prefix=p, max_nodes=n, max_props=1, self_loops=True)
+            )
+            for p, n in zip("ab", sizes)
+        )
+        for opts in _BOTH_MODES_UNIT_AND_GEDC:
+            search = _GedSearch(g1, g2, opts)
+            assert search.root_bound <= oracle_ged(g1, g2, opts), (g1, g2, opts)
+            above += search.root_bound > search.bound
+    assert above > 250, above
+    # chain k has one node more than cycle k, of degree at least 1: the
+    # bound prices that node, one of its edges and the edge that replaces it
+    for k in range(1, 11):
+        for g1, g2, node in (
+            (gen_chain(k, "a"), gen_cycle(k, "b"), "delV"),
+            (gen_cycle(k, "a"), gen_chain(k, "b"), "insV"),
+        ):
+            for opts in _GED_EXACT_SETTINGS:
+                w = opts.cost_model.weights
+                optimum = w[node] + w["delE"] + w["insE"]
+                assert _GedSearch(g1, g2, opts).root_bound == optimum, (k, g1, opts)
+                assert min_edit_matching(g1, g2, opts).cost == optimum, (k, g1, opts)
+
+
+def test_min_edit_proves_near_isomorphic_pairs_whose_dive_misses():
+    # the fourth pair's first dive ends at 93 (188 under gedc) against an
+    # optimum of 3 * delE, which the root bound already gives; the probe at
+    # that bound finds the optimum where the open branch and bound, from
+    # the dive's leaf, did not within the budget
+    rng = random.Random(1)
+    for i in range(4):
+        g1, g2 = _near_isomorphic_pair(rng, 26, 3)
+        for opts in _GED_EXACT_SETTINGS:
+            opts = SearchOptions(mode=opts.mode, cost_model=opts.cost_model, budget=0.5)
+            result = min_edit_matching(g1, g2, opts)
+            assert result.optimal, (i, opts.mode, opts.cost_model)
+            assert result.cost == 3 * opts.cost_model.weights["delE"]
+
+
+def test_min_edit_timeout_in_the_probe_returns_the_dive_leaf(monkeypatch):
+    # the budget runs out as the probe starts: the result is the dive's
+    # leaf, at its own cost, not the delete-everything incumbent
+    restart, dives = _GedSearch._restart, []
+
+    def expired(search, root):
+        if not dives:
+            node_map = {v: w for v, w in search.best_assignment.items() if w is not None}
+            dives.append((search.best_cost, node_map))
+            search.deadline.check = lambda: True
+        return restart(search, root)
+
+    monkeypatch.setattr(_GedSearch, "_restart", expired)
+    rng = random.Random(1)
+    for _ in range(4):
+        g1, g2 = _near_isomorphic_pair(rng, 26, 3)
+    result = min_edit_matching(g1, g2)
+    [(cost, node_map)] = dives
+    assert not result.optimal and result.cost == cost == 93
+    assert result.matching.node_map == node_map != {}
+
+
+def test_min_edit_proves_a_small_star_against_a_large_one():
+    # the root bound is 590, 295 leaves and their edges inserted; the dive
+    # ends at 600 and the probe with incumbent 591 finds 590, where the
+    # branch and bound from 600 branches over interchangeable leaves
+    g1, g2 = _star(5, "a", ""), _star(300, "b", "")  # one label, no properties
+    for mode in ("label-hard", "relabel"):
+        result = min_edit_matching(g1, g2, SearchOptions(mode=mode, budget=10))
+        assert result.optimal and result.cost == 590, mode
 
 
 def test_oracle_size_guard():
