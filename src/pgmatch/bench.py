@@ -232,10 +232,14 @@ def run_bench(
 ) -> list[BenchResult]:
     """Run every (case, backend) cell; per-cell errors are recorded as ERROR
     rows and the run continues. With ``workers > 1`` the cells run in that
-    many worker processes; fewer than one is a ValueError. Results come
-    back sorted."""
+    many worker processes; fewer than one is a ValueError, as is a budget
+    that every cell would refuse: not positive, or with ``asp`` among the
+    backends not finite. Results come back sorted."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
+    SearchOptions(budget=budget)  # raises, as each cell would, unless budget > 0
+    if "asp" in backends:
+        SolverConfig("", budget=budget)  # and for the solver unless finite too
     cells = [(case, backend) for case in cases for backend in backends]
     if workers > 1:
         # Processes, not threads: the cells are CPU-bound pure Python, and

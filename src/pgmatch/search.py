@@ -21,12 +21,7 @@ skips an option the bound cuts before applying it; once a candidate joined
 to no image of a decided neighbour cannot beat the incumbent, it prices only
 the candidates so joined. A leaf that meets a degree-aware root bound ends
 it; when its first leaf misses that bound, a probe at the bound runs from
-the root before the open branch and bound does. At its root it enters one
-image per automorphism orbit of g2 it knows (``_RootOrbits``): an
-automorphism is found by one dive of a single iso search of g2 onto itself,
-built once per call from edit distance's own tables, run only between nodes
-of one colour (one refinement round) and at most once per colour that has
-none.
+the root before the open branch and bound does.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -56,7 +51,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .editing import (
     MODE_LABEL_HARD,
@@ -519,22 +513,19 @@ class _DecisionSearch(_BranchAndBound):
     """The engine of the three decision problems: each step visits only the
     neighbours of the node it assigns."""
 
-    def __init__(
-        self,
-        kind: str,
-        g1: PropertyGraph,
-        g2: PropertyGraph,
-        opts: SearchOptions,
-        deadline: _Deadline | None = None,  # default: a new one for opts.budget
-    ):
+    def __init__(self, kind: str, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
         self.kind = kind
         self.g1, self.g2 = g1, g2
         self.injective = kind in ("iso", "sub")
         self.label_hard = opts.mode == MODE_LABEL_HARD
         self.props_hard = opts.properties == PROPS_HARD
-        self.deadline = deadline or _Deadline(opts.budget)
-        # node_map() (or onto_itself()) sets ix, price, pricing and the g2
-        # tables, and each dive its domains and assignment
+        self.deadline = _Deadline(opts.budget)
+        self.assignment: dict[str, str] = {}
+        self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
+        self.used = 0  # the bitset of images, for injective kinds
+        self.best: dict[str, str] | None = None
+        # node_map() sets ix, price, pricing, domains and the g2 tables past
+        # its cuts
 
     def _assign_buckets(self, v: str, w: str, closed1: list) -> int | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
@@ -597,49 +588,21 @@ class _DecisionSearch(_BranchAndBound):
 
     def node_map(self) -> dict[str, str] | None:
         """The node map of the witness ``run`` returns, or None: its cuts,
-        each followed by the tables the next step reads, then one dive."""
+        each followed by the tables the next step reads, then one search."""
         if self.kind != "hom" and not self._counts_fit():
             return None
-        self._index(_PairIndex(self.g1, self.g2, self.label_hard))
-        domains = self._root_domains()
-        if domains is None:
-            return None
-        self._neighbour_sets()
-        if self.kind == "iso":
-            self.at2 = _buckets_at(self.g2, self.ix.pairs2)
-        return self._dive(domains, _ordered_nodes(self.g1, _in_out_degrees(self.g1)))
-
-    @classmethod
-    def onto_itself(cls, g: PropertyGraph, ix: _PairIndex, at: dict, deadline: _Deadline):
-        """The iso search of ``g`` onto itself (``label-hard``, hard properties)
-        from the g2 side of edit distance's index ``ix``, its g2 buckets per
-        node ``at`` and its ``deadline``; its dives are its only entry."""
-        search = cls("iso", g, g, SearchOptions(), deadline)
-        mirror = object.__new__(_PairIndex)  # g2's side as both sides
-        mirror.labels1 = mirror.labels2 = mirror.cls1 = mirror.cls2 = ix.labels2
-        mirror.props1 = mirror.props2 = ix.props2
-        mirror.pairs1 = mirror.pairs2 = ix.pairs2
-        mirror.at1 = at
-        search._index(mirror)
-        search._neighbour_sets()
-        search.at2 = at
-        return search
-
-    def _index(self, ix: _PairIndex) -> None:
-        """Take ``ix`` and build what the root domains read with it."""
-        self.ix = ix
+        self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
         # a set of g2 nodes is an int whose bit i stands for ids2[i]
         self.ids2 = sorted(self.g2.nodes)
-        self.bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
+        self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         # relabeling is free; soft properties cost their unit edits, inserted
         # ones only for iso, and hard ones must cost nothing
         sub = None if self.label_hard else 0
         self.price = _pair_pricer(ix, sub, 1, 1, int(self.kind == "iso"), self.props_hard)
         self.pricing = (self.price, self.deadline)  # for the bucket helpers
-
-    def _neighbour_sets(self) -> None:
-        """Build the g2 neighbour sets per edge class, read by the dives only."""
-        ix, bit2 = self.ix, self.bit2
+        self.domains = self._root_domains()
+        if self.domains is None:
+            return None
         # succ2[w][c] / pred2[w][c]: w's successors / predecessors over class c
         self.succ2: dict[str, dict] = {w: {} for w in self.ids2}
         self.pred2: dict[str, dict] = {w: {} for w in self.ids2}
@@ -647,14 +610,9 @@ class _DecisionSearch(_BranchAndBound):
             c = ix.cls2[f]
             self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
             self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
-
-    def _dive(self, domains: dict[str, int], order: list[str]) -> dict[str, str] | None:
-        """One depth-first search over the tables built, from root domains
-        ``domains`` with the g1 nodes decided in ``order``: the first witness
-        found (hard properties) or the cheapest (soft), or None."""
-        self.domains, self.assignment, self.inv, self.used = domains, {}, {}, 0
-        self.best, self.best_cost = None, math.inf
-        self._depth_first(order, self.kind)
+        if self.kind == "iso":
+            self.at2 = _buckets_at(self.g2, ix.pairs2)
+        self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
         return self.best
 
     def _counts_fit(self) -> bool:
@@ -772,109 +730,6 @@ def search_sub(g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions | None 
     return _DecisionSearch("sub", g1, g2, opts or SearchOptions()).run()
 
 
-def _colours(g: PropertyGraph, labels: dict, props: dict, at: dict) -> dict[str, tuple]:
-    """One refinement round over ``g`` (labels and properties per owner,
-    buckets per node ``at``): per node, its label and properties and the
-    sorted ``(direction, edge labels and properties, neighbour's label and
-    properties)`` of its buckets, direction 0 out of it, 1 into it, 2 a
-    self-loop. An automorphism maps each node onto one of its colour."""
-    tag = {x: (labels[x], tuple(sorted(props[x].items()))) for x in labels}
-    return {
-        w: (tag[w], tuple(sorted(
-            (2 if s == t else int(t == w), tuple(sorted([tag[e] for e in b])), tag[x])
-            for x, (s, t), b in at[w]
-        )))
-        for w in g.nodes
-    }
-
-
-class _RootOrbits:
-    """The images an edit-distance search has entered at its root, and the
-    automorphism orbits of g2 it knows: a union-find along each automorphism
-    found (the orbit pruning of McKay & Piperno, J. Symbolic Computation
-    2014). An automorphism is found by one dive of a single iso search of g2
-    onto itself, under ``label-hard`` and hard properties, so it keeps every
-    label, property and edge. That search is built at the first test from
-    the edit-distance search's own tables and clock; its root domains are
-    the colour classes, which every automorphism keeps, so like every root
-    filter they drop only values that belong to no automorphism."""
-
-    def __init__(self, g2: PropertyGraph, ix: _PairIndex, at2: dict, degrees2: dict, deadline):
-        self.g2, self.ix, self.at2, self.deadline = g2, ix, at2, deadline
-        self.degrees2 = degrees2
-        self.parent: dict[str, str] = {}  # union-find links; a root has none
-        self.failed: set = set()  # the colours whose test found no automorphism
-        self.restart()
-        # the self-search, its root domains and its node order: built at the
-        # first test
-        self.search: _DecisionSearch | None = None
-
-    @cached_property
-    def colours(self) -> dict[str, tuple]:
-        """Each g2 node's colour, built when a second image is offered."""
-        return _colours(self.g2, self.ix.labels2, self.ix.props2, self.at2)
-
-    def restart(self) -> None:
-        """Forget the images entered, for a new pass from the root; the
-        automorphisms found still hold."""
-        self.entered: list[str] = []
-        self.reps: set[str] = set()  # the union-find roots of the entered
-        self.first: dict = {}  # per colour, the first image entered with it
-
-    def _find(self, w: str) -> str:
-        root, parent = w, self.parent
-        while root in parent:
-            root = parent[root]
-        while w != root:
-            parent[w], w = root, parent[w]
-        return root
-
-    def enters(self, w: str) -> bool:
-        """Whether the root enters image ``w``, which it then records: not
-        when an automorphism maps an image entered onto ``w``. Only the
-        first image entered with ``w``'s colour is tested, and a colour
-        whose test fails is not tested again. A test that runs out of time
-        ends the search, whose budget it shares."""
-        find = self._find
-        if find(w) in self.reps:
-            return False
-        if self.entered:
-            if not self.first:
-                self.first[self.colours[self.entered[0]]] = self.entered[0]
-            colour = self.colours[w]
-            first = self.first.setdefault(colour, w)
-            if first != w and colour not in self.failed:
-                sigma = self.automorphism(first, w)
-                if sigma is not None:
-                    for x, y in sigma.items():
-                        a, b = find(x), find(y)
-                        if a != b:
-                            self.parent[a] = b
-                    self.reps = {find(r) for r in self.entered}
-                    return False
-                self.failed.add(colour)
-        self.entered.append(w)
-        self.reps.add(find(w))
-        return True
-
-    def automorphism(self, x: str, y: str) -> dict[str, str] | None:
-        """An automorphism of g2 mapping ``x`` onto ``y``, of one colour, or
-        None: one dive of the self-search with ``x``'s domain cut to ``y``
-        and ``x`` decided first."""
-        if self.search is None:
-            self.search = search = _DecisionSearch.onto_itself(
-                self.g2, self.ix, self.at2, self.deadline
-            )
-            colours, classes = self.colours, {}
-            for w, bit in search.bit2.items():
-                classes[colours[w]] = classes.get(colours[w], 0) | bit
-            self.domains = {w: classes[colours[w]] for w in search.ids2}
-            self.order = _ordered_nodes(self.g2, self.degrees2)
-        domains = dict(self.domains)
-        domains[x] &= self.search.bit2[y]
-        return self.search._dive(domains, [x, *(v for v in self.order if v != x)])
-
-
 class _GedSearch(_BranchAndBound):
     """Branch and bound over partial injective node matchings.
 
@@ -951,7 +806,6 @@ class _GedSearch(_BranchAndBound):
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
-        self.orbits = _RootOrbits(g2, ix, self.at2, self.degrees2, self.deadline)
         self.timed_out = False
         # a pass ends at a kept leaf that costs at most ends_at, and raises
         # _ProbeSpent once it has priced more candidates than its allowance
@@ -1052,7 +906,6 @@ class _GedSearch(_BranchAndBound):
         self.node_gap, self.edge_gap = dict(node_gap), dict(edge_gap)
         self.assignment.clear()
         self.inv.clear()
-        self.orbits.restart()
 
     def _decisions(self, v: str, acc: int):
         """Apply each option for ``v`` in turn (unused candidates and deletion,
@@ -1071,17 +924,7 @@ class _GedSearch(_BranchAndBound):
         other ``w`` deletes every closed g1 bucket and inserts every g2
         bucket it closes, each insertion costing at least what its gap rise
         takes off the child bound, so its option would be skipped (Chang et
-        al., ICDE 2020). An unpriced candidate does not tick the deadline.
-
-        At the root (no g1 node decided) a candidate ``w`` is skipped when an
-        automorphism ``s`` of g2 maps a root image ``w'`` already entered
-        onto it (``_RootOrbits``). ``s`` keeps every label, property and
-        edge, so following a matching by ``s`` maps the complete matchings
-        under ``w'`` onto those under ``w`` at equal cost. The subtree under
-        ``w'`` was searched in this pass with an incumbent no lower than the
-        current one, so it left none of its leaves strictly cheaper than
-        ``best_cost``, and neither does ``w``'s: under the strict-improvement
-        rule skipping it changes no cost, matching or script."""
+        al., ICDE 2020). An unpriced candidate does not tick the deadline."""
         ix, assignment, inv, deadline = self.ix, self.assignment, self.inv, self.deadline
         node_gap, edge_gap, cls1, cls2 = self.node_gap, self.edge_gap, ix.cls1, ix.cls2
         w_del_e, w_ins_e = self.w_del_e, self.w_ins_e
@@ -1131,11 +974,8 @@ class _GedSearch(_BranchAndBound):
             raise _ProbeSpent
         options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
         options.sort()
-        root, orbits = not assignment, self.orbits
         for step_cost, _, w, child, closed2 in options:
             if acc + step_cost + child >= self.best_cost:
-                continue
-            if root and w is not None and not orbits.enters(w):
                 continue
             assignment[v] = w
             if w is not None:

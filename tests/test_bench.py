@@ -176,6 +176,20 @@ def test_fewer_than_one_worker_is_refused(workers):
         run_bench(small_cases()[:1], ("native",), budget=10.0, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "backends, budget, message",
+    [
+        (("native",), 0.0, "budget must be positive"),
+        (("native",), -1.0, "budget must be positive"),
+        (("native",), float("nan"), "budget must be positive"),
+        (("native", "asp"), float("inf"), "budget must be positive and finite"),
+    ],
+)
+def test_a_budget_every_cell_would_refuse_is_refused(backends, budget, message):
+    with pytest.raises(ValueError, match=message):
+        run_bench(small_cases()[:1], backends, budget=budget)
+
+
 def test_suite_file_loading(tmp_path):
     suite = {
         "cases": [

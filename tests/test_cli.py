@@ -237,5 +237,12 @@ def test_bench_refuses_fewer_than_one_worker(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_refuses_a_timeout_of_zero(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--suite", "native-matrix", "--timeout", "0", "-o", str(out)]) == 3
+    assert "error: budget must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_exit_code_for_missing_file(capsys):
     assert main(["check", "--mode", "hom", "/no/such/file", "/no/such/file2"]) == 3
