@@ -208,14 +208,10 @@ def _run_cell(case: BenchCase, backend: str, budget: float, solver: SolverConfig
             if kind in EDIT_KIND_MODES:
                 opts = SearchOptions(EDIT_KIND_MODES[kind], cost_model=kind_cost_model(kind), budget=budget)
             status, cost, _ = run_native(kind, case.g1, case.g2, opts)
-        elif backend == "asp":
-            if solver is None:
-                raise ValueError("the asp backend needs a solver configuration")
+        else:  # asp, which run_bench gives a solver configuration
             cm = kind_cost_model(kind) if kind is ProblemKind.GEDC_WEIGHTED else None
             cfg = SolverConfig(solver.executable, solver.args, budget)
             status, cost, _ = run_asp(kind, case.g1, case.g2, cfg, cm)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
         status = status.value
     except Exception as exc:  # one failed cell must not end the run
         status, cost, error = "ERROR", None, f"{type(exc).__name__}: {exc}"
@@ -232,14 +228,21 @@ def run_bench(
 ) -> list[BenchResult]:
     """Run every (case, backend) cell; per-cell errors are recorded as ERROR
     rows and the run continues. With ``workers > 1`` the cells run in that
-    many worker processes; fewer than one is a ValueError, as is a budget
-    that every cell would refuse: not positive, or with ``asp`` among the
-    backends not finite. Results come back sorted."""
+    many worker processes; fewer than one is a ValueError, as is a backend
+    or budget that every cell would refuse: a backend other than ``native``
+    and ``asp``, ``asp`` with no solver configuration, or a budget that is
+    not positive, or with ``asp`` among the backends not finite. Results
+    come back sorted."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
+    for backend in backends:
+        if backend not in ("native", "asp"):
+            raise ValueError(f"unknown backend {backend!r}")
     SearchOptions(budget=budget)  # raises, as each cell would, unless budget > 0
     if "asp" in backends:
         SolverConfig("", budget=budget)  # and for the solver unless finite too
+        if solver is None:
+            raise ValueError("the asp backend needs a solver configuration")
     cells = [(case, backend) for case in cases for backend in backends]
     if workers > 1:
         # Processes, not threads: the cells are CPU-bound pure Python, and

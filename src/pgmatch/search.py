@@ -20,8 +20,8 @@ image and nodes with a preimage. Edit distance carries its count bound and
 skips an option the bound cuts before applying it; once a candidate joined
 to no image of a decided neighbour cannot beat the incumbent, it prices only
 the candidates so joined. A leaf that meets a degree-aware root bound ends
-it; when its first leaf misses that bound, a probe at the bound runs from
-the root before the open branch and bound does.
+it; when its first leaf misses that bound, a probe at the bound goes on
+below that leaf, and the open branch and bound follows when it finds none.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -76,7 +76,8 @@ class _ProbeSpent(Exception):
     """An edit-distance probe priced more candidates than it may."""
 
 
-# The candidates an edit-distance probe may price, per pair of g1 and g2 nodes.
+# The candidates an edit-distance probe may price from the dive's leaf on,
+# per pair of g1 and g2 nodes.
 _PROBE_PRICED = 8
 
 
@@ -487,26 +488,31 @@ class _BranchAndBound:
     def _depth_first(self, order: list[str], what: str) -> None:
         """Decide the nodes of ``order`` depth first on an explicit stack of
         decision generators, the deadline checked at every node entered; a
-        node whose settled cost plus bound reaches ``best_cost`` is cut."""
+        node whose settled cost plus bound reaches ``best_cost`` is cut.
+        However the search ends, it closes its frames, deepest first."""
         frames: list = []  # per decided depth: the generator of its decisions
         acc = 0
-        while True:
-            # enter the node at depth len(frames), with settled cost acc
-            if self.deadline.check():
-                raise SearchTimeout(f"{what} search exceeded its budget")
-            if acc + self._bound() < self.best_cost:  # else no better than the incumbent
-                if len(frames) < len(order):
-                    frames.append(self._decisions(order[len(frames)], acc))
-                elif self._leaf(acc):
+        try:
+            while True:
+                # enter the node at depth len(frames), with settled cost acc
+                if self.deadline.check():
+                    raise SearchTimeout(f"{what} search exceeded its budget")
+                if acc + self._bound() < self.best_cost:  # else no better than the incumbent
+                    if len(frames) < len(order):
+                        frames.append(self._decisions(order[len(frames)], acc))
+                    elif self._leaf(acc):
+                        return
+                # take the next decision, backtracking when a depth has none left
+                while frames:
+                    acc = next(frames[-1], None)
+                    if acc is not None:
+                        break
+                    frames.pop()
+                else:
                     return
-            # take the next decision, backtracking when a depth has none left
+        finally:  # however the search ends, each depth undoes its decision
             while frames:
-                acc = next(frames[-1], None)
-                if acc is not None:
-                    break
-                frames.pop()
-            else:
-                return
+                frames.pop().close()
 
 
 class _DecisionSearch(_BranchAndBound):
@@ -807,9 +813,8 @@ class _GedSearch(_BranchAndBound):
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
         self.timed_out = False
-        # a pass ends at a kept leaf that costs at most ends_at, and raises
-        # _ProbeSpent once it has priced more candidates than its allowance
-        self.ends_at, self.allowance = math.inf, math.inf
+        # the dive's leaf cost once kept, and what the probe may price (_leaf)
+        self.dive, self.allowance = None, math.inf
 
     def _decide_cost(self, v: str, w: str, closed1: list) -> tuple[int, list]:
         """Cost settled by matching ``v`` with ``w``, and the g2 buckets it
@@ -866,56 +871,36 @@ class _GedSearch(_BranchAndBound):
         return GedResult(matching, script, cost, optimal=not self.timed_out)
 
     def _passes(self) -> None:
-        """Search from the root in up to three passes of ``_depth_first``: a
-        dive that ends at its first leaf; when that leaf misses the
-        degree-aware root bound, a probe with the bound plus one as its
-        incumbent (the first iteration of IDA*, Korf, AIJ 1985), given up
-        after pricing ``_PROBE_PRICED`` candidates per pair of nodes; and when
-        the probe finds nothing, the branch and bound with the dive's leaf as
-        its incumbent. A leaf that meets the bound is optimal and ends the
-        search. Option order does not depend on the incumbent, and a cut
-        drops only leaves no cheaper than the incumbent, so the pass that
-        ends the search returns the first optimal leaf in depth-first order:
-        the leaf that one open branch and bound keeps last."""
-        bound, everything = self.root_bound, self.best_cost
-        root = (dict(self.node_gap), dict(self.edge_gap), self.bound, self.ins_open)
-        self._depth_first(self.order1, "edit-distance")
-        dive = self.best_cost
-        if dive == everything or dive <= bound:
-            return  # the dive proved deleting everything optimal, or met the bound
-        self.ends_at = bound
-        self._restart(root)
-        self.best_cost = bound + 1
-        self.allowance = _PROBE_PRICED * len(self.g1.nodes) * len(self.g2.nodes)
+        """Search from the root in at most two ``_depth_first`` passes. The
+        first dives to its first kept leaf and, when that leaf misses the
+        degree-aware root bound, goes on below it as a probe with the bound
+        plus one as incumbent (the first iteration of IDA*, Korf, AIJ 1985),
+        given up after pricing ``_PROBE_PRICED`` candidates per node pair.
+        When the probe finds nothing, the second runs the branch and bound
+        from the root with the dive's leaf as incumbent. A leaf that meets
+        the bound is optimal and ends the search. As option order does not
+        depend on the incumbent and a cut drops only leaves no cheaper than
+        it, the search returns the first optimal leaf in depth-first order."""
         try:
             self._depth_first(self.order1, "edit-distance")
         except _ProbeSpent:
             pass
         finally:
-            if self.best_cost > bound:  # no leaf met it: the dive's stays
-                self.best_cost = dive
-        if self.best_cost > bound:
-            self._restart(root)
-            self.allowance = math.inf
+            if self.dive is not None and self.best_cost > self.root_bound:
+                self.best_cost, self.allowance = self.dive, math.inf  # the dive's stays
+        if self.best_cost == self.dive:  # the probe found no leaf at the bound
             self._depth_first(self.order1, "edit-distance")
-
-    def _restart(self, root: tuple) -> None:
-        """Take every decision back for a new pass from the root, whose gaps,
-        carried bound and insertion sum ``root`` holds."""
-        node_gap, edge_gap, self.bound, self.ins_open = root
-        self.node_gap, self.edge_gap = dict(node_gap), dict(edge_gap)
-        self.assignment.clear()
-        self.inv.clear()
 
     def _decisions(self, v: str, acc: int):
         """Apply each option for ``v`` in turn (unused candidates and deletion,
         cheapest step first, then matching before deleting, then the candidate
         ``w`` whose out- and in-degree differ least from ``v``'s, by
         ``|out(v) - out(w)| + |in(v) - in(w)|``, then by g2 node id), yield
-        the settled cost with it applied, and undo it when resumed. An option
-        whose settled cost plus child bound reaches ``best_cost`` is skipped
-        unapplied: as ``best_cost`` only goes down within a pass (see
-        ``_passes``), its child would be cut.
+        the settled cost with it applied, and undo it when resumed or closed,
+        as ``v``'s gaps and the carried bound once the options run out or the
+        generator is closed. An option whose settled cost plus child bound
+        reaches ``best_cost`` is skipped unapplied: as ``best_cost`` only goes
+        down within a pass (see ``_passes``), its child would be cut.
 
         When deleting the closed g1 buckets but keeping ``v``'s node already
         reaches ``best_cost``, only anchored candidates are priced: a ``w``
@@ -937,70 +922,79 @@ class _GedSearch(_BranchAndBound):
         for c1 in ends1:
             edge_gap[c1] -= 1
             bound += -w_del_e if edge_gap[c1] >= 0 else w_ins_e
-        # and rising does the reverse: each candidate takes back v's node gap
-        matched = bound + (self.w_del_v if node_gap[c] >= 0 else -self.w_ins_v)
-        out_v, in_v = self.degrees1[v]
-        degrees2 = self.degrees2
-        dropped = sum(self.del_bucket1[k] for k, _ in closed1)  # the closed g1 buckets
-        anchored = None  # None: every candidate is priced
-        if acc + matched + dropped >= self.best_cost:
-            anchored = set()
-            for (s, t), _ in closed1:
-                if s == t:
-                    anchored |= self.loops2
-                elif (x := assignment[t if s == v else s]) is not None:
-                    anchored.update(
-                        y for y, k, _ in self.at2[x] if k == ((y, x) if s == v else (x, y))
-                    )
-        # (step cost, degree gap, w, child bound, closed2): deletion's infinite
-        # gap puts it after the matches of equal cost, and as no two options
-        # tie before w, sorting never compares w with None or reaches further
-        options = []
-        for w in self.nodes2_by_cls.get(c, []):
-            if w not in inv and (anchored is None or w in anchored):
-                if deadline.check():
-                    raise SearchTimeout("edit-distance search exceeded its budget")
-                step_cost, closed2 = self._decide_cost(v, w, closed1)
-                child, risen = matched, {}
-                for k in closed2:
-                    for f in ix.pairs2[k]:
-                        c2 = cls2[f]
-                        risen[c2] = gap = risen.get(c2, edge_gap[c2]) + 1
-                        child += w_del_e if gap > 0 else -w_ins_e
-                apart = abs(out_v - degrees2[w][0]) + abs(in_v - degrees2[w][1])
-                options.append((step_cost, apart, w, child, closed2))
-        self.allowance -= len(options)
-        if self.allowance < 0:
-            raise _ProbeSpent
-        options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
-        options.sort()
-        for step_cost, _, w, child, closed2 in options:
-            if acc + step_cost + child >= self.best_cost:
-                continue
-            assignment[v] = w
-            if w is not None:
-                inv[w] = v
-                self._use(w, closed2, 1)
-            self.bound = child
-            yield acc + step_cost
-            if w is not None:
-                self._use(w, closed2, -1)
-                del inv[w]
-            del assignment[v]
-        # not reached when a timeout abandons the search, and run() then reads no gap
-        node_gap[c] += 1
-        for c1 in ends1:
-            edge_gap[c1] += 1
-        self.bound = entry
+        try:
+            # and rising does the reverse: each candidate takes back v's node gap
+            matched = bound + (self.w_del_v if node_gap[c] >= 0 else -self.w_ins_v)
+            out_v, in_v = self.degrees1[v]
+            degrees2 = self.degrees2
+            dropped = sum(self.del_bucket1[k] for k, _ in closed1)  # the closed g1 buckets
+            anchored = None  # None: every candidate is priced
+            if acc + matched + dropped >= self.best_cost:
+                anchored = set()
+                for (s, t), _ in closed1:
+                    if s == t:
+                        anchored |= self.loops2
+                    elif (x := assignment[t if s == v else s]) is not None:
+                        anchored.update(
+                            y for y, k, _ in self.at2[x] if k == ((y, x) if s == v else (x, y))
+                        )
+            # (step cost, degree gap, w, child bound, closed2): deletion's infinite
+            # gap puts it after the matches of equal cost, and as no two options
+            # tie before w, sorting never compares w with None or reaches further
+            options = []
+            for w in self.nodes2_by_cls.get(c, []):
+                if w not in inv and (anchored is None or w in anchored):
+                    if deadline.check():
+                        raise SearchTimeout("edit-distance search exceeded its budget")
+                    step_cost, closed2 = self._decide_cost(v, w, closed1)
+                    child, risen = matched, {}
+                    for k in closed2:
+                        for f in ix.pairs2[k]:
+                            c2 = cls2[f]
+                            risen[c2] = gap = risen.get(c2, edge_gap[c2]) + 1
+                            child += w_del_e if gap > 0 else -w_ins_e
+                    apart = abs(out_v - degrees2[w][0]) + abs(in_v - degrees2[w][1])
+                    options.append((step_cost, apart, w, child, closed2))
+            self.allowance -= len(options)
+            if self.allowance < 0:
+                raise _ProbeSpent
+            options.append((self.del_node[v] + dropped, math.inf, None, bound, []))
+            options.sort()
+            for step_cost, _, w, child, closed2 in options:
+                if acc + step_cost + child >= self.best_cost:
+                    continue
+                assignment[v] = w
+                if w is not None:
+                    inv[w] = v
+                    self._use(w, closed2, 1)
+                self.bound = child
+                try:
+                    yield acc + step_cost
+                finally:
+                    if w is not None:
+                        self._use(w, closed2, -1)
+                        del inv[w]
+                    del assignment[v]
+        finally:  # also when a timeout or the probe's allowance ends the search
+            node_gap[c] += 1
+            for c1 in ends1:
+                edge_gap[c1] += 1
+            self.bound = entry
 
     def _leaf(self, acc: int) -> bool:
         """Replace the incumbent when this leaf, with its insertions, is
-        strictly cheaper; one that costs at most ``ends_at`` ends the pass."""
+        strictly cheaper; one that meets the root bound ends the search. The
+        first kept leaf, the dive's, turns the search into the probe below it
+        (``_passes``): no leaf before it meets the bound, as each costs at
+        least the delete-everything incumbent, which the dive's leaf beats."""
         cost = acc + self.ins_open
         if cost >= self.best_cost:
             return False
         self.best_cost, self.best_assignment = cost, dict(self.assignment)
-        return cost <= self.ends_at
+        if self.dive is None and cost > self.root_bound:
+            self.dive, self.best_cost = cost, self.root_bound + 1
+            self.allowance = _PROBE_PRICED * len(self.g1.nodes) * len(self.g2.nodes)
+        return cost <= self.root_bound
 
 
 def min_edit_matching(

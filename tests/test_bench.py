@@ -6,6 +6,7 @@ import pytest
 
 from conftest import FAKE_SOLVER
 from pgmatch import CostModel, PropertyGraph, SearchOptions, SolverConfig
+from pgmatch import bench as bench_mod
 from pgmatch.bridge import AnswerSet, DecodeMismatchError, SolverStatus, decode_edit_script
 from pgmatch.bench import (
     CSV_COLUMNS,
@@ -188,6 +189,20 @@ def test_fewer_than_one_worker_is_refused(workers):
 def test_a_budget_every_cell_would_refuse_is_refused(backends, budget, message):
     with pytest.raises(ValueError, match=message):
         run_bench(small_cases()[:1], backends, budget=budget)
+
+
+@pytest.mark.parametrize(
+    "backends, message",
+    [
+        (("native", "nativ"), "unknown backend 'nativ'"),
+        (("native", "asp"), "the asp backend needs a solver configuration"),
+    ],
+)
+def test_a_backend_every_cell_would_refuse_is_refused(monkeypatch, backends, message):
+    # refused before any cell runs, the native ones included
+    monkeypatch.setattr(bench_mod, "_run_cell", lambda *cell: pytest.fail(f"ran {cell}"))
+    with pytest.raises(ValueError, match=message):
+        run_bench(small_cases()[:1], backends, budget=10.0)
 
 
 def test_suite_file_loading(tmp_path):

@@ -244,5 +244,22 @@ def test_bench_refuses_a_timeout_of_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "backends, message",
+    [
+        ("native,nativ", "unknown backend 'nativ'"),
+        ("native,asp", "the asp backend needs a solver configuration"),
+    ],
+)
+def test_bench_refuses_a_backend_every_cell_would_refuse(
+    tmp_path, capsys, monkeypatch, backends, message
+):
+    monkeypatch.delenv("PGMATCH_SOLVER", raising=False)
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--suite", "native-matrix", "--backends", backends, "-o", str(out)]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_exit_code_for_missing_file(capsys):
     assert main(["check", "--mode", "hom", "/no/such/file", "/no/such/file2"]) == 3

@@ -810,8 +810,10 @@ def test_unpriced_candidates_would_all_be_cut(monkeypatch):
 
 def _count_ged_work(monkeypatch, counts: Counter) -> None:
     """Count in ``counts`` the GED nodes entered (``entered``, the root
-    included) and candidates priced (``priced``)."""
+    included), candidates priced (``priced``) and depth-first passes run
+    (``passes``)."""
     carried, decide = _GedSearch._bound, _GedSearch._decide_cost
+    depth_first = _GedSearch._depth_first
 
     def entered(search):
         counts["entered"] += 1
@@ -821,21 +823,78 @@ def _count_ged_work(monkeypatch, counts: Counter) -> None:
         counts["priced"] += 1
         return decide(search, v, w, closed1)
 
+    def passed(search, order, what):
+        counts["passes"] += 1
+        return depth_first(search, order, what)
+
     monkeypatch.setattr(_GedSearch, "_bound", entered)
     monkeypatch.setattr(_GedSearch, "_decide_cost", priced)
+    monkeypatch.setattr(_GedSearch, "_depth_first", passed)
 
 
-def test_ged_chain_against_cycle_prices_only_anchored_candidates(monkeypatch):
+def _one_edge_reversed(g: PropertyGraph, i: int) -> PropertyGraph:
+    e = sorted(g.edges)[i]
+    s, t, lab = g.edges[e]
+    return PropertyGraph(dict(g.nodes), {**g.edges, e: (t, s, lab)}, dict(g.props))
+
+
+def test_ged_chain_against_cycle_proves_at_the_dive_leaf(monkeypatch):
     # the unit optimum 3 is the first leaf of the dive and meets the
-    # degree-aware root bound, which ends the search; below the root an
-    # unanchored candidate that cannot beat the incumbent is not priced
+    # degree-aware root bound, which ends the search in one pass: one node
+    # entered per g1 node below the root, nothing left to anchor
     counts = Counter()
     _count_ged_work(monkeypatch, counts)
     for k, nodes, candidates in ((10, 11, 55), (18, 19, 171)):
         counts.clear()
         result = min_edit_matching(gen_chain(k, "a"), gen_cycle(k, "b"))
         assert result.optimal and result.cost == 3
-        assert (counts["entered"] - 1, counts["priced"]) == (nodes, candidates), k
+        assert (counts["entered"] - 1, counts["priced"], counts["passes"]) == (
+            nodes, candidates, 1
+        ), k
+
+
+def test_ged_reversed_cycle_prices_only_anchored_candidates(monkeypatch):
+    # a 30-cycle with one edge reversed costs 2 against a root bound of 0:
+    # the dive misses it, the probe below the dive's leaf finds nothing and
+    # the branch and bound runs from the root. Once an unanchored candidate
+    # cannot beat the incumbent it is not priced: pricing every candidate
+    # costs 39 306 here
+    counts = Counter()
+    _count_ged_work(monkeypatch, counts)
+    g1, g2 = _one_edge_reversed(gen_cycle(30, "a"), 15), gen_cycle(30, "b")
+    result = min_edit_matching(g1, g2)
+    assert result.optimal and result.cost == 2
+    assert (counts["priced"], counts["passes"]) == (4620, 2), counts
+
+
+def _search_state(search) -> tuple:
+    """What a GED search moves as it decides: gaps, carried bound,
+    insertion sum and the matching, as copies."""
+    return (
+        dict(search.node_gap), dict(search.edge_gap), search.bound, search.ins_open,
+        dict(search.assignment), dict(search.inv),
+    )
+
+
+def test_ged_passes_leave_the_search_state_at_the_root():
+    # however the search ends, at the first leaf, after the probe and the
+    # branch and bound, or on a timeout anywhere (at a node entered, while
+    # pricing candidates), every decision is undone
+    ends = [
+        (gen_chain(10, "a"), gen_cycle(10, "b"), None),
+        (_one_edge_reversed(gen_cycle(30, "a"), 15), gen_cycle(30, "b"), None),
+    ]
+    g1, g2 = _one_edge_reversed(gen_cycle(10, "a"), 5), gen_cycle(10, "b")
+    ends += [(g1, g2, n) for n in range(0, 360, 3)]  # the whole search makes 359 checks
+    for g1, g2, n in ends:
+        search = _GedSearch(g1, g2, SearchOptions())
+        root = _search_state(search)
+        if n is not None:  # the deadline runs out at check n, until run() lifts it
+            deadline, ticks = search.deadline, iter(range(n, -1, -1))
+            deadline.check = lambda: next(ticks, 0) == 0 and deadline.expires < float("inf")
+        result = search.run()
+        assert result.optimal == (n is None), n
+        assert _search_state(search) == root, n
 
 
 def _star(k: int, prefix: str, values: str, inward: bool = False) -> PropertyGraph:
@@ -882,12 +941,6 @@ def test_ged_matches_the_oracle_on_symmetric_targets():
         for opts in _BOTH_MODES_UNIT_AND_GEDC:
             result = min_edit_matching(g1, g2, opts)
             assert result.optimal and result.cost == oracle_ged(g1, g2, opts), (g1, g2, opts)
-
-
-def _one_edge_reversed(g: PropertyGraph, i: int) -> PropertyGraph:
-    e = sorted(g.edges)[i]
-    s, t, lab = g.edges[e]
-    return PropertyGraph(dict(g.nodes), {**g.edges, e: (t, s, lab)}, dict(g.props))
 
 
 def test_ged_proves_cycle_and_chain_with_and_without_a_reversed_edge(monkeypatch):
@@ -1173,18 +1226,20 @@ def test_min_edit_proves_near_isomorphic_pairs_whose_dive_misses():
 
 
 def test_min_edit_timeout_in_the_probe_returns_the_dive_leaf(monkeypatch):
-    # the budget runs out as the probe starts: the result is the dive's
-    # leaf, at its own cost, not the delete-everything incumbent
-    restart, dives = _GedSearch._restart, []
+    # the budget runs out as the probe starts below the dive's leaf: the
+    # result is that leaf, at its own cost, not the delete-everything incumbent
+    leaf, dives = _GedSearch._leaf, []
 
-    def expired(search, root):
-        if not dives:
+    def expired(search, acc):
+        before = search.dive
+        ends = leaf(search, acc)
+        if before is None and search.dive is not None:
             node_map = {v: w for v, w in search.best_assignment.items() if w is not None}
-            dives.append((search.best_cost, node_map))
+            dives.append((search.dive, node_map))
             search.deadline.check = lambda: True
-        return restart(search, root)
+        return ends
 
-    monkeypatch.setattr(_GedSearch, "_restart", expired)
+    monkeypatch.setattr(_GedSearch, "_leaf", expired)
     rng = random.Random(1)
     for _ in range(4):
         g1, g2 = _near_isomorphic_pair(rng, 26, 3)
