@@ -13,15 +13,15 @@ both engines read: labels, label classes, properties and edge buckets. Each
 engine builds its own tables after the cuts that can end it. One depth-first
 branch and bound (``_BranchAndBound``) runs every search on an explicit stack,
 so no graph is too deep for it. A step deciding g1 node ``v`` visits only
-``v``'s neighbours: decision candidates come from the images of its assigned
-neighbours, and the buckets priced or checked are those between ``v`` and its
-decided neighbours and (iso and edit distance) the g2 buckets between ``v``'s
-image and nodes with a preimage. Edit distance carries its count bound and
-skips an option the bound cuts before applying it; once a candidate joined
-to no image of a decided neighbour cannot beat the incumbent, it prices only
-the candidates so joined. A leaf that meets a degree-aware root bound ends
-it; when its first leaf misses that bound, a probe at the bound goes on
-below that leaf, and the open branch and bound follows when it finds none.
+``v``'s neighbours: a decision step narrows their kept domains, and the
+buckets priced or checked are those between ``v`` and its decided neighbours
+and (iso and edit distance) the g2 buckets between ``v``'s image and nodes
+with a preimage. Edit distance carries its count bound and skips an option
+the bound cuts before applying it; once a candidate joined to no image of a
+decided neighbour cannot beat the incumbent, it prices only the candidates
+so joined. A leaf that meets a degree-aware root bound ends it; when its
+first leaf misses that bound, a probe at the bound goes on below that leaf,
+and the open branch and bound follows when it finds none.
 
 A decision search holds every set of g2 nodes as one ``int`` bitset over the
 sorted g2 ids: neighbours per edge class, domains and (iso and sub) the used
@@ -30,8 +30,11 @@ nodes that pass cheap necessary conditions (label, hard properties, the walk
 core of g2 for a node in g1's, that is an endless walk in and out for a node
 with one, and for iso and sub the edge ends per direction and edge label).
 An empty domain decides None at once, so a cycle is refused a chain without
-a search; otherwise a step's candidates are its domain ANDed with its
-assigned neighbours' images' neighbour sets, lowest bit first.
+a search, and so are iso and sub when some n domains hold fewer than n g2
+nodes (a Hall check). The search narrows the kept domains on a trail
+(forward checking): ``v`` taking ``w`` ANDs ``w``'s neighbours into each
+unassigned neighbour's domain and is refused when one is left no free node;
+a step's candidates are its kept domain less the used images, lowest first.
 
 Both engines price a node or edge pair with one function (``_pair_pricer``):
 a label substitution plus property updates, deletions and insertions. Edit
@@ -41,8 +44,10 @@ allow a pair only at cost 0. Iso, sub and edit distance price the parallel
 edges between two nodes (a bucket) with one assignment solver, ``_assign``
 (a one-edge bucket needs no matrix); hom, not injective, prices each edge
 as a one-edge bucket. A witness pairs each bucket lexicographically first
-among its cheapest pairings (``_witness_edges``), ranked in one solve unless
-the bucket has one edge.
+among its cheapest pairings (``_bucket_pairs``, one ranked solve): a decision
+search keeps the pairs its one-edge solves found and ranks only iso and sub
+buckets of two or more edges after it; edit distance ranks every bucket of
+its witness (``_witness_edges``).
 """
 
 from __future__ import annotations
@@ -456,18 +461,17 @@ def _bucket_pairs(
     return [(e, partner[e]) for e in b1[:cut] if e in partner]
 
 
-def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple, hom: bool = False) -> dict:
-    """The edge map of a witness for ``node_map``: each g1 bucket takes the
-    lexicographically first of its cheapest pairings with the g2 bucket
-    between the images of its ends (``pricing`` as the arguments after the
-    buckets of ``_bucket_pairs``), under ``hom`` each of its edges as a
-    one-edge bucket. A bucket with no g2 bucket there is deleted, unpaired."""
+def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple) -> dict:
+    """The edge map of an edit-distance witness for ``node_map``: each g1
+    bucket takes the lexicographically first of its cheapest pairings with
+    the g2 bucket between the images of its ends (``pricing`` as the
+    arguments after the buckets of ``_bucket_pairs``). A bucket with no g2
+    bucket there is deleted, unpaired."""
     edge_map: dict[str, str] = {}
     for (s, t), b1 in ix.pairs1.items():
         b2 = ix.pairs2.get((node_map.get(s), node_map.get(t)))
         if b2:
-            for b in ([e] for e in b1) if hom else (b1,):
-                edge_map.update(_bucket_pairs(b, b2, *pricing))
+            edge_map.update(_bucket_pairs(b1, b2, *pricing))
     return edge_map
 
 
@@ -517,7 +521,8 @@ class _BranchAndBound:
 
 class _DecisionSearch(_BranchAndBound):
     """The engine of the three decision problems: each step visits only the
-    neighbours of the node it assigns."""
+    neighbours of the node it assigns, narrows their kept domains and keeps
+    the edge pairs it found."""
 
     def __init__(self, kind: str, g1: PropertyGraph, g2: PropertyGraph, opts: SearchOptions):
         self.kind = kind
@@ -529,18 +534,19 @@ class _DecisionSearch(_BranchAndBound):
         self.assignment: dict[str, str] = {}
         self.inv: dict[str, str] = {}  # image -> preimage, for injective kinds
         self.used = 0  # the bitset of images, for injective kinds
-        self.best: dict[str, str] | None = None
-        # node_map() sets ix, price, pricing, domains and the g2 tables past
+        self.found: list[dict] = []  # per assigned node, the edge pairs its step found
+        self.best: tuple[dict, dict] | None = None  # node map and edge pairs
+        # _search() sets ix, price, pricing, domains and the g2 tables past
         # its cuts
 
-    def _assign_buckets(self, v: str, w: str, closed1: list) -> int | None:
+    def _assign_buckets(self, v: str, w: str, closed1: list) -> tuple[int, dict] | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
         g1 buckets ``closed1`` between ``v`` and its assigned neighbours, and
         for iso the g2 buckets between ``w`` and assigned images. Returns the
-        added soft cost (0 under hard properties), or None when some bucket
-        cannot be matched as the problem kind requires: iso and sub pair each
-        bucket with one of the same size (sub: at least the size), hom, not
-        injective, each of its edges as a one-edge bucket."""
+        added soft cost (0 under hard properties) and the pairs solved, or
+        None when some bucket cannot be matched as the problem kind requires:
+        iso and sub pair each bucket with one of the same size (sub: at least
+        the size), hom, not injective, each of its edges as a one-edge bucket."""
         pairs1, pairs2, assignment = self.ix.pairs1, self.ix.pairs2, self.assignment
         kind, injective = self.kind, self.injective
         if kind == "iso":
@@ -549,7 +555,7 @@ class _DecisionSearch(_BranchAndBound):
                 u = v if x == w else self.inv.get(x)
                 if u is not None and (v if s == w else u, v if t == w else u) not in pairs1:
                     return None
-        total = 0
+        total, found_pairs = 0, {}
         for (s, t), b1 in closed1:
             b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]), [])
             if injective and (len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2)):
@@ -559,42 +565,29 @@ class _DecisionSearch(_BranchAndBound):
                 if found is None:
                     return None
                 total += found[0]
-        return total
-
-    # -- candidate generation -----------------------------------------------
-
-    def _candidates(self, v: str, closed1: list):
-        """The candidates for ``v`` in id order: its root domain, less the
-        used g2 nodes (iso and sub), ANDed per edge of the buckets
-        ``closed1`` to an assigned neighbour with the predecessors (edges out
-        of ``v``) or successors (edges into ``v``) of the neighbour's image
-        over that edge's class."""
-        assignment, cls1 = self.assignment, self.ix.cls1
-        mask = self.domains[v] & ~self.used
-        for (s, t), b1 in closed1:
-            if s != t:
-                nbrs = self.pred2[assignment[t]] if s == v else self.succ2[assignment[s]]
-                for e in b1:
-                    mask &= nbrs.get(cls1[e], 0)
-        ids2 = self.ids2
-        while mask:  # the set bits, lowest first
-            low = mask & -mask
-            yield ids2[low.bit_length() - 1]
-            mask ^= low
+                found_pairs.update(found[1])
+        return total, found_pairs
 
     # -- main search ----------------------------------------------------------
 
     def run(self) -> Matching | None:
-        node_map = self.node_map()
-        if node_map is None:
+        """The witness: the node map and edge pairs the search kept, each iso
+        or sub bucket of two or more edges ranked again, unbudgeted."""
+        found = self._search()
+        if found is None:
             return None
-        self.deadline.expires = math.inf  # the witness found is rebuilt unbudgeted
-        hom = self.kind == "hom"
-        return Matching(node_map, _witness_edges(self.ix, node_map, self.pricing, hom))
+        node_map, edge_map = found
+        self.deadline.expires = math.inf
+        for (s, t), b1 in self.ix.pairs1.items() if self.injective else ():
+            if len(b1) > 1:  # one _assign solve need not give the first pairing
+                b2 = self.ix.pairs2[(node_map[s], node_map[t])]
+                edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
+        return Matching(node_map, edge_map)
 
-    def node_map(self) -> dict[str, str] | None:
-        """The node map of the witness ``run`` returns, or None: its cuts,
-        each followed by the tables the next step reads, then one search."""
+    def _search(self) -> tuple[dict, dict] | None:
+        """The node map and kept edge pairs of the witness ``run`` returns,
+        or None: its cuts, each followed by the tables the next step reads,
+        then one search."""
         if self.kind != "hom" and not self._counts_fit():
             return None
         self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
@@ -639,7 +632,8 @@ class _DecisionSearch(_BranchAndBound):
         g1's (``_walk_core``), and for sub (iso) has at least (exactly) as
         many edges out of, into and looping at it as ``v``, per edge label
         (in total under ``relabel``). Each filter drops only candidates that
-        belong to no complete witness."""
+        belong to no complete witness. For iso and sub it is also None when
+        some n domains hold fewer than n g2 nodes (Hall, McCreesh & Prosser 2015)."""
         g1, g2, ix, kind = self.g1, self.g2, self.ix, self.kind
         core1 = _walk_core(g1, ix.pairs1)
         core2 = _walk_core(g2, ix.pairs2) if core1 else set()
@@ -679,34 +673,65 @@ class _DecisionSearch(_BranchAndBound):
             if not mask:
                 return None
             domains[v] = mask
+        if self.injective:  # Hall: the n smallest domains need n g2 nodes between them
+            union = 0
+            for n, mask in enumerate(sorted(domains.values(), key=int.bit_count), 1):
+                union |= mask
+                if union.bit_count() < n:
+                    return None
         return domains
 
     def _decisions(self, v: str, acc: int):
-        """Assign ``v`` each candidate in lexicographic order whose node and
-        edge buckets are feasible, yield the settled cost with it assigned,
-        and undo it when resumed."""
-        assignment, inv, price, bit2 = self.assignment, self.inv, self.price, self.bit2
-        closed1 = [(k, b1) for u, k, b1 in self.ix.at1[v] if u == v or u in assignment]
-        for w in self._candidates(v, closed1):
+        """Assign ``v`` each candidate ``w`` of its kept domain less the used
+        images, lowest bit first, that leaves each unassigned neighbour a free
+        candidate once its domain is narrowed, on a trail, to ``w``'s
+        successors (edges out of ``v``) or predecessors over each edge's class
+        (forward checking, Haralick & Elliott 1980), and whose node and edge
+        buckets are feasible; yield the settled cost, and undo it when resumed."""
+        assignment, inv, price, domains = self.assignment, self.inv, self.price, self.domains
+        ids2, succ2, pred2, cls1 = self.ids2, self.succ2, self.pred2, self.ix.cls1
+        at1 = self.ix.at1[v]
+        closed1 = [(k, b1) for u, k, b1 in at1 if u == v or u in assignment]
+        ahead = [  # per edge to an unassigned neighbour: (it, g2 table, edge class)
+            (u, succ2 if k[0] == v else pred2, cls1[e])
+            for u, k, b1 in at1 if u != v and u not in assignment for e in b1
+        ]
+        mask = domains[v] & ~self.used
+        while mask:  # the set bits, lowest first
+            bit = mask & -mask
+            mask ^= bit
+            w = ids2[bit.bit_length() - 1]
             node_cost = price(v, w)
             if node_cost is None:
                 continue
-            cost = self._assign_buckets(v, w, closed1)
-            if cost is None:
-                continue
-            assignment[v] = w
-            if self.injective:
-                inv[w] = v
-                self.used |= bit2[w]
-            yield acc + node_cost + cost
-            self.used &= ~bit2[w]
-            inv.pop(w, None)
-            del assignment[v]
+            free = ~(self.used | bit) if self.injective else -1
+            trail = []  # (neighbour, its domain before), to undo the narrowing
+            for u, table, c in ahead:
+                trail.append((u, domains[u]))
+                domains[u] &= table[w].get(c, 0)
+                if not domains[u] & free:
+                    break
+            else:
+                found = self._assign_buckets(v, w, closed1)
+                if found is not None:
+                    assignment[v] = w
+                    self.found.append(found[1])
+                    if self.injective:
+                        inv[w] = v
+                        self.used |= bit
+                    yield acc + node_cost + found[0]
+                    self.used &= ~bit
+                    inv.pop(w, None)
+                    self.found.pop()
+                    del assignment[v]
+            for u, d in reversed(trail):
+                domains[u] = d
 
     def _leaf(self, acc: int) -> bool:
-        """Keep the complete assignment, which the bound let through only when
-        cheaper than the incumbent; under hard properties it ends the search."""
-        self.best_cost, self.best = acc, dict(self.assignment)
+        """Keep the complete assignment and its edge pairs (the bound lets one
+        through only when cheaper); under hard properties it ends the search."""
+        pairs = {e: f for found in self.found for e, f in found.items()}
+        self.best_cost, self.best = acc, (dict(self.assignment), pairs)
         return self.props_hard
 
 

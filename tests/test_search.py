@@ -415,6 +415,57 @@ def test_cycle_rule_edge_cases():
             search(g1, g1, spent)
 
 
+def test_decision_searches_solve_each_chain_bucket_once(monkeypatch):
+    # hom's first node takes bv000 only if av000, its predecessor, keeps a
+    # candidate; the witness reads the pairs each step found, so each of
+    # the 100 edges is solved once
+    calls = []
+    solve = search_mod._bucket_cost
+
+    def counted(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(search_mod, "_bucket_cost", counted)
+    g1, g2 = gen_chain(100, "a"), gen_chain(100, "b")
+    for search in (search_hom, search_iso):
+        calls.clear()
+        w = search(g1, g2)
+        assert w.node_map == {v: "b" + v[1:] for v in g1.nodes}, search.__name__
+        assert w.edge_map == {e: "b" + e[1:] for e in g1.edges}, search.__name__
+        assert len(calls) == 100, search.__name__
+
+
+def test_forward_checking_refuses_synthetic_hom_random_pairs():
+    # synthetic-matrix's hom-rand30 and hom-rand40: an assignment that
+    # leaves a neighbour no image is refused before the search goes below
+    # it; an exhausted search leaves every kept domain as it found it
+    for n in (30, 40):
+        g1, g2 = gen_random(n, 0.1, 2 * n, "a"), gen_random(n, 0.1, 2 * n + 1, "b")
+        assert search_hom(g1, g2, SearchOptions(budget=1)) is None
+        engine = search_mod._DecisionSearch("hom", g1, g2, SearchOptions(budget=1))
+        assert engine.run() is None
+        assert engine.domains == engine._root_domains()
+
+
+def _pigeonhole_star(prefix: str, ones: int, twos: int) -> PropertyGraph:
+    """A hub pointing to ``ones`` leaves with ``k=1`` and ``twos`` with ``k=2``."""
+    leaves = [f"{prefix}l{i:03d}" for i in range(ones + twos)]
+    nodes = {f"{prefix}h": "n", **dict.fromkeys(leaves, "n")}
+    edges = {f"{prefix}e{i:03d}": (f"{prefix}h", v, "e") for i, v in enumerate(leaves)}
+    props = {(v, "k"): "1" if i < ones else "2" for i, v in enumerate(leaves)}
+    return PropertyGraph(nodes, edges, props)
+
+
+def test_pigeonhole_stars_fail_the_root_hall_check():
+    # 50 leaves with k=1 have 49 images between them: refused before the
+    # first search node, where leaf by leaf the search would never end
+    g1, g2 = _pigeonhole_star("a", 50, 50), _pigeonhole_star("b", 49, 51)
+    for search in (search_iso, search_sub):
+        assert search(g1, g2, SearchOptions(budget=1)) is None, search.__name__
+    assert search_hom(g1, g2) is not None
+
+
 # -- minimum edit matching -------------------------------------------------------
 
 
