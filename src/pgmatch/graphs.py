@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .records import RecordSyntaxError, format_record, parse_records
+from .records import RecordSyntaxError, format_record, tokenize_line
 
 
 class UnknownIdError(ValueError):
@@ -22,15 +22,22 @@ class GraphFormatError(ValueError):
     """Graph text that cannot be parsed or describes an invalid graph."""
 
 
+def _sorted_copy(d: dict) -> dict:
+    """A copy of ``d`` whose keys are in sorted order: a plain copy when
+    they already are."""
+    keys = sorted(d)
+    return dict(d) if keys == list(d) else {k: d[k] for k in keys}
+
+
 @dataclass(frozen=True)
 class PropertyGraph:
     """A directed multigraph with labels and properties on nodes and edges.
 
     ``nodes`` maps node id to label, ``edges`` maps edge id to
     ``(src, tgt, label)``, and ``props`` maps ``(owner id, key)`` to a value,
-    where the owner is a node or an edge. Keys are stored sorted, so all
-    iteration over a graph is deterministic. Instances are safe to share:
-    treat them as immutable.
+    where the owner is a node or an edge. Each map is copied with its keys
+    in sorted order, so all iteration over a graph is deterministic.
+    Instances are safe to share: treat them as immutable.
 
     Construction does not enforce the graph invariants; ``validate`` reports
     violations as data.
@@ -41,11 +48,11 @@ class PropertyGraph:
     props: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", dict(sorted(self.nodes.items())))
+        object.__setattr__(self, "nodes", _sorted_copy(self.nodes))
         object.__setattr__(
-            self, "edges", {e: (s, t, l) for e, (s, t, l) in sorted(self.edges.items())}
+            self, "edges", {e: (s, t, l) for e, (s, t, l) in _sorted_copy(self.edges).items()}
         )
-        object.__setattr__(self, "props", dict(sorted(self.props.items())))
+        object.__setattr__(self, "props", _sorted_copy(self.props))
 
     def has_id(self, x: str) -> bool:
         return x in self.nodes or x in self.edges
@@ -61,16 +68,17 @@ def validate(g: PropertyGraph) -> list[str]:
     Violations are data, not failures: building an inconsistent graph is
     allowed, using it where a valid graph is required is not.
     """
-    issues: list[str] = []
-    for x in sorted(set(g.nodes) & set(g.edges)):
-        issues.append(f"id {x!r} is used as both a node and an edge")
-    for e, (s, t, _) in g.edges.items():
-        if s not in g.nodes:
+    nodes, edges = g.nodes, g.edges
+    issues = [
+        f"id {x!r} is used as both a node and an edge" for x in sorted(nodes.keys() & edges.keys())
+    ]
+    for e, (s, t, _) in edges.items():
+        if s not in nodes:
             issues.append(f"edge {e!r}: source {s!r} is not a node")
-        if t not in g.nodes:
+        if t not in nodes:
             issues.append(f"edge {e!r}: target {t!r} is not a node")
     for owner, key in g.props:
-        if not g.has_id(owner):
+        if owner not in nodes and owner not in edges:
             issues.append(f"property ({owner!r}, {key!r}): owner {owner!r} does not exist")
     return issues
 
@@ -90,8 +98,8 @@ class Matching:
     edge_map: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", dict(sorted(self.node_map.items())))
-        object.__setattr__(self, "edge_map", dict(sorted(self.edge_map.items())))
+        object.__setattr__(self, "node_map", _sorted_copy(self.node_map))
+        object.__setattr__(self, "edge_map", _sorted_copy(self.edge_map))
 
     def is_injective(self) -> bool:
         return len(set(self.node_map.values())) == len(self.node_map) and len(
@@ -223,30 +231,32 @@ def parse_graph(text: str) -> PropertyGraph:
     nodes: dict[str, str] = {}
     edges: dict[str, tuple[str, str, str]] = {}
     props: dict[tuple[str, str], str] = {}
-    try:
-        for lineno, tokens in parse_records(text):
-            tag = tokens[0]
-            if tag == "n" and len(tokens) == 3:
-                _, nid, lab = tokens
-                if nid in nodes:
-                    raise GraphFormatError(f"line {lineno}: duplicate node id {nid!r}")
-                nodes[nid] = lab
-            elif tag == "e" and len(tokens) == 5:
-                _, eid, src, tgt, lab = tokens
-                if eid in edges:
-                    raise GraphFormatError(f"line {lineno}: duplicate edge id {eid!r}")
-                edges[eid] = (src, tgt, lab)
-            elif tag == "p" and len(tokens) == 4:
-                _, owner, key, value = tokens
-                if (owner, key) in props:
-                    raise GraphFormatError(
-                        f"line {lineno}: duplicate property ({owner!r}, {key!r})"
-                    )
-                props[(owner, key)] = value
-            else:
-                raise GraphFormatError(f"line {lineno}: unrecognized record {tokens!r}")
-    except RecordSyntaxError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if '"' in line or "#" in line:
+            try:
+                tokens = tokenize_line(line, lineno)
+            except RecordSyntaxError as exc:
+                raise GraphFormatError(str(exc)) from exc
+        else:
+            tokens = line.split()
+        n = len(tokens)
+        if n == 3 and tokens[0] == "n":
+            _, nid, lab = tokens
+            if nid in nodes:
+                raise GraphFormatError(f"line {lineno}: duplicate node id {nid!r}")
+            nodes[nid] = lab
+        elif n == 5 and tokens[0] == "e":
+            _, eid, src, tgt, lab = tokens
+            if eid in edges:
+                raise GraphFormatError(f"line {lineno}: duplicate edge id {eid!r}")
+            edges[eid] = (src, tgt, lab)
+        elif n == 4 and tokens[0] == "p":
+            _, owner, key, value = tokens
+            if (owner, key) in props:
+                raise GraphFormatError(f"line {lineno}: duplicate property ({owner!r}, {key!r})")
+            props[(owner, key)] = value
+        elif n:
+            raise GraphFormatError(f"line {lineno}: unrecognized record {tokens!r}")
     g = PropertyGraph(nodes, edges, props)
     issues = validate(g)
     if issues:

@@ -132,11 +132,11 @@ def _props_by_owner(g: PropertyGraph) -> dict[str, dict[str, str]]:
 
 
 def _edges_by_pair(g: PropertyGraph) -> dict[tuple[str, str], list[str]]:
+    """The parallel edges per (src, tgt), each bucket sorted: a graph
+    iterates its edges in id order."""
     out: dict[tuple[str, str], list[str]] = {}
     for e, (s, t, _) in g.edges.items():
         out.setdefault((s, t), []).append(e)
-    for key in out:
-        out[key].sort()
     return out
 
 
@@ -633,7 +633,9 @@ class _DecisionSearch(_BranchAndBound):
         many edges out of, into and looping at it as ``v``, per edge label
         (in total under ``relabel``). Each filter drops only candidates that
         belong to no complete witness. For iso and sub it is also None when
-        some n domains hold fewer than n g2 nodes (Hall, McCreesh & Prosser 2015)."""
+        some n domains hold fewer than n g2 nodes (Hall, McCreesh & Prosser 2015).
+        Each mask is computed once per node class: the g1 nodes alike in all
+        four filters share it, and the g2 side is gathered per signature."""
         g1, g2, ix, kind = self.g1, self.g2, self.ix, self.kind
         core1 = _walk_core(g1, ix.pairs1)
         core2 = _walk_core(g2, ix.pairs2) if core1 else set()
@@ -647,31 +649,38 @@ class _DecisionSearch(_BranchAndBound):
         # per numbered edge end (sub: at least that many such ends), and per
         # (key, value) property
         with_label: dict = {}
-        with_sig: dict = {}
-        with_prop: dict = {}
+        by_sig: dict = {}
         in_core = 0
         for w, bit in self.bit2.items():
             with_label[ix.cls2[w]] = with_label.get(ix.cls2[w], 0) | bit
             in_core |= bit if w in core2 else 0
             sig = sigs2.get(w, ())
+            by_sig[sig] = by_sig.get(sig, 0) | bit
+        with_sig: dict = {}
+        for sig, bits in by_sig.items():
             for item in (sig,) if kind == "iso" else _numbered(sig):
-                with_sig[item] = with_sig.get(item, 0) | bit
+                with_sig[item] = with_sig.get(item, 0) | bits
+        with_prop: dict = {}
         if self.props_hard:
             for (x, k), d in g2.props.items():
                 if x in g2.nodes:
                     with_prop[(k, d)] = with_prop.get((k, d), 0) | self.bit2[x]
         domains = {}
+        masks: dict = {}  # per node class: label class, in the core, signature, hard properties
         for v in g1.nodes:
-            mask = with_label.get(ix.cls1[v], 0) & (in_core if v in core1 else -1)
-            if kind != "hom":
-                sig = sigs1[v]
-                for item in (sig,) if kind == "iso" else _numbered(sig):
+            sig = sigs1.get(v, ())
+            props = tuple(ix.props1[v].items()) if self.props_hard else ()
+            key = (ix.cls1[v], v in core1, sig, props)
+            mask = masks.get(key)
+            if mask is None:
+                mask = with_label.get(key[0], 0) & (in_core if key[1] else -1)
+                for item in (sig,) if kind == "iso" else _numbered(sig):  # none for hom
                     mask &= with_sig.get(item, 0)
-            if self.props_hard:
-                for item in ix.props1[v].items():
+                for item in props:
                     mask &= with_prop.get(item, 0)
-            if not mask:
-                return None
+                if not mask:
+                    return None
+                masks[key] = mask
             domains[v] = mask
         if self.injective:  # Hall: the n smallest domains need n g2 nodes between them
             union = 0

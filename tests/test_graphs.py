@@ -37,6 +37,7 @@ from pgmatch.editing import (
     parse_script,
 )
 from pgmatch.graphs import matching_violations
+from pgmatch.records import quote, tokenize_line
 
 
 def chain2():
@@ -322,3 +323,95 @@ def test_parse_graph_rejects_invalid():
         parse_graph('n v a"b\n')
     with pytest.raises(GraphFormatError, match="bad escape in quoted token"):
         parse_graph('n v "a\\q"\n')
+
+
+def test_parse_graph_unordered_and_decorated_records():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_graph(rng, prefix="x", max_nodes=12, edge_p=0.2, self_loops=True)
+        lines = format_graph(g).splitlines()
+        shuffled = lines[:]
+        rng.shuffle(shuffled)
+        parsed = parse_graph("\n".join(shuffled) + "\n")
+        assert parsed == g
+        assert (list(parsed.nodes), list(parsed.edges), list(parsed.props)) == (
+            list(g.nodes), list(g.edges), list(g.props)
+        )
+        # blank and comment-only lines, trailing comments, lines with every
+        # token quoted and \r\n line endings read as the plain records do
+        decorated = ["# a graph", ""]
+        for line in shuffled:
+            quoted = " ".join(quote(t) for t in tokenize_line(line))
+            decorated.append(quoted if rng.random() < 0.5 else line)
+            if rng.random() < 0.3:
+                decorated[-1] += "  # note"
+            if rng.random() < 0.2:
+                decorated += ["", "   # between records"]
+        assert parse_graph("\r\n".join(decorated) + "\r\n") == g
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n v a\n\n# note\nn v b\n", "line 4: duplicate node id 'v'"),
+        ("n v a\ne e v v x\np v k 1\ne e v v y # again\n", "line 4: duplicate edge id 'e'"),
+        ('n v a\np v k 1\r\np "v" k 2\r\n', "line 3: duplicate property ('v', 'k')"),
+        ("n v a\n  \nq v a\n", "line 3: unrecognized record ['q', 'v', 'a']"),
+        ("n v a\nn w\n", "line 2: unrecognized record ['n', 'w']"),
+        ('n v a\ne "e 1" v v\n', "line 2: unrecognized record ['e', 'e 1', 'v', 'v']"),
+    ],
+)
+def test_parse_graph_error_messages_name_the_line(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+# -- construction -----------------------------------------------------------------
+
+
+def _reversed_keys(d: dict) -> dict:
+    return {k: d[k] for k in sorted(d, reverse=True)}
+
+
+def test_construction_sorts_keys_of_unordered_input():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_graph(rng, prefix="x", max_nodes=12, edge_p=0.2, self_loops=True)
+        maps = (g.nodes, g.edges, g.props)
+        built = PropertyGraph(*(_reversed_keys(d) for d in maps))
+        assert built == g
+        for got, d in zip((built.nodes, built.edges, built.props), maps):
+            assert list(got) == sorted(d)
+        h = random_partial_iso(rng, g, g)
+        m = Matching(_reversed_keys(h.node_map), _reversed_keys(h.edge_map))
+        assert m == h
+        assert (list(m.node_map), list(m.edge_map)) == (sorted(h.node_map), sorted(h.edge_map))
+
+
+@pytest.mark.parametrize("order", [sorted, lambda keys: sorted(keys, reverse=True)])
+def test_construction_copies_its_input(order):
+    nodes = {v: "n" for v in order(["v1", "v2", "v3"])}
+    edges = {e: [s, t, "e"] for e, s, t in order([("e1", "v1", "v2"), ("e2", "v2", "v3")])}
+    props = {k: "1" for k in order([("v1", "k"), ("e2", "k")])}
+    node_map = {v: v for v in order(["v1", "v2"])}
+    edge_map = {e: e for e in order(["e1", "e2"])}
+    g = PropertyGraph(nodes, edges, props)
+    m = Matching(node_map, edge_map)
+    assert g.edges == {"e1": ("v1", "v2", "e"), "e2": ("v2", "v3", "e")}
+    assert all(type(value) is tuple for value in g.edges.values())
+    before = (dict(g.nodes), dict(g.edges), dict(g.props), dict(m.node_map), dict(m.edge_map))
+    nodes["v0"] = "n"
+    edges["e1"][2] = "changed"
+    edges["e0"] = ["v0", "v1", "e"]
+    props[("v0", "k")] = "2"
+    node_map["v3"] = "v3"
+    edge_map["e0"] = "e0"
+    assert (g.nodes, g.edges, g.props, m.node_map, m.edge_map) == before
+
+
+def test_construction_refuses_an_edge_without_three_parts():
+    with pytest.raises(ValueError):
+        PropertyGraph({"v": "n"}, {"e": ("v", "v")}, {})
+    with pytest.raises(ValueError):
+        PropertyGraph({"v": "n"}, {"b": ("v", "v", "e"), "a": ["v", "v"]}, {})
