@@ -286,7 +286,11 @@ def decode_edit_script(
             y, k, d = args
             atom_ops.append(InsertProp(matched_from.get(y, y), k, d))
         elif fact.pred == "update_prop":
-            x, k, _v1, v2 = args
+            x, k, v1, v2 = args
+            held = g1.props.get((x, k))
+            if held != v1:
+                holds = "no such property" if held is None else repr(held)
+                raise DecodeMismatchError(f"edit atom {fact.render()} updates {v1!r}; g1 holds {holds}")
             atom_ops.append(UpdateProp(x, k, v2))
         else:
             atom_ops.append(cls(*args))

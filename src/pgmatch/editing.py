@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import ClassVar, Union
 
 from .graphs import Matching, PropertyGraph, UnknownIdError, matching_violations
-from .records import format_record, parse_records
+from .records import format_record, tokenize_line
 
 
 class PreconditionViolated(Exception):
@@ -42,14 +42,28 @@ class InvalidMatchingError(ValueError):
     """A matching handed to script derivation is not a partial isomorphism."""
 
 
-@dataclass(frozen=True, slots=True)
+def _op_record(cls):
+    """``cls`` as a frozen, slotted dataclass whose ``__init__`` fills each
+    slot through its member descriptor, where the dataclass one calls
+    ``object.__setattr__`` per field. Parameters are the fields, in order."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    namespace = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_op_record
 class InsertNode:
     kind: ClassVar[str] = "insV"
     node: str
     label: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class InsertEdge:
     kind: ClassVar[str] = "insE"
     edge: str
@@ -58,7 +72,7 @@ class InsertEdge:
     label: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class InsertProp:
     kind: ClassVar[str] = "insP"
     owner: str
@@ -66,26 +80,26 @@ class InsertProp:
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class DeleteNode:
     kind: ClassVar[str] = "delV"
     node: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class DeleteEdge:
     kind: ClassVar[str] = "delE"
     edge: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class DeleteProp:
     kind: ClassVar[str] = "delP"
     owner: str
     key: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class UpdateProp:
     kind: ClassVar[str] = "updP"
     owner: str
@@ -93,14 +107,14 @@ class UpdateProp:
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class RelabelNode:
     kind: ClassVar[str] = "relV"
     node: str
     label: str
 
 
-@dataclass(frozen=True, slots=True)
+@_op_record
 class RelabelEdge:
     kind: ClassVar[str] = "relE"
     edge: str
@@ -152,6 +166,8 @@ class _Draft:
     number of edge endpoints at each id (a self-loop counts twice) and
     ``owned`` the number of properties each owner carries. With them every
     precondition is a lookup instead of a scan over all edges or properties.
+    Each operation kind has one step, the method named by the kind, which
+    checks the preconditions and then edits the draft.
     """
 
     def __init__(self, g: PropertyGraph):
@@ -161,76 +177,83 @@ class _Draft:
         self.ends = Counter(x for s, t, _ in g.edges.values() for x in (s, t))
         self.owned = Counter(owner for owner, _ in g.props)
 
-    def has_id(self, x: str) -> bool:
-        return x in self.nodes or x in self.edges
+    def insV(self, op: InsertNode, index: int | None) -> None:
+        if op.node in self.nodes or op.node in self.edges:
+            raise PreconditionViolated(op, f"id {op.node!r} already exists", index)
+        self.nodes[op.node] = op.label
 
-    def apply(self, op: EditOp, index: int | None) -> None:
-        nodes, edges, props = self.nodes, self.edges, self.props
-        if isinstance(op, InsertNode):
-            if self.has_id(op.node):
-                raise PreconditionViolated(op, f"id {op.node!r} already exists", index)
-            nodes[op.node] = op.label
-        elif isinstance(op, InsertEdge):
-            if self.has_id(op.edge):
-                raise PreconditionViolated(op, f"id {op.edge!r} already exists", index)
-            for endpoint in (op.src, op.tgt):
-                if endpoint not in nodes:
-                    raise PreconditionViolated(op, f"endpoint {endpoint!r} is not a node", index)
-            edges[op.edge] = (op.src, op.tgt, op.label)
-            self.ends[op.src] += 1
-            self.ends[op.tgt] += 1
-        elif isinstance(op, InsertProp):
-            if not self.has_id(op.owner):
-                raise PreconditionViolated(op, f"owner {op.owner!r} does not exist", index)
-            if (op.owner, op.key) in props:
-                raise PreconditionViolated(
-                    op, f"property ({op.owner!r}, {op.key!r}) already exists", index
-                )
-            props[(op.owner, op.key)] = op.value
-            self.owned[op.owner] += 1
-        elif isinstance(op, DeleteNode):
-            if op.node not in nodes:
-                raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
-            if self.ends[op.node]:
-                raise PreconditionViolated(op, f"node {op.node!r} is an edge endpoint", index)
-            if self.owned[op.node]:
-                raise PreconditionViolated(op, f"node {op.node!r} still has properties", index)
-            del nodes[op.node]
-        elif isinstance(op, DeleteEdge):
-            if op.edge not in edges:
-                raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
-            if self.owned[op.edge]:
-                raise PreconditionViolated(op, f"edge {op.edge!r} still has properties", index)
-            s, t, _ = edges.pop(op.edge)
-            self.ends[s] -= 1
-            self.ends[t] -= 1
-        elif isinstance(op, DeleteProp):
-            if (op.owner, op.key) not in props:
-                raise PreconditionViolated(
-                    op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
-                )
-            del props[(op.owner, op.key)]
-            self.owned[op.owner] -= 1
-        elif isinstance(op, UpdateProp):
-            if (op.owner, op.key) not in props:
-                raise PreconditionViolated(
-                    op, f"property ({op.owner!r}, {op.key!r}) does not exist", index
-                )
-            props[(op.owner, op.key)] = op.value
-        elif isinstance(op, RelabelNode):
-            if op.node not in nodes:
-                raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
-            nodes[op.node] = op.label
-        elif isinstance(op, RelabelEdge):
-            if op.edge not in edges:
-                raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
-            s, t, _ = edges[op.edge]
-            edges[op.edge] = (s, t, op.label)
-        else:
-            raise TypeError(f"not an edit operation: {op!r}")
+    def insE(self, op: InsertEdge, index: int | None) -> None:
+        if op.edge in self.nodes or op.edge in self.edges:
+            raise PreconditionViolated(op, f"id {op.edge!r} already exists", index)
+        for endpoint in (op.src, op.tgt):
+            if endpoint not in self.nodes:
+                raise PreconditionViolated(op, f"endpoint {endpoint!r} is not a node", index)
+        self.edges[op.edge] = (op.src, op.tgt, op.label)
+        self.ends[op.src] += 1
+        self.ends[op.tgt] += 1
+
+    def insP(self, op: InsertProp, index: int | None) -> None:
+        if op.owner not in self.nodes and op.owner not in self.edges:
+            raise PreconditionViolated(op, f"owner {op.owner!r} does not exist", index)
+        if (op.owner, op.key) in self.props:
+            raise PreconditionViolated(op, f"property ({op.owner!r}, {op.key!r}) already exists", index)
+        self.props[(op.owner, op.key)] = op.value
+        self.owned[op.owner] += 1
+
+    def delV(self, op: DeleteNode, index: int | None) -> None:
+        if op.node not in self.nodes:
+            raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
+        if self.ends[op.node]:
+            raise PreconditionViolated(op, f"node {op.node!r} is an edge endpoint", index)
+        if self.owned[op.node]:
+            raise PreconditionViolated(op, f"node {op.node!r} still has properties", index)
+        del self.nodes[op.node]
+
+    def delE(self, op: DeleteEdge, index: int | None) -> None:
+        if op.edge not in self.edges:
+            raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
+        if self.owned[op.edge]:
+            raise PreconditionViolated(op, f"edge {op.edge!r} still has properties", index)
+        s, t, _ = self.edges.pop(op.edge)
+        self.ends[s] -= 1
+        self.ends[t] -= 1
+
+    def delP(self, op: DeleteProp, index: int | None) -> None:
+        if (op.owner, op.key) not in self.props:
+            raise PreconditionViolated(op, f"property ({op.owner!r}, {op.key!r}) does not exist", index)
+        del self.props[(op.owner, op.key)]
+        self.owned[op.owner] -= 1
+
+    def updP(self, op: UpdateProp, index: int | None) -> None:
+        if (op.owner, op.key) not in self.props:
+            raise PreconditionViolated(op, f"property ({op.owner!r}, {op.key!r}) does not exist", index)
+        self.props[(op.owner, op.key)] = op.value
+
+    def relV(self, op: RelabelNode, index: int | None) -> None:
+        if op.node not in self.nodes:
+            raise PreconditionViolated(op, f"node {op.node!r} does not exist", index)
+        self.nodes[op.node] = op.label
+
+    def relE(self, op: RelabelEdge, index: int | None) -> None:
+        if op.edge not in self.edges:
+            raise PreconditionViolated(op, f"edge {op.edge!r} does not exist", index)
+        s, t, _ = self.edges[op.edge]
+        self.edges[op.edge] = (s, t, op.label)
 
     def graph(self) -> PropertyGraph:
         return PropertyGraph(self.nodes, self.edges, self.props)
+
+
+# The step of each operation class.
+_STEPS = {cls: getattr(_Draft, cls.kind) for cls in _OPS}
+
+
+def _step(op: EditOp):
+    """The step for ``op``; an instance of a subclass applies as its base."""
+    for cls in type(op).__mro__:
+        if cls in _STEPS:
+            return _STEPS[cls]
+    raise TypeError(f"not an edit operation: {op!r}")
 
 
 def apply_op(g: PropertyGraph, op: EditOp, index: int | None = None) -> PropertyGraph:
@@ -242,7 +265,7 @@ def apply_op(g: PropertyGraph, op: EditOp, index: int | None = None) -> Property
     properties must exist. Violations raise ``PreconditionViolated``.
     """
     draft = _Draft(g)
-    draft.apply(op, index)
+    _step(op)(draft, op, index)
     return draft.graph()
 
 
@@ -255,8 +278,9 @@ def apply_script(g: PropertyGraph, ops: list) -> PropertyGraph:
     the script (plus sorting the result). ``g`` itself is never changed.
     """
     draft = _Draft(g)
+    steps = _STEPS
     for i, op in enumerate(ops):
-        draft.apply(op, i)
+        (steps.get(type(op)) or _step(op))(draft, op, i)
     return draft.graph()
 
 
@@ -304,16 +328,13 @@ class CostModel:
         )
 
     def weight_of(self, op: EditOp) -> int:
-        if op.kind == "relV":
-            return self.node_sub
-        if op.kind == "relE":
-            return self.edge_sub
-        return self.weights[op.kind]
+        return script_cost([op], self)
 
 
 def script_cost(ops: list, cm: CostModel) -> int:
     """Total weight of a script; under the unit model this is its length."""
-    return sum(map(cm.weight_of, ops))
+    weight = {**cm.weights, "relV": cm.node_sub, "relE": cm.edge_sub}
+    return sum([weight[op.kind] for op in ops])
 
 
 def is_canonical(ops: list) -> bool:
@@ -538,20 +559,31 @@ def format_op(op: EditOp) -> str:
 
 
 def format_script(ops: list) -> str:
-    return "\n".join(format_op(op) for op in ops) + ("\n" if ops else "")
+    lines = []
+    for op in ops:
+        tokens = list(_OP_KINDS[op.kind][2](op))
+        line = " ".join(tokens)
+        # format_record's own test for a line whose tokens all stand bare
+        if '"' in line or "\\" in line or "#" in line or line.split() != tokens:
+            line = format_record(tokens)
+        lines.append(line)
+    return "\n".join(lines) + ("\n" if ops else "")
 
 
 def parse_script(text: str) -> list:
     """Parse the one-operation-per-line script format (inverse of format_script)."""
     ops: list = []
-    for lineno, tokens in parse_records(text):
-        kind, args = tokens[0], tokens[1:]
-        if kind not in _OP_KINDS:
-            raise ValueError(f"line {lineno}: unknown operation {kind!r}")
-        cls, arity, _, _ = _OP_KINDS[kind]
-        if len(args) != arity:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = tokenize_line(line, lineno) if '"' in line or "#" in line else line.split()
+        if not tokens:
+            continue
+        spec = _OP_KINDS.get(tokens[0])
+        if spec is None:
+            raise ValueError(f"line {lineno}: unknown operation {tokens[0]!r}")
+        cls, arity, _, _ = spec
+        if len(tokens) != arity + 1:
             raise ValueError(
-                f"line {lineno}: {kind} takes {arity} arguments, got {len(args)}"
+                f"line {lineno}: {tokens[0]} takes {arity} arguments, got {len(tokens) - 1}"
             )
-        ops.append(cls(*args))
+        ops.append(cls(*tokens[1:]))
     return ops

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterator
 
 # Each escape and the character it stands for.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -114,15 +113,6 @@ def format_record(tokens: list[str]) -> str:
     if '"' in line or "\\" in line or "#" in line or line.split() != tokens:
         return " ".join(quote_token(t) for t in tokens)
     return line
-
-
-def parse_records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Tokenize a whole document, yielding (line number, tokens) per non-empty
-    record as it is read."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = tokenize_line(line, lineno)
-        if tokens:
-            yield lineno, tokens
 
 
 def scan_atoms(line: str) -> list[tuple[str, str, tuple[str, ...]]]:

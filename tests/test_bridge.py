@@ -19,7 +19,7 @@ from pgmatch import (
     run_solver,
 )
 from pgmatch.bridge import EXIT_CODES, AnswerSet, parse_solver_output
-from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL
+from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL, UpdateProp
 from pgmatch.encode import Fact, ProblemKind, kind_cost_model, render_job
 from pgmatch.records import scan_atoms
 from pgmatch.search import SearchOptions, min_edit_matching
@@ -329,6 +329,25 @@ def test_decode_edit_script_names_a_malformed_edit_atom(atom):
     )
     with pytest.raises(DecodeMismatchError, match=f"edit atom {re.escape(atom.render())} has"):
         decode_edit_script(ans, g1, g2)
+
+
+def test_decode_edit_script_checks_the_old_value_of_an_update():
+    # update_prop(X,K,V1,V2) :- p1(X,K,V1), ...: V1 is the value g1 holds
+    g1 = PropertyGraph({"a": "n"}, {}, {("a", "k"): "1"})
+    g2 = PropertyGraph({"b": "n"}, {}, {("b", "k"): "2"})
+
+    def decode(atom):
+        ans = answer([Fact("h", ("a", "b")), atom], costs=(1,), optimal=True, status=SolverStatus.OPTIMUM)
+        return decode_edit_script(ans, g1, g2)
+
+    assert decode(Fact("update_prop", ("a", "k", "1", "2"))) == ([UpdateProp("a", "k", "2")], 1)
+    for atom, held in (
+        (Fact("update_prop", ("a", "k", "WRONG", "2")), "'1'"),
+        (Fact("update_prop", ("a", "j", "1", "2")), "no such property"),
+    ):
+        message = f"edit atom {atom.render()} updates {atom.args[2]!r}; g1 holds {held}"
+        with pytest.raises(DecodeMismatchError, match=f"^{re.escape(message)}$"):
+            decode(atom)
 
 
 def test_decode_edit_script_relabel_mode():

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -42,6 +44,7 @@ from pgmatch.editing import (
     RelabelNode,
     UpdateProp,
     _rewrite_pair,
+    format_op,
     prepend_canonical,
 )
 
@@ -92,6 +95,77 @@ def test_update_to_same_value_is_allowed():
 def test_precondition_violations(graph, op, fragment):
     with pytest.raises(PreconditionViolated, match=fragment):
         apply_op(graph, op)
+
+
+# Every precondition message, as apply_op (no index) and apply_script (an
+# index past a prefix that inserts and deletes a node of its own) report it.
+EXACT_VIOLATIONS = [
+    (PropertyGraph({"v": "a"}), InsertNode("v", "b"), "insV v b", "id 'v' already exists"),
+    (PropertyGraph({"v": "a"}, {"e": ("v", "v", "x")}), InsertNode("e", "b"), "insV e b",
+     "id 'e' already exists"),
+    (PropertyGraph({"v": "a"}), InsertEdge("v", "v", "v", "x"), "insE v v v x", "id 'v' already exists"),
+    (PropertyGraph({"v": "a"}), InsertEdge("e", "w9", "v", "x"), "insE e w9 v x",
+     "endpoint 'w9' is not a node"),
+    (PropertyGraph({"v": "a"}), InsertEdge("e", "v", "w9", "x"), "insE e v w9 x",
+     "endpoint 'w9' is not a node"),
+    (PropertyGraph(), InsertProp("x", "k", "d"), "insP x k d", "owner 'x' does not exist"),
+    (PropertyGraph({"v": "a"}, {}, {("v", "k"): "d"}), InsertProp("v", "k", "d"), "insP v k d",
+     "property ('v', 'k') already exists"),
+    (PropertyGraph(), DeleteNode("v"), "delV v", "node 'v' does not exist"),
+    (PropertyGraph({"v": "a"}, {"e": ("v", "v", "x")}), DeleteNode("v"), "delV v",
+     "node 'v' is an edge endpoint"),
+    (PropertyGraph({"v": "a"}, {}, {("v", "k"): "d"}), DeleteNode("v"), "delV v",
+     "node 'v' still has properties"),
+    (PropertyGraph(), DeleteEdge("e"), "delE e", "edge 'e' does not exist"),
+    (PropertyGraph({"v": "a"}, {"e": ("v", "v", "x")}, {("e", "k"): "d"}), DeleteEdge("e"), "delE e",
+     "edge 'e' still has properties"),
+    (PropertyGraph(), DeleteProp("v", "k"), "delP v k", "property ('v', 'k') does not exist"),
+    (PropertyGraph({"v": "a"}), UpdateProp("v", "k", "d"), "updP v k d",
+     "property ('v', 'k') does not exist"),
+    (PropertyGraph(), RelabelNode("v", "b"), "relV v b", "node 'v' does not exist"),
+    (PropertyGraph(), RelabelEdge("e", "b"), "relE e b", "edge 'e' does not exist"),
+    (PropertyGraph({"a b": "x"}), InsertNode("a b", ""), 'insV "a b" ""', "id 'a b' already exists"),
+]
+
+
+@pytest.mark.parametrize("graph,op,text,reason", EXACT_VIOLATIONS)
+def test_precondition_messages_and_indices_are_exact(graph, op, text, reason):
+    with pytest.raises(PreconditionViolated) as err:
+        apply_op(graph, op)
+    assert (str(err.value), err.value.index, err.value.reason, err.value.op) == (
+        f"{text}: {reason}", None, reason, op
+    )
+    prefix = [InsertNode("zz", "q"), DeleteNode("zz")]
+    with pytest.raises(PreconditionViolated) as err:
+        apply_script(graph, [*prefix, op, DeleteNode("never reached")])
+    assert (str(err.value), err.value.index, err.value.op) == (f"{text} at index 2: {reason}", 2, op)
+
+
+class TaggedInsertNode(InsertNode):
+    """A subclass of an operation class, as a caller may define one."""
+
+
+class TaggedDeleteProp(DeleteProp):
+    __slots__ = ()
+
+
+def test_an_instance_of_an_op_subclass_applies_as_its_base():
+    g = PropertyGraph({"v": "a"}, {}, {("v", "k"): "d"})
+    ops = [TaggedDeleteProp("v", "k"), TaggedInsertNode("w", "b"), InsertNode("x", "c")]
+    assert apply_script(g, ops) == PropertyGraph({"v": "a", "w": "b", "x": "c"})
+    assert apply_op(PropertyGraph(), TaggedInsertNode("w", "b")) == PropertyGraph({"w": "b"})
+    with pytest.raises(PreconditionViolated) as err:
+        apply_script(g, [*ops, TaggedInsertNode("w", "b")])
+    assert (str(err.value), err.value.index) == ("insV w b at index 3: id 'w' already exists", 3)
+
+
+@pytest.mark.parametrize("thing", ["insV v a", ("insV", "v", "a"), None, InsertNode])
+def test_a_non_op_is_not_an_edit_operation(thing):
+    g = PropertyGraph({"v": "a"})
+    with pytest.raises(TypeError, match=f"^not an edit operation: {re.escape(repr(thing))}$"):
+        apply_op(g, thing)
+    with pytest.raises(TypeError, match=f"^not an edit operation: {re.escape(repr(thing))}$"):
+        apply_script(g, [InsertNode("w", "b"), thing])
 
 
 def test_delete_edge_with_properties_is_rejected():
@@ -577,6 +651,49 @@ def test_op_records_are_frozen_slotted_and_copy_equal(kind):
         assert hash(twin) == hash(op)
 
 
+@pytest.mark.parametrize("kind", sorted(_OP_KINDS))
+def test_op_record_constructor_is_its_dataclass_fields(kind):
+    cls = _OP_KINDS[kind][0]
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [f"{name}-{i}" for i, name in enumerate(names)]
+    op = cls(*values)
+    assert list(inspect.signature(cls).parameters) == names
+    assert cls.__match_args__ == tuple(names)
+    assert [getattr(op, name) for name in names] == values
+    assert cls(**dict(zip(names, values))) == op
+    assert repr(op) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    changed = dataclasses.replace(op, **{names[-1]: "other"})
+    assert type(changed) is cls and changed != op
+    assert [getattr(changed, name) for name in names] == [*values[:-1], "other"]
+    assert [getattr(op, name) for name in names] == values
+    for args, kwargs in (
+        (values[:-1], {}),
+        ([*values, "extra"], {}),
+        (values, {"bogus": "x"}),
+        (values, {names[0]: "twice"}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    match op:
+        case cls(first):
+            assert first == values[0]
+        case _:
+            pytest.fail(f"{op!r} does not match its class pattern")
+
+
+def test_op_records_match_by_position_and_keyword():
+    described = []
+    for op in (InsertEdge("e", "s", "t", "l"), UpdateProp("v", "k", "d"), DeleteNode("v")):
+        match op:
+            case InsertEdge(edge, src, tgt, label=lab):
+                described.append(("edge", edge, src, tgt, lab))
+            case UpdateProp(owner, key, value):
+                described.append(("update", owner, key, value))
+            case DeleteNode(node=v):
+                described.append(("delete", v))
+    assert described == [("edge", "e", "s", "t", "l"), ("update", "v", "k", "d"), ("delete", "v")]
+
+
 # -- script text format --------------------------------------------------------------
 
 
@@ -609,3 +726,52 @@ def test_parse_script_rejects_bad_input():
         parse_script("frobV v1\n")
     with pytest.raises(ValueError, match="arguments"):
         parse_script("delV v1 extra\n")
+
+
+def test_parse_script_messages_and_line_numbers_are_exact():
+    head = '\n# a comment line\ndelV v1\r\n\r\n  insV "a b" "" # trailing comment\n"delE" e1\n'
+    assert parse_script(head) == [DeleteNode("v1"), InsertNode("a b", ""), DeleteEdge("e1")]
+    for bad, message in (
+        ("frobV x", "line 7: unknown operation 'frobV'"),
+        ('"" x', "line 7: unknown operation ''"),
+        ("insV v", "line 7: insV takes 2 arguments, got 1"),
+        ('insE e "s t" u', "line 7: insE takes 4 arguments, got 3"),
+        ("delV v w # x", "line 7: delV takes 1 arguments, got 2"),
+        ('delV "v', "line 7: unterminated quoted token"),
+        ('delV "v\\q"', "line 7: bad escape in quoted token"),
+        ('delV v"', "line 7: quote in the middle of a token"),
+    ):
+        for text in (head + bad + "\n", head.replace("\r\n", "\n").replace("\n", "\r\n") + bad):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_script(text)
+
+
+ADVERSARIAL_OPS = [
+    InsertNode("", "a"),
+    InsertNode("a b", ""),
+    InsertNode("v", "#x"),
+    InsertNode("x#", "tab\there"),
+    UpdateProp("v", "k", "back\\slash"),
+    InsertProp('q"uote', "k", "d"),
+    RelabelEdge("e", "x\x1cy"),
+    InsertEdge("e", "s\nt", "t", "l"),
+    DeleteProp("\u3000", "k"),
+    DeleteNode("plain"),
+]
+
+
+def test_format_script_on_adversarial_tokens():
+    text = format_script(ADVERSARIAL_OPS)
+    assert text == "".join(format_op(op) + "\n" for op in ADVERSARIAL_OPS)
+    assert parse_script(text) == ADVERSARIAL_OPS
+    assert format_script([InsertNode("a b", "")]) == 'insV "a b" ""\n'
+    rng = random.Random(29)
+    alphabet = list('ab#"\\ \t') + ["", "\x1c", "\xa0", "\n"]
+    for _ in range(300):
+        ops = []
+        for _ in range(rng.randrange(4)):
+            cls = _OP_KINDS[rng.choice(sorted(_OP_KINDS))][0]
+            ops.append(cls(*["".join(rng.choices(alphabet, k=rng.randrange(3))) for _ in dataclasses.fields(cls)]))
+        text = format_script(ops)
+        assert text == "".join(format_op(op) + "\n" for op in ops)
+        assert parse_script(text) == ops

@@ -6,7 +6,6 @@ import random
 from pgmatch.records import (
     RecordSyntaxError,
     format_record,
-    parse_records,
     quote_token,
     tokenize_line,
 )
@@ -33,32 +32,29 @@ def random_line(rng: random.Random) -> str:
     return line + " #" + random_token(rng) if rng.random() < 0.3 else line
 
 
-def scanned(text: str) -> list:
-    """``parse_records`` by the token scanner alone: a comment appended to a
+def scanned(line: str, lineno: int) -> list:
+    """``tokenize_line`` by the token scanner alone: a comment appended to a
     line sends it through the scanner and adds no token."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = tokenize_line(line + " #", lineno)
-        if tokens:
-            out.append((lineno, tokens))
-    return out
+    return tokenize_line(line + " #", lineno)
 
 
-def outcome(parse, text: str):
+def outcome(tokenize, line: str, lineno: int):
     try:
-        return parse(text)
+        return tokenize(line, lineno)
     except RecordSyntaxError as exc:
         return f"RecordSyntaxError: {exc}"
 
 
-def test_parse_records_agrees_with_the_token_scanner():
+def test_tokenize_line_agrees_with_the_token_scanner():
+    """The ``str.split`` path, which ``parse_graph`` and ``parse_script``
+    take inline for a line without ``"`` or ``#``, against the scanner."""
     rng = random.Random(11)
     split_path = 0
     for _ in range(4000):
         lines = [random_line(rng) for _ in range(rng.randint(1, 3))]
         split_path += sum('"' not in line and "#" not in line for line in lines)
-        text = "\n".join(lines)
-        assert outcome(lambda t: list(parse_records(t)), text) == outcome(scanned, text), repr(text)
+        for lineno, line in enumerate("\n".join(lines).splitlines(), start=1):
+            assert outcome(tokenize_line, line, lineno) == outcome(scanned, line, lineno), repr(line)
     assert split_path > 2000
 
 
