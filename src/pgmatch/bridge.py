@@ -281,9 +281,13 @@ def decode_edit_script(
             )
         if fact.pred == "insert_edge":
             e, s, t, lab = args
+            if s not in g2.nodes or t not in g2.nodes:
+                raise DecodeMismatchError(f"edit atom {fact.render()} names a node g2 does not have")
             atom_ops.append(InsertEdge(e, matched_from.get(s, s), matched_from.get(t, t), lab))
         elif fact.pred == "insert_prop":
             y, k, d = args
+            if y not in g2.nodes and y not in g2.edges:
+                raise DecodeMismatchError(f"edit atom {fact.render()} names an element g2 does not have")
             atom_ops.append(InsertProp(matched_from.get(y, y), k, d))
         elif fact.pred == "update_prop":
             x, k, v1, v2 = args

@@ -41,13 +41,13 @@ a label substitution plus property updates, deletions and insertions. Edit
 distance takes the cost model's weights; decision searches count property
 edits at unit weights, insertions only for iso, and under hard properties
 allow a pair only at cost 0. Iso, sub and edit distance price the parallel
-edges between two nodes (a bucket) with one assignment solver, ``_assign``
-(a one-edge bucket needs no matrix); hom, not injective, prices each edge
-as a one-edge bucket. A witness pairs each bucket lexicographically first
-among its cheapest pairings (``_bucket_pairs``, one ranked solve): a decision
-search keeps the pairs its one-edge solves found and ranks only iso and sub
-buckets of two or more edges after it; edit distance ranks every bucket of
-its witness (``_witness_edges``).
+edges between two nodes (a bucket) with one assignment solver, ``_assign``;
+a one-edge bucket, and for hom, not injective, each edge, is one scan for
+its first cheapest partner (``_one_edge``). A witness pairs each bucket
+lexicographically first among its cheapest pairings (``_bucket_pairs``, one
+ranked solve): a decision search keeps the pairs its one-edge scans found
+and ranks only iso and sub buckets of two or more edges after it; edit
+distance ranks every bucket of its witness (``_witness_edges``).
 """
 
 from __future__ import annotations
@@ -176,12 +176,15 @@ def _forced_edges(g: PropertyGraph, cls: dict, surplus: dict) -> dict:
     nodes of one class (a self-loop counts once) and s its surplus, they
     have at least the largest d_s and, as an edge has at most two ends among
     them, half the sum of d_1 + ... + d_s over every class, rounded up."""
+    if not surplus:
+        return {}
     count = Counter(cls[x] for x in g.nodes if cls[x] in surplus)  # nodes per class
     degrees: dict = {}  # (edge class, node class) -> node -> its edges of that class
     for e, (s, t, _) in g.edges.items():
         for x in {s, t}:
             if cls[x] in surplus:
-                degrees.setdefault((cls[e], cls[x]), Counter())[x] += 1
+                d = degrees.setdefault((cls[e], cls[x]), {})
+                d[x] = d.get(x, 0) + 1
     top: dict = {}
     total: dict = {}
     for (ce, c), d in degrees.items():
@@ -387,6 +390,20 @@ def _assign(costs: list[list], deadline: _Deadline) -> tuple[int, list[int]] | N
     return sum([row[j] for row, j in zip(costs, col_of)]), col_of
 
 
+def _one_edge(e: str, b2: list[str], edge_cost, ins=None) -> tuple:
+    """The cost and the first cheapest partner ``f`` of edge ``e`` in ``b2`` at
+    ``edge_cost(e, f)`` (None: not allowed) less ``ins[f]`` when given, the
+    column ``_assign``'s first loop picks; ``(inf, None)`` when none is allowed."""
+    low, pick = math.inf, None
+    for f in b2:
+        c = edge_cost(e, f)
+        if c is not None:
+            c -= 0 if ins is None else ins[f]
+            if c < low:
+                low, pick = c, f
+    return low, pick
+
+
 def _bucket_cost(
     b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
 ) -> tuple[int, dict[str, str]] | None:
@@ -396,17 +413,11 @@ def _bucket_cost(
     is deleted at ``dele[e]``, each ``f`` left over inserted at ``ins[f]``: a
     pair then costs ``edge_cost(e, f) - ins[f]`` on top of inserting all of
     ``b2``, and each row has its own deletion column (Riesen & Bunke 2009).
-    One edge takes its cheapest allowed column, the first among equals and
-    deletion last, as ``_assign``'s first loop would, without the matrix."""
+    One edge takes its ``_one_edge`` partner and is deleted only when that
+    is strictly cheaper, deletion being its last column."""
     if len(b1) == 1:
-        e, low, pick = b1[0], math.inf, None
-        base = 0 if dele is None else sum([ins[f] for f in b2])
-        for f in b2:
-            c = edge_cost(e, f)
-            if c is not None:
-                c -= 0 if dele is None else ins[f]
-                if c < low:
-                    low, pick = c, f
+        e, base = b1[0], 0 if dele is None else sum([ins[f] for f in b2])
+        low, pick = _one_edge(e, b2, edge_cost, ins)
         if dele is not None and dele[e] < low:
             return base + dele[e], {}
         return None if pick is None else (base + low, {e: pick})
@@ -536,8 +547,7 @@ class _DecisionSearch(_BranchAndBound):
         self.used = 0  # the bitset of images, for injective kinds
         self.found: list[dict] = []  # per assigned node, the edge pairs its step found
         self.best: tuple[dict, dict] | None = None  # node map and edge pairs
-        # _search() sets ix, price, pricing, domains and the g2 tables past
-        # its cuts
+        # _search() sets ix, price, domains and the g2 tables past its cuts
 
     def _assign_buckets(self, v: str, w: str, closed1: list) -> tuple[int, dict] | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
@@ -555,17 +565,23 @@ class _DecisionSearch(_BranchAndBound):
                 u = v if x == w else self.inv.get(x)
                 if u is not None and (v if s == w else u, v if t == w else u) not in pairs1:
                     return None
-        total, found_pairs = 0, {}
+        total, found_pairs, price = 0, {}, self.price
         for (s, t), b1 in closed1:
             b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]), [])
             if injective and (len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2)):
                 return None
-            for b in (b1,) if injective else ([e] for e in b1):
-                found = _bucket_cost(b, b2, *self.pricing)
-                if found is None:
+            if injective and len(b1) > 1:
+                if (found := _bucket_cost(b1, b2, price, self.deadline)) is None:
                     return None
                 total += found[0]
                 found_pairs.update(found[1])
+            else:
+                for e in b1:  # a one-edge bucket, or for hom each edge as one
+                    cost, f = _one_edge(e, b2, price)
+                    if f is None:
+                        return None
+                    total += cost
+                    found_pairs[e] = f
         return total, found_pairs
 
     # -- main search ----------------------------------------------------------
@@ -581,7 +597,7 @@ class _DecisionSearch(_BranchAndBound):
         for (s, t), b1 in self.ix.pairs1.items() if self.injective else ():
             if len(b1) > 1:  # one _assign solve need not give the first pairing
                 b2 = self.ix.pairs2[(node_map[s], node_map[t])]
-                edge_map.update(_bucket_pairs(b1, b2, *self.pricing))
+                edge_map.update(_bucket_pairs(b1, b2, self.price, self.deadline))
         return Matching(node_map, edge_map)
 
     def _search(self) -> tuple[dict, dict] | None:
@@ -598,7 +614,6 @@ class _DecisionSearch(_BranchAndBound):
         # ones only for iso, and hard ones must cost nothing
         sub = None if self.label_hard else 0
         self.price = _pair_pricer(ix, sub, 1, 1, int(self.kind == "iso"), self.props_hard)
-        self.pricing = (self.price, self.deadline)  # for the bucket helpers
         self.domains = self._root_domains()
         if self.domains is None:
             return None
@@ -808,7 +823,7 @@ class _GedSearch(_BranchAndBound):
         self.w_del_v, self.w_ins_v = w["delV"], w["insV"]
         self.w_del_e, self.w_ins_e = w["delE"], w["insE"]
         subs = (None, None) if self.label_hard else (self.cm.node_sub, self.cm.edge_sub)
-        self.node_price, edge_price = (
+        self.node_price, self.edge_price = (
             _pair_pricer(ix, sub, w["updP"], w["delP"], w["insP"]) for sub in subs
         )
 
@@ -842,7 +857,7 @@ class _GedSearch(_BranchAndBound):
         self.ins_open = sum(self.ins_node.values()) + sum(self.ins_edge.values())
         self.assignment: dict[str, str | None] = {}
         self.inv: dict[str, str] = {}  # used g2 node -> its preimage
-        self.pricing = (edge_price, self.deadline, self.del_edge, self.ins_edge)
+        self.pricing = (self.edge_price, self.deadline, self.del_edge, self.ins_edge)
         # the incumbent: delete everything, insert everything
         self.best_cost = sum(self.del_node.values()) + sum(self.del_edge.values()) + self.ins_open
         self.best_assignment: dict[str, str | None] = {v: None for v in g1.nodes}
@@ -859,8 +874,14 @@ class _GedSearch(_BranchAndBound):
         ix, assignment, inv = self.ix, self.assignment, self.inv
         pairs1, pairs2 = ix.pairs1, ix.pairs2
         for (s, t), b1 in closed1:
-            b2 = pairs2.get((w if s == v else assignment[s], w if t == v else assignment[t]))
-            total += _bucket_cost(b1, b2, *self.pricing)[0] if b2 else self.del_bucket1[(s, t)]
+            k2 = (w if s == v else assignment[s], w if t == v else assignment[t])
+            if (b2 := pairs2.get(k2)) is None:
+                total += self.del_bucket1[(s, t)]
+            elif len(b1) > 1:
+                total += _bucket_cost(b1, b2, *self.pricing)[0]
+            else:  # _bucket_cost's one-edge rule, without its call
+                low = _one_edge(b1[0], b2, self.edge_price, self.ins_edge)[0]
+                total += self.ins_bucket2[k2] + min(self.del_edge[b1[0]], low)
         closed2 = []
         for x, k, _ in self.at2[w]:
             u = v if x == w else inv.get(x)

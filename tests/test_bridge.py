@@ -19,7 +19,14 @@ from pgmatch import (
     run_solver,
 )
 from pgmatch.bridge import EXIT_CODES, AnswerSet, parse_solver_output
-from pgmatch.editing import MODE_LABEL_HARD, MODE_RELABEL, UpdateProp
+from pgmatch.editing import (
+    MODE_LABEL_HARD,
+    MODE_RELABEL,
+    InsertEdge,
+    InsertNode,
+    InsertProp,
+    UpdateProp,
+)
 from pgmatch.encode import Fact, ProblemKind, kind_cost_model, render_job
 from pgmatch.records import scan_atoms
 from pgmatch.search import SearchOptions, min_edit_matching
@@ -329,6 +336,33 @@ def test_decode_edit_script_names_a_malformed_edit_atom(atom):
     )
     with pytest.raises(DecodeMismatchError, match=f"edit atom {re.escape(atom.render())} has"):
         decode_edit_script(ans, g1, g2)
+
+
+def test_decode_edit_script_refuses_insert_atoms_naming_g1_ids():
+    # insert_edge(Y,S,T,L) :- e2(Y,S,T,L), ... and insert_prop(Y,K,V) :-
+    # p2(Y,K,V), ...: every id they name is the second graph's
+    g1 = PropertyGraph({"v1": "a"}, {}, {})
+    g2 = PropertyGraph({"w1": "a", "w2": "b"}, {"f1": ("w2", "w1", "x")}, {("w1", "k"): "d"})
+
+    def decode(*atoms):
+        facts = [Fact("h", ("v1", "w1")), Fact("insert_node", ("w2", "b")), *atoms]
+        ans = answer(facts, costs=(3,), optimal=True, status=SolverStatus.OPTIMUM)
+        return decode_edit_script(ans, g1, g2)
+
+    edge = Fact("insert_edge", ("f1", "w2", "w1", "x"))
+    prop = Fact("insert_prop", ("w1", "k", "d"))
+    # the script names w1 by its preimage v1
+    script = [InsertNode("w2", "b"), InsertEdge("f1", "w2", "v1", "x"), InsertProp("v1", "k", "d")]
+    assert decode(edge, prop) == (script, 3)
+    for atom, named in (
+        (Fact("insert_edge", ("f1", "w2", "v1", "x")), "a node"),
+        (Fact("insert_edge", ("f1", "v1", "w1", "x")), "a node"),
+        (Fact("insert_prop", ("v1", "k", "d")), "an element"),
+    ):
+        atoms = (atom, prop) if atom.pred == "insert_edge" else (edge, atom)
+        message = f"edit atom {atom.render()} names {named} g2 does not have"
+        with pytest.raises(DecodeMismatchError, match=f"^{re.escape(message)}$"):
+            decode(*atoms)
 
 
 def test_decode_edit_script_checks_the_old_value_of_an_update():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -38,6 +39,7 @@ from pgmatch.search import (
     _bucket_pairs,
     _Deadline,
     _GedSearch,
+    _one_edge,
 )
 
 RELABEL = SearchOptions(mode="relabel")
@@ -418,22 +420,26 @@ def test_cycle_rule_edge_cases():
 def test_decision_searches_solve_each_chain_bucket_once(monkeypatch):
     # hom's first node takes bv000 only if av000, its predecessor, keeps a
     # candidate; the witness reads the pairs each step found, so each of
-    # the 100 edges is solved once
-    calls = []
-    solve = search_mod._bucket_cost
+    # the 100 one-edge buckets is scanned once, and none goes through
+    # _bucket_cost
+    calls = {"_bucket_cost": [], "_one_edge": []}
+    for name, seen in calls.items():
 
-    def counted(*args):
-        calls.append(args[0])
-        return solve(*args)
+        def counted(*args, _solve=getattr(search_mod, name), _seen=seen):
+            _seen.append(args[0])
+            return _solve(*args)
 
-    monkeypatch.setattr(search_mod, "_bucket_cost", counted)
+        monkeypatch.setattr(search_mod, name, counted)
     g1, g2 = gen_chain(100, "a"), gen_chain(100, "b")
     for search in (search_hom, search_iso):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         w = search(g1, g2)
         assert w.node_map == {v: "b" + v[1:] for v in g1.nodes}, search.__name__
         assert w.edge_map == {e: "b" + e[1:] for e in g1.edges}, search.__name__
-        assert len(calls) == 100, search.__name__
+        assert len(calls["_one_edge"]) == 100, search.__name__
+        assert sorted(calls["_one_edge"]) == sorted(g1.edges), search.__name__
+        assert calls["_bucket_cost"] == [], search.__name__
 
 
 def test_forward_checking_refuses_synthetic_hom_random_pairs():
@@ -723,6 +729,19 @@ def test_one_edge_bucket_agrees_with_enumeration():
         expected = min(options, key=lambda o: o[:2]) if options else None
         found = _bucket_cost(["e0"], b2, cost, deadline, *edits)
         assert found == (None if expected is None else (expected[0], expected[2])), (table, edits)
+        # the scan alone: the first cheapest allowed partner, less its
+        # insertion when given, deletion not among the options
+        ins = edits[1] if ged else None
+        scanned = [
+            (table[f] - (ins[f] if ged else 0), j, f)
+            for j, f in enumerate(b2)
+            if table[f] is not None
+        ]
+        low = min(scanned) if scanned else (math.inf, -1, None)
+        assert _one_edge("e0", b2, cost, ins) == (low[0], low[2]), (table, ins)
+        if ged:  # and without its insertions, as a decision search scans
+            plain = min([(c + ins[f], j, f) for c, j, f in scanned], default=(math.inf, -1, None))
+            assert _one_edge("e0", b2, cost) == (plain[0], plain[2]), table
         costs = [o[0] for o in options]
         seen["ged" if ged else "decide"] += 1
         seen["empty b2"] += not b2
