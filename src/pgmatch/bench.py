@@ -19,17 +19,24 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
-from .bridge import SolverConfig, SolverStatus, decode_edit_script, decode_matching, run_solver
+from .bridge import DecodeMismatchError, SolverConfig, SolverStatus, decode_edit_script
+from .bridge import decode_matching, run_solver
 from .editing import CostModel
 from .encode import EDIT_KIND_MODES, ProblemKind, kind_cost_model, render_job
 from .generators import SHAPES, gen_chain, gen_cycle, gen_random
-from .graphs import PropertyGraph, load_graph
+from .graphs import Matching, PropertyGraph, check_homomorphism, check_isomorphism
+from .graphs import check_subgraph_embedding, load_graph
 from .search import SearchOptions, SearchTimeout, min_edit_matching, search_hom, search_iso, search_sub
 
 CSV_COLUMNS = ("instance", "kind", "backend", "status", "cost", "ms", "timed_out")
 
 # The native search of each decision kind; the edit-distance kinds share one.
 _SEARCHES = {ProblemKind.HOM: search_hom, ProblemKind.ISO: search_iso, ProblemKind.SUB: search_sub}
+_CHECKS = {
+    ProblemKind.HOM: check_homomorphism,
+    ProblemKind.ISO: check_isomorphism,
+    ProblemKind.SUB: check_subgraph_embedding,
+}
 _SOLVED = {"SAT", "UNSAT", "OPTIMUM"}
 
 
@@ -185,10 +192,13 @@ def run_asp(
     ``cm`` (gedc's weights, None for the other kinds), as ``run_native`` does.
     The model is decoded and checked against the graphs: an edit-distance
     model's script under ``kind_cost_model``, with that script's cost, and
-    otherwise its matching, with the solver's own cost. A run with no model
-    (UNSAT, or killed before printing one) has no cost and no answer. A model
-    that disagrees with the graphs raises ``DecodeMismatchError`` or
-    ``UnknownIdError``."""
+    otherwise its matching, with the solver's own cost. A hom, iso or sub
+    matching must pass that kind's checker (``check_homomorphism`` and so
+    on), the program's own conditions: labels and properties hard. The
+    approx-sub kinds' matchings are decoded only, as no checker states their
+    programs' conditions. A run with no model (UNSAT, or killed before
+    printing one) has no cost and no answer. A model that disagrees with the
+    graphs raises ``DecodeMismatchError`` or ``UnknownIdError``."""
     ans = run_solver(render_job(g1, g2, kind, cm), cfg)
     if not ans.found:
         return ans.status, None, None
@@ -196,7 +206,10 @@ def run_asp(
         script, cost = decode_edit_script(ans, g1, g2, EDIT_KIND_MODES[kind], kind_cost_model(kind, cm))
         return ans.status, cost, script
     cost = sum(ans.costs) if ans.costs is not None else None
-    return ans.status, cost, decode_matching(ans, g1, g2) if ans.atoms else None
+    witness = decode_matching(ans, g1, g2) if ans.atoms else None
+    if kind in _CHECKS and not _CHECKS[kind](witness or Matching(), g1, g2):
+        raise DecodeMismatchError(f"the model's matching is not a {kind.value} witness")
+    return ans.status, cost, witness
 
 
 def _run_cell(case: BenchCase, backend: str, budget: float, solver: SolverConfig | None) -> BenchResult:

@@ -28,6 +28,7 @@ from .editing import (
     InsertEdge,
     InsertNode,
     InsertProp,
+    InvalidMatchingError,
     RelabelEdge,
     RelabelNode,
     UpdateProp,
@@ -265,7 +266,10 @@ def decode_edit_script(
         raise DecodeMismatchError(f"no model to decode (status {ans.status.value})")
     cm = cm or CostModel.unit()
     h = decode_matching(ans, g1, g2)
-    script, cost = script_from_matching(h, g1, g2, mode, cm)
+    try:
+        script, cost = script_from_matching(h, g1, g2, mode, cm)
+    except InvalidMatchingError as exc:  # not injective, or labels differ under label-hard
+        raise DecodeMismatchError(f"the model's matching is invalid: {exc}") from exc
 
     atom_ops = []
     matched_from = {y: x for x, y in h.id_map().items()}

@@ -327,9 +327,6 @@ class CostModel:
             edge_sub=1,
         )
 
-    def weight_of(self, op: EditOp) -> int:
-        return script_cost([op], self)
-
 
 def script_cost(ops: list, cm: CostModel) -> int:
     """Total weight of a script; under the unit model this is its length."""

@@ -45,9 +45,9 @@ edges between two nodes (a bucket) with one assignment solver, ``_assign``;
 a one-edge bucket, and for hom, not injective, each edge, is one scan for
 its first cheapest partner (``_one_edge``). A witness pairs each bucket
 lexicographically first among its cheapest pairings (``_bucket_pairs``, one
-ranked solve): a decision search keeps the pairs its one-edge scans found
-and ranks only iso and sub buckets of two or more edges after it; edit
-distance ranks every bucket of its witness (``_witness_edges``).
+ranked solve): a decision step pairs each bucket as it closes it, and the
+witness is the pairs the search kept, with no pass after it; edit distance
+pairs the buckets of its incumbent once its search ends.
 """
 
 from __future__ import annotations
@@ -407,20 +407,14 @@ def _one_edge(e: str, b2: list[str], edge_cost, ins=None) -> tuple:
 def _bucket_cost(
     b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
 ) -> tuple[int, dict[str, str]] | None:
-    """The cost and pairs of the cheapest pairing of bucket ``b1`` with ``b2``,
-    or None when there is none. Each ``e`` of ``b1`` takes its own ``f`` of
-    ``b2`` at ``edge_cost(e, f)`` (None: not allowed), or, for edit distance,
-    is deleted at ``dele[e]``, each ``f`` left over inserted at ``ins[f]``: a
-    pair then costs ``edge_cost(e, f) - ins[f]`` on top of inserting all of
-    ``b2``, and each row has its own deletion column (Riesen & Bunke 2009).
-    One edge takes its ``_one_edge`` partner and is deleted only when that
-    is strictly cheaper, deletion being its last column."""
-    if len(b1) == 1:
-        e, base = b1[0], 0 if dele is None else sum([ins[f] for f in b2])
-        low, pick = _one_edge(e, b2, edge_cost, ins)
-        if dele is not None and dele[e] < low:
-            return base + dele[e], {}
-        return None if pick is None else (base + low, {e: pick})
+    """The cost and pairs of the cheapest pairing of bucket ``b1`` with ``b2``
+    by one ``_assign`` solve, or None when there is none. Each ``e`` of ``b1``
+    takes its own ``f`` of ``b2`` at ``edge_cost(e, f)`` (None: not allowed),
+    or, for edit distance, is deleted at ``dele[e]``, each ``f`` left over
+    inserted at ``ins[f]``: a pair then costs ``edge_cost(e, f) - ins[f]`` on
+    top of inserting all of ``b2``, and each row has its own deletion column
+    (Riesen & Bunke 2009). Edit-distance steps price buckets of two or more
+    edges with it, and ``_bucket_pairs`` makes its ranked solve through it."""
     if dele is None:
         costs, base = [[edge_cost(e, f) for f in b2] for e in b1], 0
     else:
@@ -438,19 +432,24 @@ def _bucket_cost(
 
 def _bucket_pairs(
     b1: list[str], b2: list[str], edge_cost, deadline: _Deadline, dele=None, ins=None
-) -> list[tuple[str, str]]:
-    """The lexicographically first of the cheapest pairings of one bucket
-    (arguments as for ``_bucket_cost``), deletion ranked last, from one solve:
-    with ``base = len(b2) + 1``, the i-th of the n edges of ``b1`` pays
+) -> tuple[int, list[tuple[str, str]]] | None:
+    """The cost of one bucket's cheapest pairings (arguments as for
+    ``_bucket_cost``) and the lexicographically first of them, deletion ranked
+    last, or None when there is none. One edge takes its ``_one_edge``
+    partner, deleted only when that is strictly cheaper. More take one ranked
+    solve: with ``base = len(b2) + 1``, the i-th of the n edges of ``b1`` pays
     ``base**n`` times its cost plus ``base**(n-1-i)`` times its rank (j for
     the j-th partner, ``len(b2)`` for deletion), ranks that sum below
-    ``base**n`` (Burkard, Dell'Amico & Martello 2009). One edge needs no
-    ranks: ``_bucket_cost`` already takes its first cheapest partner and
-    deletes it only when that is strictly cheaper. The pairing ends where
+    ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
     deleting the rest, and inserting the partners it frees, costs no more."""
     n, m = len(b1), len(b2)
     if n == 1:
-        partner = _bucket_cost(b1, b2, edge_cost, deadline, dele, ins)[1]
+        cost, f = _one_edge(b1[0], b2, edge_cost, ins)
+        if dele is not None and dele[b1[0]] < cost:
+            cost, f = dele[b1[0]], None
+        elif f is None:
+            return None
+        cost, partner = cost + (0 if ins is None else sum([ins[x] for x in b2])), {b1[0]: f}
     else:
         scale, rank2 = (m + 1) ** n, {f: j for j, f in enumerate(b2)}
         rank1 = {e: (m + 1) ** (n - 1 - i) for i, e in enumerate(b1)}
@@ -462,28 +461,16 @@ def _bucket_pairs(
         scaled = () if dele is None else (
             {e: dele[e] * scale + m * rank1[e] for e in b1}, {f: ins[f] * scale for f in b2}
         )
-        partner = _bucket_cost(b1, b2, ranked, deadline, *scaled)[1]
+        if (found := _bucket_cost(b1, b2, ranked, deadline, *scaled)) is None:
+            return None
+        cost, partner = found[0] // scale, found[1]
     cut, saves = n, 0  # what the solved b1[i:] saves against deleting it
     for i in range(n - 1, -1, -1) if dele is not None else ():
         e, f = b1[i], partner.get(b1[i])
         saves += 0 if f is None else dele[e] + ins[f] - edge_cost(e, f)
         if saves == 0:
             cut = i
-    return [(e, partner[e]) for e in b1[:cut] if e in partner]
-
-
-def _witness_edges(ix: _PairIndex, node_map: dict, pricing: tuple) -> dict:
-    """The edge map of an edit-distance witness for ``node_map``: each g1
-    bucket takes the lexicographically first of its cheapest pairings with
-    the g2 bucket between the images of its ends (``pricing`` as the
-    arguments after the buckets of ``_bucket_pairs``). A bucket with no g2
-    bucket there is deleted, unpaired."""
-    edge_map: dict[str, str] = {}
-    for (s, t), b1 in ix.pairs1.items():
-        b2 = ix.pairs2.get((node_map.get(s), node_map.get(t)))
-        if b2:
-            edge_map.update(_bucket_pairs(b1, b2, *pricing))
-    return edge_map
+    return cost, [(e, partner[e]) for e in b1[:cut] if e in partner]
 
 
 class _BranchAndBound:
@@ -547,13 +534,13 @@ class _DecisionSearch(_BranchAndBound):
         self.used = 0  # the bitset of images, for injective kinds
         self.found: list[dict] = []  # per assigned node, the edge pairs its step found
         self.best: tuple[dict, dict] | None = None  # node map and edge pairs
-        # _search() sets ix, price, domains and the g2 tables past its cuts
+        # run() sets ix, price, domains and the g2 tables past its cuts
 
     def _assign_buckets(self, v: str, w: str, closed1: list) -> tuple[int, dict] | None:
         """Check every edge bucket completed by assigning ``v`` to ``w``: the
         g1 buckets ``closed1`` between ``v`` and its assigned neighbours, and
         for iso the g2 buckets between ``w`` and assigned images. Returns the
-        added soft cost (0 under hard properties) and the pairs solved, or
+        added soft cost (0 under hard properties) and the witness's pairs, or
         None when some bucket cannot be matched as the problem kind requires:
         iso and sub pair each bucket with one of the same size (sub: at least
         the size), hom, not injective, each of its edges as a one-edge bucket."""
@@ -571,7 +558,7 @@ class _DecisionSearch(_BranchAndBound):
             if injective and (len(b1) > len(b2) or kind == "iso" and len(b1) != len(b2)):
                 return None
             if injective and len(b1) > 1:
-                if (found := _bucket_cost(b1, b2, price, self.deadline)) is None:
+                if (found := _bucket_pairs(b1, b2, price, self.deadline)) is None:
                     return None
                 total += found[0]
                 found_pairs.update(found[1])
@@ -587,23 +574,9 @@ class _DecisionSearch(_BranchAndBound):
     # -- main search ----------------------------------------------------------
 
     def run(self) -> Matching | None:
-        """The witness: the node map and edge pairs the search kept, each iso
-        or sub bucket of two or more edges ranked again, unbudgeted."""
-        found = self._search()
-        if found is None:
-            return None
-        node_map, edge_map = found
-        self.deadline.expires = math.inf
-        for (s, t), b1 in self.ix.pairs1.items() if self.injective else ():
-            if len(b1) > 1:  # one _assign solve need not give the first pairing
-                b2 = self.ix.pairs2[(node_map[s], node_map[t])]
-                edge_map.update(_bucket_pairs(b1, b2, self.price, self.deadline))
-        return Matching(node_map, edge_map)
-
-    def _search(self) -> tuple[dict, dict] | None:
-        """The node map and kept edge pairs of the witness ``run`` returns,
-        or None: its cuts, each followed by the tables the next step reads,
-        then one search."""
+        """The witness, or None: the cuts, each followed by the tables the
+        next step reads, then one search, whose kept node map and edge pairs
+        are the witness as they stand."""
         if self.kind != "hom" and not self._counts_fit():
             return None
         self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
@@ -627,7 +600,7 @@ class _DecisionSearch(_BranchAndBound):
         if self.kind == "iso":
             self.at2 = _buckets_at(self.g2, ix.pairs2)
         self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
-        return self.best
+        return None if self.best is None else Matching(*self.best)
 
     def _counts_fit(self) -> bool:
         """Counting cuts: g1 needs exactly as many nodes and edges as g2 for
@@ -879,7 +852,7 @@ class _GedSearch(_BranchAndBound):
                 total += self.del_bucket1[(s, t)]
             elif len(b1) > 1:
                 total += _bucket_cost(b1, b2, *self.pricing)[0]
-            else:  # _bucket_cost's one-edge rule, without its call
+            else:  # _bucket_pairs' one-edge rule, without its call
                 low = _one_edge(b1[0], b2, self.edge_price, self.ins_edge)[0]
                 total += self.ins_bucket2[k2] + min(self.del_edge[b1[0]], low)
         closed2 = []
@@ -908,14 +881,20 @@ class _GedSearch(_BranchAndBound):
 
     def run(self) -> GedResult:
         """Search (``_passes``) on the budget, then rebuild the incumbent's
-        edge pairs and script, whose cost must equal the search's own."""
+        edge pairs, each g1 bucket by ``_bucket_pairs`` with the g2 bucket
+        between its ends' images (none there: deleted), and its script,
+        whose cost must equal the search's own."""
         try:
             self._passes()
         except SearchTimeout:
             self.timed_out = True
         self.deadline.expires = math.inf  # the incumbent's matching is rebuilt unbudgeted
         node_map = {v: w for v, w in self.best_assignment.items() if w is not None}
-        matching = Matching(node_map, _witness_edges(self.ix, node_map, self.pricing))
+        edge_map: dict[str, str] = {}
+        for (s, t), b1 in self.ix.pairs1.items():
+            if b2 := self.ix.pairs2.get((node_map.get(s), node_map.get(t))):
+                edge_map.update(_bucket_pairs(b1, b2, *self.pricing)[1])
+        matching = Matching(node_map, edge_map)
         script, cost = script_from_matching(
             matching, self.g1, self.g2, self.opts.mode, self.cm
         )

@@ -25,6 +25,17 @@ from pgmatch.editing import (
 TESTS_DIR = Path(__file__).resolve().parent
 FAKE_SOLVER = TESTS_DIR / "fake_solver.py"
 
+
+def write_stub_solver(tmp_path: Path, model: str) -> Path:
+    """A solver script that reads its program and answers SATISFIABLE with
+    the one model line ``model``."""
+    stub = tmp_path / "stub_solver.py"
+    stub.write_text(
+        f"import sys\nsys.stdin.read()\nprint('Answer: 1')\nprint({model!r})\nprint('SATISFIABLE')\n",
+        encoding="utf-8",
+    )
+    return stub
+
 LABELS = ("a", "b")
 KEYS = ("k1", "k2")
 VALUES = ("d1", "d2")

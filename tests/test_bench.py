@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FAKE_SOLVER
+from conftest import FAKE_SOLVER, write_stub_solver
 from pgmatch import CostModel, PropertyGraph, SearchOptions, SolverConfig
 from pgmatch import bench as bench_mod
 from pgmatch.bridge import AnswerSet, DecodeMismatchError, SolverStatus, decode_edit_script
@@ -130,6 +130,28 @@ def test_asp_cell_whose_model_disagrees_with_its_graphs_is_an_error():
     (r,) = run_bench(cases, ("asp",), budget=10.0, solver=solver)
     assert (r.status, r.cost, r.timed_out) == ("ERROR", None, False)
     assert r.error.startswith(("DecodeMismatchError", "UnknownIdError"))
+
+
+def _stub_solver(tmp_path, model: str) -> SolverConfig:
+    return SolverConfig(sys.executable, (str(write_stub_solver(tmp_path, model)),), budget=10.0)
+
+
+def test_asp_decision_model_must_pass_its_kinds_checker(tmp_path):
+    # the edge ae000 runs av000 -> av001, its image be000 bv000 -> bv001, but
+    # the model maps av000 to bv001: no hom, iso or sub witness
+    g1, g2 = gen_chain(1, "a"), gen_chain(1, "b")
+    crossed = _stub_solver(tmp_path, "h(av000,bv001) h(av001,bv000) h(ae000,be000)")
+    for kind in (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB):
+        with pytest.raises(DecodeMismatchError, match=f"not a {kind.value} witness"):
+            run_asp(kind, g1, g2, crossed)
+    # the approx-sub kinds have no checker: their matching is decoded only
+    status, _, witness = run_asp(ProblemKind.APPROX_SUB_NEW, g1, g2, crossed)
+    assert (status, witness.node_map) == (SolverStatus.SAT, {"av000": "bv001", "av001": "bv000"})
+    straight = _stub_solver(tmp_path, "h(av000,bv000) h(av001,bv001) h(ae000,be000)")
+    for kind in (ProblemKind.HOM, ProblemKind.ISO, ProblemKind.SUB):
+        status, cost, witness = run_asp(kind, g1, g2, straight)
+        assert (status, cost) == (SolverStatus.SAT, None), kind
+        assert witness.edge_map == {"ae000": "be000"}, kind
 
 
 def test_asp_run_killed_before_any_model_has_no_answer():

@@ -25,9 +25,11 @@ from pgmatch.editing import (
     InsertEdge,
     InsertNode,
     InsertProp,
+    InvalidMatchingError,
     UpdateProp,
 )
 from pgmatch.encode import Fact, ProblemKind, kind_cost_model, render_job
+from pgmatch.generators import gen_chain
 from pgmatch.records import scan_atoms
 from pgmatch.search import SearchOptions, min_edit_matching
 
@@ -433,6 +435,21 @@ def test_decode_edit_script_remaps_inserted_edge_endpoints():
     assert cost == 2
     ins_edge = [op for op in script if op.kind == "insE"][0]
     assert (ins_edge.src, ins_edge.tgt) == ("w2", "v1")
+
+
+def test_decode_edit_script_names_an_invalid_matching():
+    # two nodes paired with one, and under label-hard ged a pair whose labels
+    # differ: the matching checker's error comes back as a decoding error
+    g1, g2 = gen_chain(1, "a"), gen_chain(1, "b")
+    two_to_one = answer([Fact("h", ("av000", "bv000")), Fact("h", ("av001", "bv000"))])
+    relabeled = answer([Fact("h", ("v1", "w1"))])
+    for ans, pair, cause in (
+        (two_to_one, (g1, g2), "matching is not injective"),
+        (relabeled, (PropertyGraph({"v1": "a"}), PropertyGraph({"w1": "b"})), "different labels"),
+    ):
+        with pytest.raises(DecodeMismatchError, match=cause) as caught:
+            decode_edit_script(ans, *pair, MODE_LABEL_HARD)
+        assert isinstance(caught.value.__cause__, InvalidMatchingError)
 
 
 def test_decode_edit_script_needs_a_model():

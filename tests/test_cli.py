@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import FAKE_SOLVER
+from conftest import FAKE_SOLVER, write_stub_solver
 from pgmatch import parse_graph, parse_script
 from pgmatch.cli import main
 
@@ -170,6 +170,26 @@ def test_solve_refuses_a_model_that_disagrees_with_its_graphs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "solver cost 0 differs from script cost 11" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, model, cause",
+    [
+        ("hom", "h(av000,bv001) h(av001,bv000) h(ae000,be000)", "not a hom witness"),
+        ("ged", "h(av000,bv000) h(av001,bv000)", "matching is not injective"),
+    ],
+)
+def test_solve_refuses_a_model_its_kind_does_not_allow(tmp_path, capsys, kind, model, cause):
+    # a hom model whose edge runs against its endpoints' images, and a ged
+    # model pairing two nodes with one: exit 3, the cause on stderr
+    a, b = tmp_path / "a.pg", tmp_path / "b.pg"
+    assert main(["gen", "chain", "--k", "1", "--prefix", "a", "-o", str(a)]) == 0
+    assert main(["gen", "chain", "--k", "1", "--prefix", "b", "-o", str(b)]) == 0
+    solver = ["--solver", sys.executable, f"--solver-arg={write_stub_solver(tmp_path, model)}"]
+    assert main(["solve", "--kind", kind, *solver, str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert cause in captured.err
 
 
 @pytest.mark.parametrize("status", ["OPTIMUM FOUND", "SATISFIABLE"])

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import traceback
 from collections import Counter
 
 import pytest
@@ -631,11 +632,47 @@ def test_witness_solves_no_bucket_without_a_partner(monkeypatch):
     assert (result.cost, result.optimal, calls) == (5, True, [])
 
 
+def test_decision_searches_pair_each_bucket_once_as_they_close_it(monkeypatch):
+    # three parallel edges a side: the step that closes the bucket ranks it,
+    # and the witness is what it kept, with no pairing after the search
+    calls = []
+    solve = search_mod._bucket_pairs
+
+    def counted(*args):
+        calls.append([frame.name for frame in traceback.extract_stack()])
+        return solve(*args)
+
+    monkeypatch.setattr(search_mod, "_bucket_pairs", counted)
+    g1 = PropertyGraph(
+        {"a1": "n", "a2": "n"},
+        {f"ae{i}": ("a1", "a2", "x") for i in (1, 2, 3)},
+        {("ae1", "k"): "1", ("ae2", "k"): "2"},
+    )
+    g2 = PropertyGraph(
+        {"b1": "n", "b2": "n"},
+        {f"be{i}": ("b1", "b2", "x") for i in (1, 2, 3)},
+        {("be1", "k"): "2", ("be3", "k"): "1"},
+    )
+    for kind in ("iso", "sub"):
+        for props in ("hard", "soft"):
+            calls.clear()
+            search = search_mod._DecisionSearch(kind, g1, g2, SearchOptions(properties=props))
+            witness = search.run()
+            assert len(calls) == 1 and "_depth_first" in calls[0], (kind, props)
+            assert witness.node_map == {"a1": "b1", "a2": "b2"}, (kind, props)
+            b1, b2 = search.ix.pairs1[("a1", "a2")], search.ix.pairs2[("b1", "b2")]
+            cost, pairs = solve(b1, b2, search.price, _Deadline(60.0))
+            assert witness.edge_map == dict(pairs), (kind, props)
+            assert pairs == [("ae1", "be3"), ("ae2", "be1"), ("ae3", "be2")], (kind, props)
+            assert cost == 0, (kind, props)
+
+
 def _first_cheapest_by_enumeration(b1, b2, cost, dele=None, ins=None):
-    """The witness rule of one bucket by enumeration, None when no pairing
-    exists: keep the cheapest assignments of distinct partners (None: deleted,
-    edit distance only), then go edge by edge: end if deleting the rest is
-    among them, otherwise take the lowest partner, otherwise delete."""
+    """The cheapest cost of one bucket and its witness pairs by enumeration,
+    None when no pairing exists: keep the cheapest assignments of distinct
+    partners (None: deleted, edit distance only), then go edge by edge: end
+    if deleting the rest is among them, otherwise take the lowest partner,
+    otherwise delete."""
 
     def choices(i, used):
         if i == len(b1):
@@ -664,15 +701,16 @@ def _first_cheapest_by_enumeration(b1, b2, cost, dele=None, ins=None):
         alive = [c for c in alive if c[i] == f]
         if f is not None:
             pairs.append((e, f))
-    return pairs
+    return low, pairs
 
 
 def test_bucket_witness_agrees_with_enumeration():
     # small costs make ties common; decision pricing has no dele/ins and no
-    # more edges than partners
+    # more edges than partners. The cost is the enumeration's minimum, and
+    # None comes back exactly when the enumeration finds no pairing
     rng = random.Random(16)
     deadline = _Deadline(60.0)
-    checked, one_edge = 0, Counter()  # one-edge buckets, with dele/ins or without
+    checked, one_edge, none = 0, Counter(), Counter()  # one-edge buckets and None, per ged
     for _ in range(1500):
         ged = rng.random() < 0.5
         n = rng.randint(1, 4)
@@ -692,13 +730,14 @@ def test_bucket_witness_agrees_with_enumeration():
         if ged:
             edits = tuple({x: rng.randint(0, high + 1) for x in b} for b in (b1, b2))
         expected = _first_cheapest_by_enumeration(b1, b2, cost, *edits)
-        if expected is not None:
-            assert _bucket_pairs(b1, b2, cost, deadline, *edits) == expected, (table, edits)
-            checked += 1
-            one_edge[ged] += n == 1
-    assert checked > 1200
+        assert _bucket_pairs(b1, b2, cost, deadline, *edits) == expected, (table, edits)
+        checked += 1
+        one_edge[ged] += n == 1
+        none[n == 1] += expected is None
+    assert checked == 1500
     assert one_edge[True] + one_edge[False] >= 300, one_edge
     assert min(one_edge[True], one_edge[False]) > 150, one_edge
+    assert min(none.values()) >= 5, none  # no pairing, for one edge and for more
 
 
 def test_one_edge_bucket_agrees_with_enumeration():
@@ -1126,7 +1165,8 @@ def test_setup_runs_on_the_search_clock(monkeypatch):
 
 def test_a_decision_witness_found_is_rebuilt_off_the_clock(monkeypatch):
     # the budget runs out just after the leaf that keeps the witness: its
-    # edges are still paired, through an assignment solve per bucket of two
+    # edges were paired by the step that closed each bucket of two, before
+    # the leaf, so the witness stands with nothing left to pair
     keep = search_mod._DecisionSearch._leaf
 
     def spent_at_leaf(self, acc):
