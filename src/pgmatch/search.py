@@ -44,10 +44,10 @@ allow a pair only at cost 0. Iso, sub and edit distance price the parallel
 edges between two nodes (a bucket) with one assignment solver, ``_assign``;
 a one-edge bucket, and for hom, not injective, each edge, is one scan for
 its first cheapest partner (``_one_edge``). A witness pairs each bucket
-lexicographically first among its cheapest pairings (``_bucket_pairs``, one
-ranked solve): a decision step pairs each bucket as it closes it, and the
-witness is the pairs the search kept, with no pass after it; edit distance
-pairs the buckets of its incumbent once its search ends.
+lexicographically first among its cheapest pairings (``_bucket_pairs``: a
+decision bucket's greedy pairing when it is cheapest, else one ranked solve):
+a decision step pairs each bucket as it closes it, and the witness is the
+pairs the search kept; edit distance pairs its incumbent's after its search.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .graphs import Matching, PropertyGraph, validate
 
 PROPS_HARD = "hard"
 PROPS_SOFT = "soft"
+_NO_PROPS: dict[str, str] = {}  # the properties of any owner that has none
 
 
 class SearchTimeout(Exception):
@@ -125,7 +126,8 @@ class GedResult:
 
 
 def _props_by_owner(g: PropertyGraph) -> dict[str, dict[str, str]]:
-    out: dict[str, dict[str, str]] = {x: {} for x in list(g.nodes) + list(g.edges)}
+    """The properties per owner, only for the owners that carry any."""
+    out: dict[str, dict[str, str]] = {}
     for (x, k), d in g.props.items():
         out.setdefault(x, {})[k] = d
     return out
@@ -202,7 +204,8 @@ class _PairIndex:
     - ``labels1`` / ``labels2``: the label per node and edge id, and
       ``cls1`` / ``cls2`` its label class: the label under ``label-hard``,
       None under ``relabel``, so that elements of one class may be paired.
-    - ``props1`` / ``props2``: properties per owner (node or edge id).
+    - ``props1`` / ``props2``: properties per owner (node or edge id), only
+      for the owners that carry any; a reader takes ``_NO_PROPS`` for others.
     - ``pairs1`` / ``pairs2``: edge buckets, the sorted parallel edges per
       (src, tgt).
     - ``at1``: the buckets incident to each g1 node (``_buckets_at``).
@@ -239,7 +242,7 @@ def _pair_pricer(ix: _PairIndex, sub: int | None, upd: int, dele: int, ins: int,
             return None
         else:
             cost = sub
-        p1, p2 = props1[x], props2[y]
+        p1, p2 = props1.get(x, _NO_PROPS), props2.get(y, _NO_PROPS)
         if not (p1 or p2):
             return cost
         props = 0
@@ -319,7 +322,8 @@ def _in_out_degrees(g: PropertyGraph) -> dict[str, tuple[int, int]]:
 
 
 def _ordered_nodes(g: PropertyGraph, degrees: dict) -> list[str]:
-    return sorted(g.nodes, key=lambda v: (-sum(degrees[v]), v))
+    """By descending out- plus in-degree, then id (``g.nodes``' order, kept by a stable sort)."""
+    return sorted(g.nodes, key=lambda v: sum(degrees[v]), reverse=True)
 
 
 class _Deadline:
@@ -435,14 +439,27 @@ def _bucket_pairs(
 ) -> tuple[int, list[tuple[str, str]]] | None:
     """The cost of one bucket's cheapest pairings (arguments as for
     ``_bucket_cost``) and the lexicographically first of them, deletion ranked
-    last, or None when there is none. One edge takes its ``_one_edge``
-    partner, deleted only when that is strictly cheaper. More take one ranked
-    solve: with ``base = len(b2) + 1``, the i-th of the n edges of ``b1`` pays
-    ``base**n`` times its cost plus ``base**(n-1-i)`` times its rank (j for
-    the j-th partner, ``len(b2)`` for deletion), ranks that sum below
-    ``base**n`` (Burkard, Dell'Amico & Martello 2009). The pairing ends where
-    deleting the rest, and inserting the partners it frees, costs no more."""
+    last, or None when there is none. With no deletion costs (a decision
+    bucket) each edge in turn first takes the first cheapest partner no edge
+    before it took; when each so pays its own lowest cost, that pairing is
+    cheapest and, edge by edge, the earliest, so the first. Otherwise one edge
+    takes its ``_one_edge`` partner, deleted only when that is strictly
+    cheaper, and more take one ranked solve: with ``base = len(b2) + 1``, the
+    i-th of the n edges of ``b1`` pays ``base**n`` times its cost plus
+    ``base**(n-1-i)`` times its rank (j for the j-th partner, ``len(b2)`` for
+    deletion), ranks that sum below ``base**n`` (Burkard, Dell'Amico &
+    Martello 2009). The pairing ends where deleting the rest, and inserting
+    the partners it frees, costs no more."""
     n, m = len(b1), len(b2)
+    if dele is None:
+        total, taken = 0, {}  # partner -> edge
+        for e in b1:
+            c, f = _one_edge(e, [x for x in b2 if x not in taken], edge_cost)
+            if f is None or taken and c > _one_edge(e, b2, edge_cost)[0]:
+                break
+            total, taken[f] = total + c, e
+        else:
+            return total, [(e, f) for f, e in taken.items()]
     if n == 1:
         cost, f = _one_edge(b1[0], b2, edge_cost, ins)
         if dele is not None and dele[b1[0]] < cost:
@@ -581,7 +598,7 @@ class _DecisionSearch(_BranchAndBound):
             return None
         self.ix = ix = _PairIndex(self.g1, self.g2, self.label_hard)
         # a set of g2 nodes is an int whose bit i stands for ids2[i]
-        self.ids2 = sorted(self.g2.nodes)
+        self.ids2 = list(self.g2.nodes)  # a graph keeps its ids sorted
         self.bit2 = bit2 = {w: 1 << i for i, w in enumerate(self.ids2)}
         # relabeling is free; soft properties cost their unit edits, inserted
         # ones only for iso, and hard ones must cost nothing
@@ -590,13 +607,14 @@ class _DecisionSearch(_BranchAndBound):
         self.domains = self._root_domains()
         if self.domains is None:
             return None
-        # succ2[w][c] / pred2[w][c]: w's successors / predecessors over class c
-        self.succ2: dict[str, dict] = {w: {} for w in self.ids2}
-        self.pred2: dict[str, dict] = {w: {} for w in self.ids2}
+        # succ2[c][w] / pred2[c][w]: w's successors / predecessors over class c
+        self.succ2: dict = {}
+        self.pred2: dict = {}
         for f, (s, t, _) in self.g2.edges.items():
-            c = ix.cls2[f]
-            self.succ2[s][c] = self.succ2[s].get(c, 0) | bit2[t]
-            self.pred2[t][c] = self.pred2[t].get(c, 0) | bit2[s]
+            succ = self.succ2.setdefault(ix.cls2[f], {})
+            pred = self.pred2.setdefault(ix.cls2[f], {})
+            succ[s] = succ.get(s, 0) | bit2[t]
+            pred[t] = pred.get(t, 0) | bit2[s]
         if self.kind == "iso":
             self.at2 = _buckets_at(self.g2, ix.pairs2)
         self._depth_first(_ordered_nodes(self.g1, _in_out_degrees(self.g1)), self.kind)
@@ -621,9 +639,11 @@ class _DecisionSearch(_BranchAndBound):
         many edges out of, into and looping at it as ``v``, per edge label
         (in total under ``relabel``). Each filter drops only candidates that
         belong to no complete witness. For iso and sub it is also None when
-        some n domains hold fewer than n g2 nodes (Hall, McCreesh & Prosser 2015).
+        some n domains hold fewer than n g2 nodes (Hall, McCreesh & Prosser 2015),
+        checked once per distinct domain with the count of nodes sharing it.
         Each mask is computed once per node class: the g1 nodes alike in all
-        four filters share it, and the g2 side is gathered per signature."""
+        four filters share it, and for iso and sub the g2 side is gathered per
+        signature."""
         g1, g2, ix, kind = self.g1, self.g2, self.ix, self.kind
         core1 = _walk_core(g1, ix.pairs1)
         core2 = _walk_core(g2, ix.pairs2) if core1 else set()
@@ -638,12 +658,11 @@ class _DecisionSearch(_BranchAndBound):
         # (key, value) property
         with_label: dict = {}
         by_sig: dict = {}
-        in_core = 0
         for w, bit in self.bit2.items():
             with_label[ix.cls2[w]] = with_label.get(ix.cls2[w], 0) | bit
-            in_core |= bit if w in core2 else 0
-            sig = sigs2.get(w, ())
-            by_sig[sig] = by_sig.get(sig, 0) | bit
+        for w, sig in sigs2.items():  # none for hom
+            by_sig[sig] = by_sig.get(sig, 0) | self.bit2[w]
+        in_core = sum([self.bit2[w] for w in core2])  # distinct bits: their union
         with_sig: dict = {}
         for sig, bits in by_sig.items():
             for item in (sig,) if kind == "iso" else _numbered(sig):
@@ -657,7 +676,7 @@ class _DecisionSearch(_BranchAndBound):
         masks: dict = {}  # per node class: label class, in the core, signature, hard properties
         for v in g1.nodes:
             sig = sigs1.get(v, ())
-            props = tuple(ix.props1[v].items()) if self.props_hard else ()
+            props = tuple(ix.props1.get(v, _NO_PROPS).items()) if self.props_hard else ()
             key = (ix.cls1[v], v in core1, sig, props)
             mask = masks.get(key)
             if mask is None:
@@ -671,9 +690,9 @@ class _DecisionSearch(_BranchAndBound):
                 masks[key] = mask
             domains[v] = mask
         if self.injective:  # Hall: the n smallest domains need n g2 nodes between them
-            union = 0
-            for n, mask in enumerate(sorted(domains.values(), key=int.bit_count), 1):
-                union |= mask
+            union, n, counts = 0, 0, Counter(domains.values())  # nodes per distinct domain
+            for mask in sorted(counts, key=int.bit_count):
+                union, n = union | mask, n + counts[mask]
                 if union.bit_count() < n:
                     return None
         return domains
@@ -689,8 +708,8 @@ class _DecisionSearch(_BranchAndBound):
         ids2, succ2, pred2, cls1 = self.ids2, self.succ2, self.pred2, self.ix.cls1
         at1 = self.ix.at1[v]
         closed1 = [(k, b1) for u, k, b1 in at1 if u == v or u in assignment]
-        ahead = [  # per edge to an unassigned neighbour: (it, g2 table, edge class)
-            (u, succ2 if k[0] == v else pred2, cls1[e])
+        ahead = [  # per edge to an unassigned neighbour: it, and the g2 table of its class
+            (u, (succ2 if k[0] == v else pred2).get(cls1[e], {}))
             for u, k, b1 in at1 if u != v and u not in assignment for e in b1
         ]
         mask = domains[v] & ~self.used
@@ -703,9 +722,9 @@ class _DecisionSearch(_BranchAndBound):
                 continue
             free = ~(self.used | bit) if self.injective else -1
             trail = []  # (neighbour, its domain before), to undo the narrowing
-            for u, table, c in ahead:
+            for u, table in ahead:
                 trail.append((u, domains[u]))
-                domains[u] &= table[w].get(c, 0)
+                domains[u] &= table.get(w, 0)
                 if not domains[u] & free:
                     break
             else:
@@ -801,7 +820,7 @@ class _GedSearch(_BranchAndBound):
         )
 
         def priced(w_op: int, w_prop: int, props: dict, owners) -> dict[str, int]:
-            return {x: w_op + w_prop * len(props[x]) for x in owners}
+            return {x: w_op + w_prop * len(props.get(x, _NO_PROPS)) for x in owners}
 
         self.del_node = priced(self.w_del_v, w["delP"], ix.props1, g1.nodes)
         self.ins_node = priced(self.w_ins_v, w["insP"], ix.props2, g2.nodes)
@@ -1060,8 +1079,7 @@ def oracle_ged(
         raise SizeGuardError("oracle is limited to graphs with at most 7 nodes")
     cm = opts.cost_model
     label_hard = opts.mode == MODE_LABEL_HARD
-    props1 = _props_by_owner(g1)
-    props2 = _props_by_owner(g2)
+    props1, props2 = ({x: g.props_of(x) for x in [*g.nodes, *g.edges]} for g in (g1, g2))
     w = cm.weights
 
     def prop_pair(p1: dict, p2: dict) -> int:

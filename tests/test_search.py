@@ -296,6 +296,54 @@ def test_search_witnesses_pass_checkers():
             assert check_isomorphism(w, g1, g2)
 
 
+def test_owners_without_properties_read_one_empty_map():
+    # the index holds properties only for the owners that carry any, and the
+    # searches read one shared empty map for the rest: pairs where neither,
+    # one or both graphs carry properties give the brute-force verdicts and
+    # the oracle's edit distance
+    rng = random.Random(32)
+    soft = SearchOptions(properties="soft")
+    for _ in range(40):
+        g = random_graph(rng, prefix="a", max_nodes=4, edge_p=0.4, self_loops=True)
+        h = _renamed_copy(rng, _with_parallel_edges(rng, g))
+        bare_g, bare_h = _stripped(g, props=True), _stripped(h, props=True)
+        for g1, g2 in ((bare_g, bare_h), (g, bare_h), (bare_g, h), (g, h)):
+            ix = search_mod._PairIndex(g1, g2, True)
+            for props, graph in ((ix.props1, g1), (ix.props2, g2)):
+                assert props == {x: graph.props_of(x) for x, _ in graph.props}
+            for search, brute in (
+                (search_hom, brute_hom_exists),
+                (search_sub, brute_sub_exists),
+                (search_iso, brute_iso_exists),
+            ):
+                assert (search(g1, g2) is not None) == brute(g1, g2)
+                # soft properties never refuse a pair: the verdict is the bare graphs'
+                assert (search(g1, g2, soft) is not None) == brute(bare_g, bare_h)
+            result = min_edit_matching(g1, g2)
+            assert result.optimal and result.cost == oracle_ged(g1, g2)
+    assert search_mod._NO_PROPS == {}
+
+
+def test_node_order_is_descending_degree_then_id():
+    # few edges over many nodes tie many degrees: out- plus in-degree (a
+    # self-loop one of each, parallel edges one each) first, then the id
+    rng = random.Random(34)
+    ties = 0
+    for _ in range(300):
+        ids = rng.sample([f"{c}{i}" for c in "xyz" for i in range(12)], rng.randint(0, 12))
+        edges = {}
+        for i in range(rng.randint(0, len(ids)) if ids else 0):
+            s, t = rng.choice(ids), rng.choice(ids)
+            for j in range(rng.choice((1, 1, 2))):
+                edges[f"e{i}_{j}"] = (s, t, "x")
+        g = PropertyGraph(dict.fromkeys(ids, "a"), edges)
+        degree = Counter([s for s, _, _ in edges.values()] + [t for _, t, _ in edges.values()])
+        expected = sorted(ids, key=lambda v: (-degree[v], v))
+        assert search_mod._ordered_nodes(g, search_mod._in_out_degrees(g)) == expected
+        ties += len({degree[v] for v in ids}) < len(ids) - 1
+    assert ties >= 150, ties
+
+
 def test_search_determinism():
     rng = random.Random(107)
     for _ in range(40):
@@ -738,6 +786,48 @@ def test_bucket_witness_agrees_with_enumeration():
     assert one_edge[True] + one_edge[False] >= 300, one_edge
     assert min(one_edge[True], one_edge[False]) > 150, one_edge
     assert min(none.values()) >= 5, none  # no pairing, for one edge and for more
+
+
+def test_decision_bucket_pairing_matches_the_ranked_solve(monkeypatch):
+    # with no deletion costs, each edge in turn takes the first cheapest
+    # partner no edge before it took; when each so pays its lowest cost that
+    # is the ranked solve's pairing, and no solve is made. Deletion priced
+    # out of reach makes the ranked solve pair every edge, or cost that much
+    rng = random.Random(71)
+    deadline = _Deadline(60.0)
+    solves = []
+    solve = search_mod._bucket_cost
+
+    def counted(*args):
+        solves.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(search_mod, "_bucket_cost", counted)
+    skipped, solved, none = 0, 0, 0
+    for _ in range(3000):
+        n = rng.randint(2, 4)
+        b1 = [f"e{i}" for i in range(n)]
+        b2 = [f"f{j}" for j in range(rng.randint(n, 5))]
+        high, forbidden = rng.choice((0, 1, 2, 3)), rng.choice((0.0, 0.2, 0.4))
+        table = {
+            (e, f): None if rng.random() < forbidden else rng.randint(0, high)
+            for e in b1
+            for f in b2
+        }
+
+        def cost(e, f):
+            return table[e, f]
+
+        far = 1000
+        out_of_reach = (dict.fromkeys(b1, far), dict.fromkeys(b2, 0))
+        ranked = _bucket_pairs(b1, b2, cost, deadline, *out_of_reach)
+        solves.clear()
+        found = _bucket_pairs(b1, b2, cost, deadline)
+        assert found == (None if ranked[0] >= far else ranked), table
+        skipped += not solves
+        solved += bool(solves)
+        none += found is None
+    assert skipped >= 1000 and solved >= 1000 and none >= 100, (skipped, solved, none)
 
 
 def test_one_edge_bucket_agrees_with_enumeration():
